@@ -10,10 +10,8 @@
 package bench
 
 import (
-	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -441,13 +439,11 @@ func BenchmarkLevelShiftDay(b *testing.B) {
 
 // persistDB lazily builds the store the persistence benchmarks share:
 // several hundred series spanning five segment windows, the shape a
-// week of campaign data has. Pairing BenchmarkSnapshotStream with
-// BenchmarkSnapshotDirParallel (and the restore pair) measures what the
-// segmented layer buys: encode/decode fanned out per (shard, window)
-// on the pipeline pool versus one gob stream (docs/PERSISTENCE.md §7).
-// Like the campaign pair, the achievable speedup is bounded by
-// GOMAXPROCS — on a single-CPU runner the dir path instead bounds the
-// per-segment overhead (extra gob streams and file operations).
+// week of campaign data has. BenchmarkSnapshotDirParallel and
+// BenchmarkRestoreDirParallel measure the segmented layer: encode and
+// decode fanned out per (shard, window) on the pipeline pool
+// (docs/PERSISTENCE.md §7). Like the campaign pair, the achievable
+// speedup is bounded by GOMAXPROCS.
 var persistDB = struct {
 	once sync.Once
 	db   *tsdb.DB
@@ -483,16 +479,6 @@ func persistStore(b *testing.B) *tsdb.DB {
 	return persistDB.db
 }
 
-func BenchmarkSnapshotStream(b *testing.B) {
-	db := persistStore(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := db.Snapshot(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkSnapshotDirParallel(b *testing.B) {
 	db := persistStore(b)
 	dir := b.TempDir()
@@ -505,49 +491,29 @@ func BenchmarkSnapshotDirParallel(b *testing.B) {
 }
 
 // BenchmarkSegmentCompression is self-checking: each iteration
-// snapshots the persist fixture in both segment payload formats and
-// fails unless the columnar v2 encoding (docs/PERSISTENCE.md §8) is at
-// least 2x smaller on disk than gob v1 — the acceptance floor for the
-// storage engine. bench-smoke runs it under -benchtime=1x in CI.
+// snapshots the persist fixture and fails unless the columnar encoding
+// (docs/PERSISTENCE.md §2) is at least 2x smaller on disk than the raw
+// columns (16 bytes a point) — the acceptance floor for the storage
+// engine. bench-smoke runs it under -benchtime=1x in CI.
 func BenchmarkSegmentCompression(b *testing.B) {
 	db := persistStore(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		gobDir, v2Dir := b.TempDir(), b.TempDir()
-		if _, err := db.SnapshotDir(gobDir, tsdb.DirOptions{FormatVersion: tsdb.SegmentVersionGob}); err != nil {
+		dir := b.TempDir()
+		if _, err := db.SnapshotDir(dir, tsdb.DirOptions{}); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := db.SnapshotDir(v2Dir, tsdb.DirOptions{}); err != nil {
-			b.Fatal(err)
-		}
-		gobInfo, err := tsdb.ReadDirInfo(gobDir)
+		info, err := tsdb.ReadDirInfo(dir)
 		if err != nil {
 			b.Fatal(err)
 		}
-		v2Info, err := tsdb.ReadDirInfo(v2Dir)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ratio := float64(gobInfo.Bytes) / float64(v2Info.Bytes)
+		raw := int64(info.Points) * 16
+		ratio := float64(raw) / float64(info.Bytes)
 		if ratio < 2 {
-			b.Fatalf("v2 compression ratio %.2fx below the 2x floor (gob %d B, v2 %d B)",
-				ratio, gobInfo.Bytes, v2Info.Bytes)
+			b.Fatalf("compression ratio %.2fx below the 2x floor (raw %d B, on disk %d B)",
+				ratio, raw, info.Bytes)
 		}
 		b.ReportMetric(ratio, "x-compression")
-	}
-}
-
-func BenchmarkRestoreStream(b *testing.B) {
-	db := persistStore(b)
-	var buf bytes.Buffer
-	if err := db.Snapshot(&buf); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := tsdb.Open().Restore(bytes.NewReader(buf.Bytes())); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

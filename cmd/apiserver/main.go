@@ -1,9 +1,9 @@
-// Command apiserver serves a tsdb snapshot over the system's public JSON
+// Command apiserver serves a tsdb segment directory over the system's public JSON
 // query API (the InfluxDB/Grafana substitute; §1 contribution 4).
 //
 // Usage:
 //
-//	apiserver -in snapshot.tsdb|datadir/ [-addr :8080] [-pidfile path]
+//	apiserver -in datadir/ [-addr :8080] [-pidfile path]
 //	          [-follow http://leader:8081] [-tail-every 30s]
 //	          [-replica-addr :8081] [-lazy] [-block-cache-mb 16]
 //	          [-swr] [-swr-budget 5m]
@@ -11,15 +11,14 @@
 //	          [-front-health-every 2s] [-front-staleness 1]
 //	          [-front-hedge-after 0]
 //
-// -in accepts either a single-stream snapshot file or a segment
-// directory written by tslpd -datadir (docs/PERSISTENCE.md); a
-// directory is opened read-only, its shards decoded in parallel. With
-// -lazy a directory is mapped instead of decoded: queries prune whole
+// -in names a segment directory written by tslpd -datadir
+// (docs/PERSISTENCE.md); it is opened read-only, its shards decoded in
+// parallel. With -lazy the directory is mapped instead of decoded: queries prune whole
 // blocks by their summaries and decode only survivors on demand
 // (docs/PERSISTENCE.md §9), /api/v1/stats reports the blocks scanned
 // vs skipped, and follower hot-swaps reopen only changed segments.
 // -block-cache-mb bounds the lazy mode's decoded-block cache in MiB
-// (docs/PERSISTENCE.md §10.3); 0 keeps the built-in 16 MiB default.
+// (docs/PERSISTENCE.md §9.5); 0 keeps the built-in 16 MiB default.
 // The budget applies to follower hot-swaps too.
 //
 // With -follow the server is a replication follower (docs/REPLICATION.md):
@@ -32,7 +31,7 @@
 // -replica-addr starts a second listener exporting this server's own
 // segment directory to downstream followers — on a leader, point it at
 // the tslpd datadir; on a follower it re-exports the replica directory
-// for chained fan-out. It requires -in to be a directory.
+// for chained fan-out.
 //
 // The pid file defaults to apiserver.pid under os.TempDir() and is
 // removed on graceful shutdown; -pidfile "" disables it.
@@ -93,15 +92,15 @@ import (
 const shutdownGrace = 5 * time.Second
 
 func main() {
-	inPath := flag.String("in", "", "tsdb snapshot file or segment directory (required; the replica directory with -follow)")
+	inPath := flag.String("in", "", "segment directory (required; the replica directory with -follow)")
 	addr := flag.String("addr", ":8080", "listen address")
 	follow := flag.String("follow", "", "leader base URL to replicate from, e.g. http://leader:8081 (docs/REPLICATION.md)")
 	tailEvery := flag.Duration("tail-every", replication.DefaultInterval, "manifest tail cadence with -follow")
-	replicaAddr := flag.String("replica-addr", "", "listen address exporting -in (a directory) to downstream followers")
+	replicaAddr := flag.String("replica-addr", "", "listen address exporting -in to downstream followers")
 	lazy := flag.Bool("lazy", false,
 		"open segment directories in block-pruned lazy mode: segments are mapped, not decoded, and queries decode only the blocks that survive summary pruning (docs/PERSISTENCE.md §9)")
 	blockCacheMB := flag.Int64("block-cache-mb", 0,
-		"decoded-block cache budget in MiB with -lazy (0 means the built-in default; docs/PERSISTENCE.md §10.3)")
+		"decoded-block cache budget in MiB with -lazy (0 means the built-in default; docs/PERSISTENCE.md §9.5)")
 	swr := flag.Bool("swr", false,
 		"serve stale-while-revalidate: answer invalidated congestion requests with the superseded body while recomputing in the background (docs/DETECTION.md §7)")
 	swrBudget := flag.Duration("swr-budget", 5*time.Minute,
@@ -170,8 +169,8 @@ func main() {
 				return replicationHealth(f)
 			}),
 			// The replica directory is the serving store's disk identity:
-			// stats and health report its size, segment count and format
-			// versions (docs/SERVING.md §4).
+			// stats and health report its size, segment count and
+			// compaction depth (docs/SERVING.md §4).
 			api.WithStorageDir(*inPath),
 		)
 		fmt.Printf("apiserver: following %s into %s every %s\n", *follow, *inPath, *tailEvery)
@@ -180,15 +179,10 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if fi, err := os.Stat(*inPath); err == nil && fi.IsDir() {
-			opts = append(opts, api.WithStorageDir(*inPath))
-		}
+		opts = append(opts, api.WithStorageDir(*inPath))
 	}
 
 	if *replicaAddr != "" {
-		if fi, err := os.Stat(*inPath); *follow == "" && (err != nil || !fi.IsDir()) {
-			fatal(fmt.Errorf("-replica-addr requires -in to be a segment directory"))
-		}
 		go func() {
 			if err := http.ListenAndServe(*replicaAddr, replication.NewExporter(*inPath)); err != nil {
 				fmt.Fprintln(os.Stderr, "apiserver: replica listener:", err)
@@ -289,23 +283,20 @@ func runFront(replicas, addr, debugAddr, pidfile string, healthEvery time.Durati
 	}
 }
 
-// openStore loads either persistence format: a segment directory
-// (tslpd -datadir) is restored shard-parallel and read-only — or, with
-// lazy, mapped without decoding so startup is O(metadata) — anything
-// else is treated as a single-stream snapshot file (-lazy does not
-// apply to stream snapshots). cacheBytes bounds the lazy decoded-block
-// cache (docs/PERSISTENCE.md §10.3); 0 means the tsdb default.
+// openStore restores a segment directory (tslpd -datadir) shard-parallel
+// and read-only — or, with lazy, maps it without decoding so startup is
+// O(metadata). cacheBytes bounds the lazy decoded-block cache
+// (docs/PERSISTENCE.md §9.5); 0 means the tsdb default.
 func openStore(path string, lazy bool, cacheBytes int64) (*tsdb.DB, error) {
-	db := tsdb.Open()
-	if fi, err := os.Stat(path); err == nil && fi.IsDir() {
-		return db, db.RestoreDir(path, tsdb.DirOptions{Lazy: lazy, BlockCacheBytes: cacheBytes})
-	}
-	f, err := os.Open(path)
+	fi, err := os.Stat(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return db, db.Restore(f)
+	if !fi.IsDir() {
+		return nil, fmt.Errorf("-in must be a segment directory (docs/PERSISTENCE.md), %s is a file", path)
+	}
+	db := tsdb.Open()
+	return db, db.RestoreDir(path, tsdb.DirOptions{Lazy: lazy, BlockCacheBytes: cacheBytes})
 }
 
 // openReplicaDir opens the follower's local replica directory: restore

@@ -7,8 +7,8 @@ package main
 import (
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -33,23 +33,11 @@ func TestOpenStoreFileAndDir(t *testing.T) {
 		t.Fatal("directory restore diverged")
 	}
 
-	file := filepath.Join(t.TempDir(), "snap.tsdb")
-	f, err := os.Create(file)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Snapshot(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err = openStore(file, false, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Digest() != db.Digest() {
-		t.Fatal("stream restore diverged")
+	// A file is refused by name, not fed to a decoder.
+	file := filepath.Join(dir, tsdb.ManifestName)
+	if _, err := openStore(file, false, 0); err == nil ||
+		!strings.Contains(err.Error(), "-in must be a segment directory (docs/PERSISTENCE.md)") {
+		t.Fatalf("file -in: err = %v, want the segment-directory message", err)
 	}
 
 	if _, err := openStore(filepath.Join(dir, "nope"), false, 0); err == nil {

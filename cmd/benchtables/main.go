@@ -13,12 +13,12 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/signal"
@@ -171,15 +171,15 @@ func main() {
 		}
 	}
 	if sel("persist") {
-		section("Persistence — single-stream vs segmented snapshot/restore",
+		section("Persistence — segmented snapshot/restore + retention",
 			"per-(shard,window) segments on the pipeline pool; equivalence checked by canonical digest")
 		if err := runPersistSection(); err != nil {
 			fatal(err)
 		}
 	}
 	if sel("storage") {
-		section("Storage engine — gob v1 vs columnar v3 segments + compaction",
-			"delta-of-delta timestamps, Gorilla XOR values, per-block sums (docs/PERSISTENCE.md §8, §10); same digest, fewer bytes")
+		section("Storage engine — columnar segments vs raw columns + compaction",
+			"delta-of-delta timestamps, Gorilla XOR values, per-block sums (docs/PERSISTENCE.md §2, §10); same digest, fewer bytes")
 		if err := runStorageSection(); err != nil {
 			fatal(err)
 		}
@@ -192,8 +192,8 @@ func main() {
 		}
 	}
 	if sel("aggregate") {
-		section("Aggregate pushdown — per-point fold vs summary-level buckets (docs/PERSISTENCE.md §10.2)",
-			"aligned dashboard aggregates answered from v3 block summaries without decoding a single block")
+		section("Aggregate pushdown — per-point fold vs summary-level buckets (docs/PERSISTENCE.md §10)",
+			"aligned dashboard aggregates answered from block summaries without decoding a single block")
 		if err := runAggregateSection(); err != nil {
 			fatal(err)
 		}
@@ -355,12 +355,11 @@ func runCampaignSection(ctx context.Context, seed uint64) error {
 	return nil
 }
 
-// runPersistSection times the single-stream snapshot/restore against
-// the segmented directory path (docs/PERSISTENCE.md) on a synthetic
-// store shaped like a week of campaign data, proves the two restores
-// agree through the canonical digest, and demonstrates segment-drop
-// retention. Like the campaign section, the dir path's speedup is
-// bounded by GOMAXPROCS.
+// runPersistSection times the segmented directory snapshot and restore
+// (docs/PERSISTENCE.md) on a synthetic store shaped like a week of
+// campaign data, proves the restore through the canonical digest, and
+// demonstrates segment-drop retention. Like the campaign section, the
+// speedup over one worker is bounded by GOMAXPROCS.
 func runPersistSection() error {
 	db := persistFixture()
 	want := db.Digest()
@@ -372,25 +371,11 @@ func runPersistSection() error {
 	defer os.RemoveAll(dir)
 
 	t0 := time.Now()
-	var stream bytes.Buffer
-	if err := db.Snapshot(&stream); err != nil {
-		return err
-	}
-	streamSnap := time.Since(t0)
-
-	t0 = time.Now()
 	st, err := db.SnapshotDir(dir, tsdb.DirOptions{})
 	if err != nil {
 		return err
 	}
 	dirSnap := time.Since(t0)
-
-	t0 = time.Now()
-	viaStream := tsdb.Open()
-	if err := viaStream.Restore(bytes.NewReader(stream.Bytes())); err != nil {
-		return err
-	}
-	streamRestore := time.Since(t0)
 
 	t0 = time.Now()
 	viaDir := tsdb.Open()
@@ -399,17 +384,14 @@ func runPersistSection() error {
 	}
 	dirRestore := time.Since(t0)
 
-	if viaStream.Digest() != want || viaDir.Digest() != want {
-		return fmt.Errorf("restore paths diverged: stream %016x, dir %016x, want %016x",
-			viaStream.Digest(), viaDir.Digest(), want)
+	if viaDir.Digest() != want {
+		return fmt.Errorf("restore diverged: dir %016x, want %016x", viaDir.Digest(), want)
 	}
 
 	fmt.Printf("%d series, %d points, %d segments, %d workers\n",
 		st.Series, st.Points, st.Segments, runtime.GOMAXPROCS(0))
-	fmt.Printf("snapshot: stream %8.1fms (%d KiB)  |  dir %8.1fms\n",
-		streamSnap.Seconds()*1e3, stream.Len()/1024, dirSnap.Seconds()*1e3)
-	fmt.Printf("restore:  stream %8.1fms             |  dir %8.1fms\n",
-		streamRestore.Seconds()*1e3, dirRestore.Seconds()*1e3)
+	fmt.Printf("snapshot: dir %8.1fms\n", dirSnap.Seconds()*1e3)
+	fmt.Printf("restore:  dir %8.1fms\n", dirRestore.Seconds()*1e3)
 
 	cut := netsim.Epoch.Add(48 * time.Hour)
 	t0 = time.Now()
@@ -419,7 +401,7 @@ func runPersistSection() error {
 	}
 	fmt.Printf("retention to t+48h: %d segment files deleted, %d points dropped in %.1fms (no survivor decoded)\n",
 		removed, dropped, time.Since(t0).Seconds()*1e3)
-	fmt.Printf("restore paths agree: digest %016x\n", want)
+	fmt.Printf("restore agrees: digest %016x\n", want)
 	return nil
 }
 
@@ -451,104 +433,89 @@ func persistFixture() *tsdb.DB {
 	return db
 }
 
-// runStorageSection compares the gob v1 and columnar v3 segment formats
-// on the persist fixture: bytes on disk, snapshot/restore wall-clock,
-// and replication transfer volume, then compacts the v3 directory and
-// reports what the merged segments cost. Digest equality across every
-// path is the equivalence proof (ISSUE 6 acceptance).
+// rawPointBytes is what one point costs as raw columns: an int64
+// timestamp plus a float64 value. compression_ratio is measured against
+// it.
+const rawPointBytes = 16
+
+// runStorageSection measures the segment format on the persist fixture:
+// bytes on disk against the raw columns (16 B a point), snapshot/restore
+// wall-clock, and replication transfer volume, then compacts the
+// directory and reports what the merged segments cost. Digest equality
+// across every path is the equivalence proof (ISSUE 6 acceptance).
 func runStorageSection() error {
 	db := persistFixture()
 	want := db.Digest()
 
-	type formatRun struct {
-		name          string
-		version       int
-		bytes         int64
-		segments      int
-		snap, restore time.Duration
-		transferred   int64
-		dir           string
-	}
-	runs := []*formatRun{
-		{name: "gob v1", version: tsdb.SegmentVersionGob},
-		{name: "columnar v3", version: 0}, // 0 = current default (v3)
-	}
-
-	for _, r := range runs {
-		dir, err := os.MkdirTemp("", "benchtables-storage-*")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(dir)
-		r.dir = dir
-
-		t0 := time.Now()
-		if _, err := db.SnapshotDir(dir, tsdb.DirOptions{FormatVersion: r.version}); err != nil {
-			return err
-		}
-		r.snap = time.Since(t0)
-
-		info, err := tsdb.ReadDirInfo(dir)
-		if err != nil {
-			return err
-		}
-		r.bytes, r.segments = info.Bytes, info.Segments
-
-		t0 = time.Now()
-		restored := tsdb.Open()
-		if err := restored.RestoreDir(dir, tsdb.DirOptions{}); err != nil {
-			return err
-		}
-		r.restore = time.Since(t0)
-		if restored.Digest() != want {
-			return fmt.Errorf("storage: %s restore diverged: %016x want %016x", r.name, restored.Digest(), want)
-		}
-
-		// Replication transfer volume: a cold follower fetching the whole
-		// directory moves exactly the committed segment payloads.
-		ts := httptest.NewServer(replication.NewExporter(dir))
-		fdir, err := os.MkdirTemp("", "benchtables-replica-*")
-		if err != nil {
-			ts.Close()
-			return err
-		}
-		fdb := tsdb.Open()
-		cs, err := replication.New(ts.URL, fdir, fdb, replication.Options{}).TailOnce(context.Background())
-		ts.Close()
-		os.RemoveAll(fdir)
-		if err != nil {
-			return err
-		}
-		if fdb.Digest() != want {
-			return fmt.Errorf("storage: %s replication diverged", r.name)
-		}
-		r.transferred = cs.BytesFetched
-	}
-
-	gob, col := runs[0], runs[1]
-	fmt.Printf("%d series x 600 points, %d segments per snapshot\n", 400, col.segments)
-	for _, r := range runs {
-		fmt.Printf("%-12s %8d KiB on disk | snapshot %6.1fms restore %6.1fms | replication %8d KiB\n",
-			r.name, r.bytes/1024, r.snap.Seconds()*1e3, r.restore.Seconds()*1e3, r.transferred/1024)
-	}
-	ratio := float64(gob.bytes) / float64(col.bytes)
-	benchRatios["compression_ratio"] = ratio
-	fmt.Printf("compression ratio v1/v3: %.2fx bytes on disk, %.2fx transfer volume\n",
-		ratio, float64(gob.transferred)/float64(col.transferred))
-
-	// Compaction on the v3 directory: merge everything cold into
-	// multi-window level-1 segments and report the effect.
-	t0 := time.Now()
-	cstats, err := tsdb.CompactDir(col.dir, tsdb.CompactOptions{ColdBefore: netsim.Epoch.AddDate(1, 0, 0)})
+	dir, err := os.MkdirTemp("", "benchtables-storage-*")
 	if err != nil {
 		return err
 	}
-	info, err := tsdb.ReadDirInfo(col.dir)
+	defer os.RemoveAll(dir)
+
+	t0 := time.Now()
+	if _, err := db.SnapshotDir(dir, tsdb.DirOptions{}); err != nil {
+		return err
+	}
+	snap := time.Since(t0)
+
+	info, err := tsdb.ReadDirInfo(dir)
+	if err != nil {
+		return err
+	}
+
+	t0 = time.Now()
+	restored := tsdb.Open()
+	if err := restored.RestoreDir(dir, tsdb.DirOptions{}); err != nil {
+		return err
+	}
+	restore := time.Since(t0)
+	if restored.Digest() != want {
+		return fmt.Errorf("storage: restore diverged: %016x want %016x", restored.Digest(), want)
+	}
+
+	// Replication transfer volume: a cold follower fetching the whole
+	// directory moves exactly the committed segment payloads.
+	ts := httptest.NewServer(replication.NewExporter(dir))
+	fdir, err := os.MkdirTemp("", "benchtables-replica-*")
+	if err != nil {
+		ts.Close()
+		return err
+	}
+	fdb := tsdb.Open()
+	cs, err := replication.New(ts.URL, fdir, fdb, replication.Options{}).TailOnce(context.Background())
+	ts.Close()
+	os.RemoveAll(fdir)
+	if err != nil {
+		return err
+	}
+	if fdb.Digest() != want {
+		return fmt.Errorf("storage: replication diverged")
+	}
+
+	raw := int64(info.Points) * rawPointBytes
+	fmt.Printf("%d series x 600 points, %d segments per snapshot\n", 400, info.Segments)
+	fmt.Printf("raw columns  %8d KiB\n", raw/1024)
+	fmt.Printf("on disk      %8d KiB | snapshot %6.1fms restore %6.1fms | replication %8d KiB\n",
+		info.Bytes/1024, snap.Seconds()*1e3, restore.Seconds()*1e3, cs.BytesFetched/1024)
+	ratio := float64(raw) / float64(info.Bytes)
+	benchRatios["compression_ratio"] = ratio
+	fmt.Printf("compression ratio raw/disk: %.2fx bytes on disk, %.2fx transfer volume\n",
+		ratio, float64(raw)/float64(cs.BytesFetched))
+
+	// Compaction: merge everything cold into multi-window level-1
+	// segments and report the effect.
+	t0 = time.Now()
+	cstats, err := tsdb.CompactDir(dir, tsdb.CompactOptions{ColdBefore: netsim.Epoch.AddDate(1, 0, 0)})
+	if err != nil {
+		return err
+	}
+	info, err = tsdb.ReadDirInfo(dir)
 	if err != nil {
 		return err
 	}
 	compacted := tsdb.Open()
-	if err := compacted.RestoreDir(col.dir, tsdb.DirOptions{}); err != nil {
+	if err := compacted.RestoreDir(dir, tsdb.DirOptions{}); err != nil {
 		return err
 	}
 	if compacted.Digest() != want {
@@ -557,7 +524,7 @@ func runStorageSection() error {
 	fmt.Printf("compaction:  %d -> %d segments (level %d) in %.1fms, %d KiB, digest preserved\n",
 		cstats.Merged, cstats.Written, info.MaxLevel, time.Since(t0).Seconds()*1e3, info.Bytes/1024)
 	if ratio < 2 {
-		return fmt.Errorf("storage: v3 compression ratio %.2fx below the 2x acceptance floor", ratio)
+		return fmt.Errorf("storage: compression ratio %.2fx below the 2x acceptance floor", ratio)
 	}
 	fmt.Printf("all digests match: %016x\n", want)
 	return nil
@@ -670,7 +637,7 @@ func runReadpathSection() error {
 	benchRatios["cold_open_speedup"] = speedup
 	benchRatios["block_skip_ratio"] = skipRatio
 
-	fmt.Printf("%d series x 600 points, %d v3 segments, %d blocks, one-day query over a five-day store\n",
+	fmt.Printf("%d series x 600 points, %d segments, %d blocks, one-day query over a five-day store\n",
 		400, ls.Segments, ls.Blocks)
 	fmt.Printf("cold open:   eager %8.1fms | lazy %8.1fms  (%.1fx faster)\n",
 		eager.open.Seconds()*1e3, lazy.open.Seconds()*1e3, speedup)
@@ -687,7 +654,7 @@ func runReadpathSection() error {
 }
 
 // runAggregateSection measures the summary-level aggregate pushdown
-// (docs/PERSISTENCE.md §10.2) against the per-point fold it replaces.
+// (docs/PERSISTENCE.md §10) against the per-point fold it replaces.
 // The fixture holds 64 series of minute-cadence integer samples over
 // three days on one-hour segment windows, so every block sits inside an
 // aligned one-hour bucket: the pushdown path must answer the whole
@@ -862,7 +829,7 @@ func runAggregateSection() error {
 }
 
 // foldAggViews reproduces QueryAggregate's bucket semantics point by
-// point over decoded views (docs/PERSISTENCE.md §10.2): Count includes
+// point over decoded views (docs/PERSISTENCE.md §10): Count includes
 // NaN, Min/Max exclude it, Sum folds sequentially in time order so a
 // NaN poisons the bucket, Mean is Sum/Count.
 func foldAggViews(views []tsdb.SeriesView, from time.Time, step time.Duration, buckets int) []tsdb.AggSeries {
@@ -1185,7 +1152,8 @@ func runDetectSection() error {
 
 // runFleetSection measures the follower fleet (docs/REPLICATION.md §8,
 // docs/SERVING.md §9): delta shipping's transfer saving on an
-// append-shaped generation against a whole-segment v1 control, relay
+// append-shaped generation against a whole-segment control (a follower
+// whose leader 404s the delta endpoint, so every splice falls back), relay
 // convergence through a middle tier, and the scatter front's read
 // throughput as replicas are added. The delta bytes ratio feeds the
 // bench gate as delta_bytes_ratio.
@@ -1198,7 +1166,7 @@ func runFleetSection() error {
 	ldb := tsdb.Open()
 	writeHours := func(h0, h1 int) {
 		batch := make([]tsdb.BatchPoint, 0, 4096)
-		for m := h0 * 60; m < h1 * 60; m++ {
+		for m := h0 * 60; m < h1*60; m++ {
 			at := netsim.Epoch.Add(time.Duration(m) * time.Minute)
 			for l := 0; l < 4; l++ {
 				link := fmt.Sprintf("L%d", l)
@@ -1226,23 +1194,32 @@ func runFleetSection() error {
 	if _, err := ldb.SnapshotDir(ldir, tsdb.DirOptions{Incremental: true}); err != nil {
 		return err
 	}
-	ts := httptest.NewServer(replication.NewExporter(ldir))
+	exporter := replication.NewExporter(ldir)
+	ts := httptest.NewServer(exporter)
 	defer ts.Close()
+	noDelta := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasPrefix(r.URL.Path, replication.DeltaPathPrefix) {
+			http.NotFound(w, r)
+			return
+		}
+		exporter.ServeHTTP(w, r)
+	}))
+	defer noDelta.Close()
 
-	mkFollower := func(forceV1 bool) (string, *tsdb.DB, *replication.Follower, error) {
+	mkFollower := func(leader string) (string, *tsdb.DB, *replication.Follower, error) {
 		dir, err := os.MkdirTemp("", "benchtables-fleet-replica-*")
 		if err != nil {
 			return "", nil, nil, err
 		}
 		db := tsdb.Open()
-		return dir, db, replication.New(ts.URL, dir, db, replication.Options{ForceV1: forceV1}), nil
+		return dir, db, replication.New(leader, dir, db, replication.Options{}), nil
 	}
-	fdir, fdb, delta, err := mkFollower(false)
+	fdir, fdb, delta, err := mkFollower(ts.URL)
 	if err != nil {
 		return err
 	}
 	defer os.RemoveAll(fdir)
-	cdir, cdb, control, err := mkFollower(true)
+	cdir, cdb, control, err := mkFollower(noDelta.URL)
 	if err != nil {
 		return err
 	}
@@ -1275,9 +1252,12 @@ func runFleetSection() error {
 	if cs.DeltaSegments == 0 || cs.DeltaFallbacks != 0 {
 		return fmt.Errorf("fleet: delta follower shipped %d deltas with %d fallbacks", cs.DeltaSegments, cs.DeltaFallbacks)
 	}
+	if ccs.DeltaSegments != 0 || ccs.DeltaFallbacks == 0 {
+		return fmt.Errorf("fleet: control follower shipped %d deltas with %d fallbacks", ccs.DeltaSegments, ccs.DeltaFallbacks)
+	}
 	ratio := float64(ccs.BytesFetched) / float64(cs.BytesFetched)
 	benchRatios["delta_bytes_ratio"] = ratio
-	fmt.Printf("append generation: v1 whole-segment %d KiB, v2 delta %d KiB (%d delta segments)\n",
+	fmt.Printf("append generation: whole-segment %d KiB, delta %d KiB (%d delta segments)\n",
 		ccs.BytesFetched/1024, cs.BytesFetched/1024, cs.DeltaSegments)
 	fmt.Printf("delta bytes ratio: %.2fx\n", ratio)
 	if ratio < 5 {

@@ -1,15 +1,14 @@
-// Command congestion analyzes a tsdb snapshot produced by tslpd: it lists
+// Command congestion analyzes a segment directory produced by tslpd: it lists
 // the links with TSLP data and runs the level-shift and autocorrelation
 // detectors over a chosen window, printing inferred congestion windows and
 // day-link congestion percentages.
 //
 // Usage:
 //
-//	congestion -in snapshot.tsdb|datadir/ [-link <near-far>] [-vp <name>] [-days N]
+//	congestion -in datadir/ [-link <near-far>] [-vp <name>] [-days N]
 //
-// -in accepts either a single-stream snapshot file or a segment
-// directory written by tslpd -datadir (docs/PERSISTENCE.md), opened
-// read-only.
+// -in names a segment directory written by tslpd -datadir
+// (docs/PERSISTENCE.md), opened read-only.
 package main
 
 import (
@@ -28,7 +27,7 @@ import (
 )
 
 func main() {
-	inPath := flag.String("in", "", "tsdb snapshot file or segment directory (required)")
+	inPath := flag.String("in", "", "segment directory (required)")
 	link := flag.String("link", "", "link id (default: all)")
 	vp := flag.String("vp", "", "vantage point filter")
 	days := flag.Int("days", 1, "analysis window in days from the epoch")
@@ -43,20 +42,14 @@ func main() {
 	if *inPath == "" {
 		fatal(fmt.Errorf("-in is required"))
 	}
+	if fi, err := os.Stat(*inPath); err != nil {
+		fatal(err)
+	} else if !fi.IsDir() {
+		fatal(fmt.Errorf("-in must be a segment directory (docs/PERSISTENCE.md), %s is a file", *inPath))
+	}
 	db := tsdb.Open()
-	if fi, err := os.Stat(*inPath); err == nil && fi.IsDir() {
-		if err := db.RestoreDir(*inPath, tsdb.DirOptions{}); err != nil {
-			fatal(err)
-		}
-	} else {
-		f, err := os.Open(*inPath)
-		if err != nil {
-			fatal(err)
-		}
-		if err := db.Restore(f); err != nil {
-			fatal(err)
-		}
-		f.Close()
+	if err := db.RestoreDir(*inPath, tsdb.DirOptions{}); err != nil {
+		fatal(err)
 	}
 
 	links := db.TagValues(tslp.MeasLatency, "link")

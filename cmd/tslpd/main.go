@@ -10,7 +10,7 @@
 //	tslpd [-seed N] [-hours H] [-vps comcast-nyc,verizon-nyc]
 //	      [-datadir dir] [-snapshot-every 6h] [-retain 0]
 //	      [-compact-after 24h] [-compact-windows 7]
-//	      [-replica-addr :8081] [-out snapshot.tsdb]
+//	      [-replica-addr :8081] [-lineout points.lp]
 //
 // With -datadir the store persists as a segment directory (one file per
 // shard and time window; see docs/PERSISTENCE.md): tslpd restores from
@@ -21,11 +21,10 @@
 // deterministically from the epoch, a restart with the same -seed sets
 // a write floor at the restored maximum timestamp: the replayed prefix
 // is dropped instead of inserted twice, so a resumed run's store equals
-// an uninterrupted one. -out keeps writing the legacy single-stream
-// snapshot at exit; the two formats restore identically.
+// an uninterrupted one.
 //
 // With -compact-after > 0 each snapshot is followed by a background
-// level-compaction pass (docs/PERSISTENCE.md §8.4): windows colder
+// level-compaction pass (docs/PERSISTENCE.md §8): windows colder
 // than the horizon are merged, up to -compact-windows base windows per
 // output segment, shrinking the file count without changing content.
 //
@@ -59,7 +58,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "determinism seed")
 	hours := flag.Int("hours", 26, "virtual hours to run")
 	vpsFlag := flag.String("vps", "comcast-nyc,verizon-nyc", "comma-separated <provider>-<metro> vantage points")
-	out := flag.String("out", "", "write a single-stream tsdb snapshot here when done")
 	lineOut := flag.String("lineout", "", "also export the data as InfluxDB line protocol (the public-release format)")
 	reactive := flag.Bool("reactive", false, "enable reactive probing-set maintenance")
 	datadir := flag.String("datadir", "", "segment directory for periodic incremental snapshots (docs/PERSISTENCE.md)")
@@ -224,19 +222,6 @@ func main() {
 					cs.Generation, cs.Merged, cs.Written, cs.BytesIn, cs.BytesOut)
 			}
 		}
-	}
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		if err := db.Snapshot(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("tslpd: snapshot written to %s\n", *out)
 	}
 	if *lineOut != "" {
 		f, err := os.Create(*lineOut)

@@ -10,9 +10,9 @@ import (
 
 var start = time.Date(2016, 3, 1, 0, 0, 0, 0, time.UTC)
 
-// synthSeries builds a WindowDays-long 15-minute far-side series: base RTT
+// plateauSeries builds a WindowDays-long 15-minute far-side series: base RTT
 // with a daily elevated plateau on the given days, plus outliers.
-func synthSeries(days, binsPerDay int, base, elev float64, plateauStart, plateauEnd int, congestedDay func(int) bool, seed uint64) *BinSeries {
+func plateauSeries(days, binsPerDay int, base, elev float64, plateauStart, plateauEnd int, congestedDay func(int) bool, seed uint64) *BinSeries {
 	s := NewBinSeries(start, 15*time.Minute, days*binsPerDay)
 	r := netsim.NewRNG(seed)
 	for d := 0; d < days; d++ {
@@ -33,13 +33,13 @@ func synthSeries(days, binsPerDay int, base, elev float64, plateauStart, plateau
 }
 
 func flatSeries(days, binsPerDay int, base float64, seed uint64) *BinSeries {
-	return synthSeries(days, binsPerDay, base, 0, 0, 0, func(int) bool { return false }, seed)
+	return plateauSeries(days, binsPerDay, base, 0, 0, 0, func(int) bool { return false }, seed)
 }
 
 func TestAutocorrDetectsRecurringCongestion(t *testing.T) {
 	cfg := DefaultAutocorr()
 	// Plateau 20:00-23:00 local = bins 80..92, every day.
-	far := synthSeries(cfg.WindowDays, cfg.BinsPerDay, 20, 25, 80, 92, func(int) bool { return true }, 1)
+	far := plateauSeries(cfg.WindowDays, cfg.BinsPerDay, 20, 25, 80, 92, func(int) bool { return true }, 1)
 	near := flatSeries(cfg.WindowDays, cfg.BinsPerDay, 5, 2)
 	res, err := Autocorrelation(far, near, cfg)
 	if err != nil {
@@ -99,7 +99,7 @@ func TestAutocorrPartialDays(t *testing.T) {
 	cfg := DefaultAutocorr()
 	// Congestion only on even days: odd days must be uncongested.
 	even := func(d int) bool { return d%2 == 0 }
-	far := synthSeries(cfg.WindowDays, cfg.BinsPerDay, 20, 25, 80, 92, even, 5)
+	far := plateauSeries(cfg.WindowDays, cfg.BinsPerDay, 20, 25, 80, 92, even, 5)
 	near := flatSeries(cfg.WindowDays, cfg.BinsPerDay, 5, 6)
 	res, err := Autocorrelation(far, near, cfg)
 	if err != nil {
@@ -122,8 +122,8 @@ func TestAutocorrNearSideExclusion(t *testing.T) {
 	cfg := DefaultAutocorr()
 	// Both near and far elevated at the same times: congestion is inside
 	// the access network, not at the interdomain link.
-	far := synthSeries(cfg.WindowDays, cfg.BinsPerDay, 20, 25, 80, 92, func(int) bool { return true }, 7)
-	near := synthSeries(cfg.WindowDays, cfg.BinsPerDay, 5, 25, 80, 92, func(int) bool { return true }, 8)
+	far := plateauSeries(cfg.WindowDays, cfg.BinsPerDay, 20, 25, 80, 92, func(int) bool { return true }, 7)
+	near := plateauSeries(cfg.WindowDays, cfg.BinsPerDay, 5, 25, 80, 92, func(int) bool { return true }, 8)
 	res, err := Autocorrelation(far, near, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +164,7 @@ func TestAutocorrRejectsIncoherentPeaks(t *testing.T) {
 
 func TestAutocorrSparseDayUnclassified(t *testing.T) {
 	cfg := DefaultAutocorr()
-	far := synthSeries(cfg.WindowDays, cfg.BinsPerDay, 20, 25, 80, 92, func(int) bool { return true }, 15)
+	far := plateauSeries(cfg.WindowDays, cfg.BinsPerDay, 20, 25, 80, 92, func(int) bool { return true }, 15)
 	// Blank out most of day 10 (probing outage).
 	for b := 0; b < cfg.BinsPerDay*3/4; b++ {
 		far.Values[10*cfg.BinsPerDay+b] = math.NaN()
@@ -191,7 +191,7 @@ func TestAutocorrErrorOnShortSeries(t *testing.T) {
 
 func TestCongestionWindows(t *testing.T) {
 	cfg := DefaultAutocorr()
-	far := synthSeries(cfg.WindowDays, cfg.BinsPerDay, 20, 25, 80, 92, func(int) bool { return true }, 11)
+	far := plateauSeries(cfg.WindowDays, cfg.BinsPerDay, 20, 25, 80, 92, func(int) bool { return true }, 11)
 	res, err := Autocorrelation(far, nil, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -11,7 +11,6 @@ package analysis
 // package asserts the encoded-body form end to end).
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"reflect"
@@ -177,11 +176,11 @@ func TestIncrementalEquivalenceRandomSchedules(t *testing.T) {
 					cut := incStart.Add(time.Duration(rng.Intn(h.n/2)) * h.bin)
 					h.db.Retain(cut, h.end.Add(24*time.Hour))
 				case p < 0.92: // restart: snapshot + restore round-trip
-					var buf bytes.Buffer
-					if err := h.db.Snapshot(&buf); err != nil {
+					dir := t.TempDir()
+					if _, err := h.db.SnapshotDir(dir, tsdb.DirOptions{}); err != nil {
 						t.Fatalf("snapshot: %v", err)
 					}
-					if err := h.db.Restore(&buf); err != nil {
+					if err := h.db.RestoreDir(dir, tsdb.DirOptions{}); err != nil {
 						t.Fatalf("restore: %v", err)
 					}
 				default: // a new vantage point appears mid-campaign
@@ -253,11 +252,11 @@ func TestIncrementalInvalidationTriggers(t *testing.T) {
 	})
 	t.Run("restore forces full", func(t *testing.T) {
 		h := newWarm(t)
-		var buf bytes.Buffer
-		if err := h.db.Snapshot(&buf); err != nil {
+		dir := t.TempDir()
+		if _, err := h.db.SnapshotDir(dir, tsdb.DirOptions{}); err != nil {
 			t.Fatal(err)
 		}
-		if err := h.db.Restore(&buf); err != nil {
+		if err := h.db.RestoreDir(dir, tsdb.DirOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		if info := h.check(); !info.Full {

@@ -3,7 +3,7 @@ package api
 // Aggregate query mode of /api/v1/query (docs/SERVING.md §7): the agg
 // and step parameters switch the endpoint from raw series pages to
 // per-bucket count/min/max/sum/mean columns computed by
-// tsdb.QueryAggregate — which, over a lazily opened v3 directory,
+// tsdb.QueryAggregate — which, over a lazily opened directory,
 // answers fully contained blocks from their summaries without decoding
 // a point (docs/PERSISTENCE.md §10). Responses are memoized and
 // ETagged exactly like raw queries, under their own cache kind, so an

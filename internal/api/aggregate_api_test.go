@@ -3,7 +3,7 @@ package api_test
 // Tests for the aggregate mode of /api/v1/query (docs/SERVING.md §7):
 // response shape and NaN-as-null encoding, agreement with the raw
 // query data, ETag/If-None-Match behavior under its own cache kind,
-// pagination, and — over a lazily opened v3 directory — that an
+// pagination, and — over a lazily opened directory — that an
 // aligned aggregate is served without decoding a block
 // (docs/PERSISTENCE.md §10).
 
@@ -169,9 +169,9 @@ func TestQueryAggregatePagination(t *testing.T) {
 }
 
 // TestQueryAggregateLazyPushdown serves the endpoint from a lazily
-// opened v3 directory: an aligned one-hour-step aggregate must be
+// opened directory: an aligned one-hour-step aggregate must be
 // answered without decoding a single block, and the stats endpoint
-// must show the summary-only buckets (docs/PERSISTENCE.md §10.2).
+// must show the summary-only buckets (docs/PERSISTENCE.md §10).
 func TestQueryAggregateLazyPushdown(t *testing.T) {
 	src := tsdb.Open()
 	src.SetSegmentWindow(time.Hour)

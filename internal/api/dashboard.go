@@ -196,8 +196,8 @@ func (s *Server) linkStatusCached(link string) linkStatus {
 // from QueryAggregate rather than a per-point view fold: the buckets
 // are step-aligned with the bins, so the per-bucket NaN-excluding Min
 // is exactly the min-filter a BinSeries applies — and on a lazily
-// opened v3 store the whole day is answered from block summaries,
-// never decoding a point (docs/PERSISTENCE.md §10.2).
+// opened store the whole day is answered from block summaries,
+// never decoding a point (docs/PERSISTENCE.md §10).
 func (s *Server) computeLinkStatus(link string) linkStatus {
 	st := linkStatus{Link: link}
 	_, max, ok := s.DB.TimeBounds("tslp", map[string]string{"link": link})

@@ -57,10 +57,6 @@ func TestStatsAndHealthReportStorage(t *testing.T) {
 	if st.Segments == 0 || st.Bytes == 0 || st.Points == 0 {
 		t.Fatalf("storage not populated: %+v", st)
 	}
-	if st.FormatVersions["3"] != st.Segments {
-		t.Fatalf("expected all %d segments at format version 3: %+v",
-			st.Segments, st.FormatVersions)
-	}
 
 	var health api.HealthResponse
 	if code := getJSON(t, ts.URL+"/api/v1/health", &health); code != 200 {

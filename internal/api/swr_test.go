@@ -9,7 +9,6 @@ package api_test
 // in the background.
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"net/http"
@@ -88,11 +87,11 @@ func TestCongestionIncrementalMatchesBatch(t *testing.T) {
 				case p < 0.90: // retention trim of the window's head
 					db.Retain(netsim.Epoch.Add(time.Duration(rng.Intn(12))*time.Hour), end.Add(72*time.Hour))
 				default: // snapshot/restore hot-swap (epoch bump)
-					var buf bytes.Buffer
-					if err := db.Snapshot(&buf); err != nil {
+					dir := t.TempDir()
+					if _, err := db.SnapshotDir(dir, tsdb.DirOptions{}); err != nil {
 						t.Fatal(err)
 					}
-					if err := db.Restore(&buf); err != nil {
+					if err := db.RestoreDir(dir, tsdb.DirOptions{}); err != nil {
 						t.Fatal(err)
 					}
 				}

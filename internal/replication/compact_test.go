@@ -1,8 +1,8 @@
 package replication_test
 
-// Replication against the storage-engine-v2 features
-// (docs/PERSISTENCE.md §8): a compacted leader directory — merged
-// multi-window v2 segments — replicates through the unchanged wire
+// Replication against compaction (docs/PERSISTENCE.md §8): a
+// compacted leader directory — merged multi-window segments —
+// replicates through the unchanged wire
 // protocol, and orphaned .tmp download files are reaped at follower
 // startup rather than accumulating forever.
 

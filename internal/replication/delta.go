@@ -1,69 +1,19 @@
 package replication
 
-// The /replica/v2 surface: capability negotiation and the delta frame
-// format (docs/REPLICATION.md §8). v2 serves the same manifest and
-// segment endpoints as v1 plus two additions — GET /replica/v2/caps
-// advertising what the exporter can do, and GET
-// /replica/v2/delta/<seg>?from=<offset> shipping only the payload tail
-// an append-extended segment gained over its predecessor. A follower
-// that never probes caps, or talks to a v1-only leader, keeps working
-// over whole-segment fetches; the delta path is strictly an
-// optimization, guarded end-to-end by the manifest entry's full
-// CRC-32C.
+// The delta frame format (docs/REPLICATION.md §8): GET
+// /replica/v2/delta/<seg>?from=<offset> ships only the payload tail an
+// append-extended segment gained over its predecessor. The delta path
+// is strictly an optimization, guarded end-to-end by the manifest
+// entry's full CRC-32C: any failure — a 404 from an exporter that does
+// not serve it included — falls back to a whole-segment fetch.
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 
 	"interdomain/internal/tsdb"
 )
-
-const (
-	// CapsPath is the v2 capability endpoint: GET returns a Caps JSON
-	// document. A 404 here is how a follower learns it is talking to a
-	// v1-only leader and downgrades gracefully (docs/REPLICATION.md §8).
-	CapsPath = "/replica/v2/caps"
-
-	// ManifestPathV2 is the v2 manifest endpoint, byte-identical in
-	// behavior to ManifestPath — same body, ETag and generation header.
-	ManifestPathV2 = "/replica/v2/manifest"
-
-	// SegmentPathPrefixV2 prefixes the v2 whole-segment endpoint,
-	// byte-identical in behavior to SegmentPathPrefix.
-	SegmentPathPrefixV2 = "/replica/v2/segment/"
-
-	// DeltaPathPrefix prefixes the delta endpoint: GET
-	// /replica/v2/delta/<name>?from=<offset> returns a delta frame
-	// carrying the segment's header and its payload bytes from the
-	// requested offset on (docs/REPLICATION.md §8).
-	DeltaPathPrefix = "/replica/v2/delta/"
-
-	// CapDelta is the capability token advertising the delta endpoint.
-	CapDelta = "delta"
-)
-
-// Caps is the body of GET /replica/v2/caps: the exporter's protocol
-// version and capability tokens. Unknown tokens must be ignored by
-// followers so future exporters can advertise more.
-type Caps struct {
-	// Version is the newest replica protocol version the exporter
-	// serves (2 for this package).
-	Version int `json:"version"`
-	// Capabilities lists optional endpoint tokens, e.g. CapDelta.
-	Capabilities []string `json:"capabilities"`
-}
-
-// Has reports whether the capability token is advertised.
-func (c Caps) Has(token string) bool {
-	for _, t := range c.Capabilities {
-		if t == token {
-			return true
-		}
-	}
-	return false
-}
 
 // deltaMagic opens every delta frame on the wire.
 const deltaMagic = "ITSDBDLT"
@@ -120,10 +70,4 @@ func decodeDeltaFrame(data []byte) (from int64, hdr, tail []byte, err error) {
 		return 0, nil, nil, fmt.Errorf("replication: delta frame checksum mismatch (got %08x, want %08x)", got, crc)
 	}
 	return from, hdr, tail, nil
-}
-
-// marshalCaps renders the exporter's capability document.
-func marshalCaps() []byte {
-	data, _ := json.Marshal(Caps{Version: 2, Capabilities: []string{CapDelta}})
-	return append(data, '\n')
 }

@@ -31,12 +31,18 @@ const (
 	// datadir's committed MANIFEST.json bytes verbatim, with a strong
 	// ETag so an unchanged manifest costs a follower one 304
 	// (docs/REPLICATION.md §2).
-	ManifestPath = "/replica/v1/manifest"
+	ManifestPath = "/replica/v2/manifest"
 
 	// SegmentPathPrefix prefixes the exporter's per-segment endpoint:
-	// GET /replica/v1/segment/<name> streams one immutable
+	// GET /replica/v2/segment/<name> streams one immutable
 	// generation-qualified segment file (docs/REPLICATION.md §2).
-	SegmentPathPrefix = "/replica/v1/segment/"
+	SegmentPathPrefix = "/replica/v2/segment/"
+
+	// DeltaPathPrefix prefixes the delta endpoint: GET
+	// /replica/v2/delta/<name>?from=<offset> returns a delta frame
+	// carrying the segment's header and its payload bytes from the
+	// requested offset on (docs/REPLICATION.md §8).
+	DeltaPathPrefix = "/replica/v2/delta/"
 
 	// GenerationHeader carries the manifest generation on manifest
 	// responses, so operators (and tests) can read the leader's
@@ -77,12 +83,6 @@ func NewExporter(dir string) *Exporter {
 	e := &Exporter{dir: dir, mux: http.NewServeMux()}
 	e.mux.HandleFunc(ManifestPath, e.handleManifest)
 	e.mux.HandleFunc(SegmentPathPrefix, e.handleSegment)
-	// The v2 surface (docs/REPLICATION.md §8): manifest and segment are
-	// byte-identical to v1 — only the caps and delta endpoints are new —
-	// so a follower may mix versions freely within one cycle.
-	e.mux.HandleFunc(ManifestPathV2, e.handleManifest)
-	e.mux.HandleFunc(SegmentPathPrefixV2, e.handleSegmentV2)
-	e.mux.HandleFunc(CapsPath, e.handleCaps)
 	e.mux.HandleFunc(DeltaPathPrefix, e.handleDelta)
 	return e
 }
@@ -144,22 +144,6 @@ func (e *Exporter) handleSegment(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.FormatInt(fi.Size(), 10))
 	_, _ = io.Copy(w, f)
-}
-
-// handleSegmentV2 is handleSegment under the v2 path prefix.
-func (e *Exporter) handleSegmentV2(w http.ResponseWriter, r *http.Request) {
-	r2 := r.Clone(r.Context())
-	r2.URL.Path = SegmentPathPrefix + strings.TrimPrefix(r.URL.Path, SegmentPathPrefixV2)
-	e.handleSegment(w, r2)
-}
-
-// handleCaps serves the exporter's capability document
-// (docs/REPLICATION.md §8). Its very existence is the version signal: a
-// v1-only leader 404s here and the follower downgrades to
-// whole-segment fetches.
-func (e *Exporter) handleCaps(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(marshalCaps())
 }
 
 // handleDelta serves the tail of a segment's payload from a

@@ -1,13 +1,12 @@
 package replication_test
 
-// Tests for the /replica/v2 fleet features (docs/REPLICATION.md §8):
-// delta shipping moves fewer bytes than whole-segment fetches and still
-// converges digest-equal; a corrupted delta falls back to a whole
-// fetch; relays re-export their committed directory so chains converge
-// with the leader's generation passed through verbatim; and both
-// downgrade directions (ForceV1 follower on a v2 leader, v2 follower on
-// a v1-only leader) keep syncing. Test names carry "Fleet", "Delta" or
-// "Relay" so CI's fleet-smoke job can select the suite.
+// Tests for the fleet features (docs/REPLICATION.md §8): delta
+// shipping moves fewer bytes than whole-segment fetches and still
+// converges digest-equal; a missing or corrupted delta falls back to a
+// whole fetch; relays re-export their committed directory so chains
+// converge with the leader's generation passed through verbatim. Test
+// names carry "Fleet", "Delta" or "Relay" so CI's fleet-smoke job can
+// select the suite.
 
 import (
 	"context"
@@ -89,9 +88,20 @@ func TestFleetDeltaShippingConverges(t *testing.T) {
 	f := replication.New(al.ts.URL, fdir, fdb, replication.Options{})
 	syncOnce(t, f)
 
-	// v1 control follower: same starting state, whole segments only.
+	// Control follower: same starting state, but its leader 404s the
+	// delta endpoint, so every splice attempt falls back to the whole
+	// segment — the load-bearing fallback doubles as the baseline.
+	exporter := replication.NewExporter(al.dir)
+	noDelta := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasPrefix(r.URL.Path, replication.DeltaPathPrefix) {
+			http.NotFound(w, r)
+			return
+		}
+		exporter.ServeHTTP(w, r)
+	}))
+	defer noDelta.Close()
 	cdb, cdir := tsdb.Open(), t.TempDir()
-	c := replication.New(al.ts.URL, cdir, cdb, replication.Options{ForceV1: true})
+	c := replication.New(noDelta.URL, cdir, cdb, replication.Options{})
 	syncOnce(t, c)
 
 	al.appendRest(t)
@@ -104,15 +114,15 @@ func TestFleetDeltaShippingConverges(t *testing.T) {
 		t.Fatalf("unexpected delta fallbacks: %+v", cs)
 	}
 	ccs := syncOnce(t, c)
-	if ccs.DeltaSegments != 0 {
-		t.Fatalf("ForceV1 follower shipped deltas: %+v", ccs)
+	if ccs.DeltaSegments != 0 || ccs.DeltaFallbacks == 0 {
+		t.Fatalf("control follower without a delta endpoint: %+v", ccs)
 	}
 	if fdb.Digest() != al.db.Digest() || cdb.Digest() != al.db.Digest() {
-		t.Fatalf("digest mismatch: leader %x delta-follower %x v1-follower %x",
+		t.Fatalf("digest mismatch: leader %x delta-follower %x whole-segment follower %x",
 			al.db.Digest(), fdb.Digest(), cdb.Digest())
 	}
 	// The headline property: a hot-window tick costs O(new points), not
-	// O(window). The v1 control refetched every changed segment whole;
+	// O(window). The control refetched every changed segment whole;
 	// the acceptance bar is at least 5x fewer bytes on the wire.
 	if cs.BytesFetched*5 > ccs.BytesFetched {
 		t.Fatalf("delta shipped %d bytes, whole segments %d — expected a >=5x saving",
@@ -201,31 +211,6 @@ func TestFleetRelayChainConverges(t *testing.T) {
 	}
 	if got := leaf.Status().AppliedGeneration; got != lm.Generation {
 		t.Fatalf("leaf applied generation %d, leader at %d", got, lm.Generation)
-	}
-}
-
-func TestFleetV1OnlyLeaderDowngrade(t *testing.T) {
-	al := newAppendLeader(t)
-	// A v1-only leader: every /replica/v2 path 404s.
-	v1only := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasPrefix(r.URL.Path, "/replica/v2/") {
-			http.NotFound(w, r)
-			return
-		}
-		replication.NewExporter(al.dir).ServeHTTP(w, r)
-	}))
-	defer v1only.Close()
-
-	fdb, fdir := tsdb.Open(), t.TempDir()
-	f := replication.New(v1only.URL, fdir, fdb, replication.Options{})
-	syncOnce(t, f)
-	al.appendRest(t)
-	cs := syncOnce(t, f)
-	if cs.DeltaSegments != 0 || cs.DeltaFallbacks != 0 {
-		t.Fatalf("v1-only leader produced delta activity: %+v", cs)
-	}
-	if fdb.Digest() != al.db.Digest() {
-		t.Fatal("downgraded follower did not converge")
 	}
 }
 

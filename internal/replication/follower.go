@@ -2,7 +2,6 @@ package replication
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -51,13 +50,8 @@ type Options struct {
 	// (tsdb.DirOptions.BlockCacheBytes; 0 means the tsdb default).
 	// Without it a follower restarted with a larger -block-cache-mb
 	// would silently fall back to the default budget on the first
-	// committed generation (docs/PERSISTENCE.md §10.3).
+	// committed generation (docs/PERSISTENCE.md §9.5).
 	CacheBytes int64
-	// ForceV1 disables the /replica/v2 capability probe and the delta
-	// path, pinning the follower to whole-segment v1 fetches. Mainly for
-	// tests and for drills proving the downgrade path still converges
-	// (docs/REPLICATION.md §8).
-	ForceV1 bool
 }
 
 // CycleStats reports what one TailOnce did.
@@ -137,27 +131,15 @@ type Follower struct {
 	workers     int
 	lazy        bool
 	cacheB      int64
-	forceV1     bool
 	logf        func(format string, args ...interface{})
 
 	// gate serializes tail cycles.
 	gate sync.Mutex
-	// mu guards st, etag and caps.
+	// mu guards st and etag.
 	mu   sync.Mutex
 	st   Status
 	etag string
-	caps capsState
 }
-
-// capsState tracks what the follower knows about the leader's protocol
-// version: unknown until the first successful probe, then pinned.
-type capsState int
-
-const (
-	capsUnknown capsState = iota
-	capsV2
-	capsV1
-)
 
 // New returns a follower tailing leaderURL into dir, swapping db (may
 // be nil for a mirror-only follower) after each committed generation.
@@ -186,7 +168,6 @@ func New(leaderURL, dir string, db *tsdb.DB, opts Options) *Follower {
 		workers:  opts.Workers,
 		lazy:     opts.Lazy,
 		cacheB:   opts.CacheBytes,
-		forceV1:  opts.ForceV1,
 		logf:     opts.Logf,
 	}
 	f.leaderShown = RedactURL(f.leader)
@@ -405,9 +386,9 @@ func (f *Follower) tail(ctx context.Context) (CycleStats, error) {
 	// 3b. Map the previously committed generation's entries by segment
 	// identity: a new entry carrying an append cursor whose (shard,
 	// window span) we already hold is a delta-splice candidate
-	// (docs/REPLICATION.md §8). Only consulted on v2 leaders.
+	// (docs/REPLICATION.md §8).
 	prevFiles := map[string]string{}
-	if len(toFetch) > 0 && f.deltaCapable(ctx) {
+	if len(toFetch) > 0 {
 		if pm, err := tsdb.LoadManifest(f.dir); err == nil {
 			for _, sm := range pm.Segments {
 				prevFiles[segmentIdentity(sm)] = sm.File
@@ -499,55 +480,6 @@ func (f *Follower) tail(ctx context.Context) (CycleStats, error) {
 // same logical data at different generations.
 func segmentIdentity(sm tsdb.SegmentMeta) string {
 	return fmt.Sprintf("%d/%d/%d", sm.Shard, sm.WindowStart, sm.WindowEnd)
-}
-
-// deltaCapable reports whether the leader serves the delta endpoint,
-// probing GET /replica/v2/caps once and pinning the answer
-// (docs/REPLICATION.md §8). A definitive answer — any HTTP status —
-// settles the question for the follower's lifetime: 200 with the delta
-// token means v2, anything else means v1-only. A transport error keeps
-// the state unknown so the next cycle probes again, and this cycle
-// proceeds over v1 fetches.
-func (f *Follower) deltaCapable(ctx context.Context) bool {
-	if f.forceV1 {
-		return false
-	}
-	f.mu.Lock()
-	state := f.caps
-	f.mu.Unlock()
-	switch state {
-	case capsV2:
-		return true
-	case capsV1:
-		return false
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, f.leader+CapsPath, nil)
-	if err != nil {
-		return false
-	}
-	resp, err := f.client.Do(req)
-	if err != nil {
-		return false
-	}
-	defer resp.Body.Close()
-	decided := capsV1
-	if resp.StatusCode == http.StatusOK {
-		var c Caps
-		if json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&c) == nil && c.Has(CapDelta) {
-			decided = capsV2
-		}
-	}
-	f.mu.Lock()
-	f.caps = decided
-	f.mu.Unlock()
-	if f.logf != nil {
-		if decided == capsV2 {
-			f.logf("replication: leader %s speaks /replica/v2 with delta shipping", f.leaderShown)
-		} else {
-			f.logf("replication: leader %s is v1-only, using whole-segment fetches", f.leaderShown)
-		}
-	}
-	return decided == capsV2
 }
 
 // fetchDelta satisfies one manifest entry by splicing a shipped payload

@@ -5,11 +5,9 @@ package tsdb
 // count/min/max/sum/mean per bucket. On a lazily opened store, a block
 // whose [minT, maxT] lies entirely inside one bucket is folded from
 // its summary fields alone — zero decode, zero cache traffic — so a
-// coarse dashboard panel over a compacted v3 directory touches
-// metadata only. Blocks straddling a bucket boundary, blocks whose v2
-// summary predates the Sum field (when a sum is needed), and gob v1
-// series decode through the ordinary block cache. Eager stores fold
-// their columnar snapshots directly.
+// coarse dashboard panel over a compacted directory touches metadata
+// only. Blocks straddling a bucket boundary decode through the
+// ordinary block cache. Eager stores fold their columns directly.
 //
 // Aggregation semantics, shared by every path:
 //
@@ -37,11 +35,8 @@ import (
 )
 
 // AggFns is a bitmask selecting which aggregate functions
-// QueryAggregate must be able to answer. Count, min and max come from
-// block summaries of every columnar segment version; sum (and mean,
-// which needs it) additionally requires the v3 Sum summary field, so
-// requesting them is what authorizes decode-for-sum fallbacks on
-// pre-v3 blocks (docs/PERSISTENCE.md §10.2).
+// QueryAggregate reports; every one of them folds from block summaries
+// where a block lies inside one bucket (docs/PERSISTENCE.md §10).
 type AggFns uint
 
 // The aggregate functions QueryAggregate computes.
@@ -177,73 +172,18 @@ func (db *DB) QueryAggregate(measurement string, filter map[string]string, from,
 	if !ok {
 		return nil, nil
 	}
-	var byShard [NumShards][]string
-	for _, k := range keys {
-		s := shardFor(k)
-		byShard[s] = append(byShard[s], k)
-	}
 	fromNs := from.UnixNano()
 	stepNs := int64(step)
 	var out []AggSeries
-	for si := range byShard {
-		if len(byShard[si]) == 0 {
-			continue
-		}
-		sh := &db.shards[si]
-		// Same locking discipline as QueryViewWhere: an optimistic
-		// read-locked pass when every matching eager series has a fresh
-		// columnar snapshot (lazy stubs always do), a write-locked
-		// refresh otherwise.
-		sh.mu.RLock()
-		fresh := true
-		for _, k := range byShard[si] {
-			if s, ok := sh.series[k]; ok && s.matches(measurement, filter) && !s.colFreshLocked() {
-				fresh = false
-				break
-			}
-		}
-		if fresh {
-			out = appendAggSeries(out, sh, byShard[si], measurement, filter, from, fromNs, stepNs, n, needSum)
-			sh.mu.RUnlock()
-			continue
-		}
-		sh.mu.RUnlock()
-		sh.mu.Lock()
-		for _, k := range byShard[si] {
-			if s, ok := sh.series[k]; ok && s.matches(measurement, filter) && len(s.Points) > 0 {
-				s.colLocked()
-			}
-		}
-		out = appendAggSeries(out, sh, byShard[si], measurement, filter, from, fromNs, stepNs, n, needSum)
-		sh.mu.Unlock()
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return Key(out[i].Measurement, out[i].Tags) < Key(out[j].Measurement, out[j].Tags)
-	})
-	return out, nil
-}
-
-// appendAggSeries folds each matching series of one shard and appends
-// the non-empty results. The caller must hold the shard lock and have
-// ensured every matching non-empty eager series has a fresh snapshot.
-func appendAggSeries(out []AggSeries, sh *shard, keys []string, measurement string, filter map[string]string, from time.Time, fromNs, stepNs int64, n int, needSum bool) []AggSeries {
-	for _, k := range keys {
-		s, ok := sh.series[k]
-		if !ok || !s.matches(measurement, filter) {
-			continue
-		}
+	db.readMatching(keys, measurement, filter, func(_ string, s *series) {
 		accs := make([]aggAcc, n)
 		for i := range accs {
 			accs[i].min, accs[i].max = math.NaN(), math.NaN()
 		}
-		switch {
-		case s.lazy != nil:
-			s.lazy.aggregate(accs, fromNs, stepNs, needSum)
-		case len(s.Points) == 0:
-			continue
-		default:
-			c := s.col
-			aggFoldColumn(accs, c.times, c.values, fromNs, stepNs)
+		if s.lazy != nil {
+			s.lazy.aggregate(accs, fromNs, stepNs)
+		} else {
+			aggFoldColumn(accs, s.times, s.values, fromNs, stepNs)
 		}
 		any := false
 		for i := range accs {
@@ -253,7 +193,7 @@ func appendAggSeries(out []AggSeries, sh *shard, keys []string, measurement stri
 			}
 		}
 		if !any {
-			continue
+			return
 		}
 		buckets := make([]AggBucket, n)
 		for i := range accs {
@@ -272,9 +212,12 @@ func appendAggSeries(out []AggSeries, sh *shard, keys []string, measurement stri
 			}
 			buckets[i] = b
 		}
-		out = append(out, AggSeries{Measurement: s.Measurement, Tags: s.Tags, Buckets: buckets})
-	}
-	return out
+		out = append(out, AggSeries{Measurement: s.measurement, Tags: s.tags, Buckets: buckets})
+	})
+	sort.Slice(out, func(i, j int) bool {
+		return Key(out[i].Measurement, out[i].Tags) < Key(out[j].Measurement, out[j].Tags)
+	})
+	return out, nil
 }
 
 // aggFoldColumn folds a columnar range into the buckets point by
@@ -289,35 +232,30 @@ func aggFoldColumn(accs []aggAcc, times []int64, values []float64, fromNs, stepN
 }
 
 // aggregate folds a lazy series into the buckets, pushing every
-// fully-contained encoded block down to its summary and decoding only
-// bucket straddlers, sum-less blocks when a sum is needed, and pinned
-// v1 synthetics (docs/PERSISTENCE.md §10.2). Refs are time-ordered, so
+// fully-contained block down to its summary and decoding only bucket
+// straddlers (docs/PERSISTENCE.md §10). Refs are time-ordered, so
 // partial sums fold in time order. The caller must hold the shard lock
 // (read suffices).
-func (l *lazySeries) aggregate(accs []aggAcc, fromNs, stepNs int64, needSum bool) {
+func (l *lazySeries) aggregate(accs []aggAcc, fromNs, stepNs int64) {
 	toNs := fromNs + stepNs*int64(len(accs))
 	var scanned, skipped uint64
 	for i := range l.blocks {
 		r := &l.blocks[i]
-		if r.enc != nil {
-			scanned++
-			if r.maxT < fromNs || r.minT >= toNs {
-				skipped++
-				continue
-			}
-			if b := aggContainedBucket(r, fromNs, toNs, stepNs, needSum); b >= 0 {
-				accs[b].foldSummary(r.count, r.min, r.max, r.sum)
-				accs[b].usedSummary = true
-				continue
-			}
-		} else if r.maxT < fromNs || r.minT >= toNs {
+		scanned++
+		if r.maxT < fromNs || r.minT >= toNs {
+			skipped++
 			continue
 		}
-		// Fallback: decode (cache-mediated for encoded refs, pinned for
-		// v1 synthetics) and fold this block's in-range points. Folding
-		// one block at a time keeps the sum grouping identical to the
-		// summary path: one partial per block, in time order.
-		d := l.decodeRef(r)
+		if b := aggContainedBucket(r, fromNs, toNs, stepNs); b >= 0 {
+			accs[b].foldSummary(r.count, r.min, r.max, r.sum)
+			accs[b].usedSummary = true
+			continue
+		}
+		// Fallback: decode through the cache and fold this block's
+		// in-range points. Folding one block at a time keeps the sum
+		// grouping identical to the summary path: one partial per
+		// block, in time order.
+		d := l.store.decode(r)
 		aggMarkDecoded(accs, r, fromNs, stepNs)
 		aggFoldColumn(accs, d.times, d.values, fromNs, stepNs)
 	}
@@ -329,15 +267,12 @@ func (l *lazySeries) aggregate(accs []aggAcc, fromNs, stepNs int64, needSum bool
 // aggContainedBucket returns the single bucket index a block folds
 // into from its summary alone, or -1 when it must decode: the block
 // must lie inside the queried range, start and end in the same bucket,
-// carry a Sum when one is needed, and pushdown must not be disabled.
-func aggContainedBucket(r *lazyBlockRef, fromNs, toNs, stepNs int64, needSum bool) int64 {
+// and pushdown must not be disabled.
+func aggContainedBucket(r *lazyBlockRef, fromNs, toNs, stepNs int64) int64 {
 	if aggDisablePushdown {
 		return -1
 	}
 	if r.minT < fromNs || r.maxT >= toNs {
-		return -1
-	}
-	if needSum && !r.hasSum {
 		return -1
 	}
 	b := (r.minT - fromNs) / stepNs

@@ -151,11 +151,11 @@ func TestAggArgsRejected(t *testing.T) {
 }
 
 // TestAggEquivalenceAcrossVersions is the equivalence oracle over
-// every open mode and segment version: for gob v1, columnar v2, the
-// default v3, and a mixed v1+v3 directory, the eager open, the lazy
-// pushdown, and the lazy forced-decode folds all match the brute-force
-// per-point reference bit for bit (integer values make the sum
-// groupings exact).
+// every open mode and every shape a directory takes as it ages: for a
+// fresh snapshot, an incremental one whose dirtied window was
+// rewritten, and a compacted one, the eager open, the lazy pushdown,
+// and the lazy forced-decode folds all match the brute-force per-point
+// reference bit for bit (integer values make the sum groupings exact).
 func TestAggEquivalenceAcrossVersions(t *testing.T) {
 	src := aggStore(4, 2)
 	from, to := t0, t0.Add(48*time.Hour)
@@ -164,28 +164,31 @@ func TestAggEquivalenceAcrossVersions(t *testing.T) {
 		t.Fatal("reference fold is empty")
 	}
 
-	dirs := map[string]string{
-		"gob v1":      snapToDir(t, src, DirOptions{FormatVersion: SegmentVersionGob}),
-		"columnar v2": snapToDir(t, src, DirOptions{FormatVersion: SegmentVersionBlocks}),
-		"columnar v3": snapToDir(t, src, DirOptions{}),
+	compacted := snapToDir(t, src, DirOptions{})
+	if st, err := CompactDir(compacted, CompactOptions{ColdBefore: maxTime}); err != nil || st.Written == 0 {
+		t.Fatalf("compacted fixture: %+v, %v", st, err)
 	}
-	// Mixed directory: a v1 snapshot plus one dirtied window rewritten
-	// at the current default version.
-	mixed := t.TempDir()
-	if _, err := src.SnapshotDir(mixed, DirOptions{Incremental: true, FormatVersion: SegmentVersionGob}); err != nil {
+	dirs := map[string]string{
+		"fresh":     snapToDir(t, src, DirOptions{}),
+		"compacted": compacted,
+	}
+	// Incremental directory: a full snapshot plus one backfilled window
+	// rewritten by the next generation.
+	incr := t.TempDir()
+	if _, err := src.SnapshotDir(incr, DirOptions{Incremental: true}); err != nil {
 		t.Fatal(err)
 	}
 	src.Write("tslp", map[string]string{"link": "l1", "vp": "vp-a"}, t0.Add(30*time.Minute), 42)
-	if st, err := src.SnapshotDir(mixed, DirOptions{Incremental: true}); err != nil || st.Reused == 0 || st.Written == 0 {
-		t.Fatalf("mixed fixture: %+v, %v", st, err)
+	if st, err := src.SnapshotDir(incr, DirOptions{Incremental: true}); err != nil || st.Reused == 0 || st.Written == 0 {
+		t.Fatalf("incremental fixture: %+v, %v", st, err)
 	}
-	dirs["mixed v1+v3"] = mixed
-	wantMixed := refAggregate(src, "tslp", from, to, time.Hour)
+	dirs["incremental"] = incr
+	wantIncr := refAggregate(src, "tslp", from, to, time.Hour)
 
 	for name, dir := range dirs {
 		ref := want
-		if name == "mixed v1+v3" {
-			ref = wantMixed
+		if name == "incremental" {
+			ref = wantIncr
 		}
 		eg := eagerOpen(t, dir)
 		got, err := eg.QueryAggregate("tslp", nil, from, to, time.Hour, AggAll)
@@ -211,7 +214,7 @@ func TestAggEquivalenceAcrossVersions(t *testing.T) {
 }
 
 // TestAggZeroDecodePushdown is the acceptance gate: a one-hour-step
-// aggregate over a fully contained multi-day v3 window decodes zero
+// aggregate over a fully contained multi-day window decodes zero
 // blocks — every bucket is answered from summaries — and the result is
 // bit-identical to the forced-decode fold of the same store.
 func TestAggZeroDecodePushdown(t *testing.T) {
@@ -353,52 +356,10 @@ func TestAggNaNSemantics(t *testing.T) {
 	}
 	check("lazy decode", forceDecodeAggregate(t, lz, "m", from, to, time.Hour, AggAll), nil)
 
-	// Without sum the v2 fallback never triggers either: min/max/count
-	// come from every summary version.
+	// An unrequested sum is reported as NaN, not leaked.
 	out, err = lz.QueryAggregate("m", nil, from, to, time.Hour, AggCount|AggMin|AggMax)
 	if err != nil || !math.IsNaN(out[0].Buckets[0].Sum) || !math.IsNaN(out[0].Buckets[0].Mean) {
 		t.Fatalf("unrequested sum leaked: %+v (%v)", out[0].Buckets[0], err)
-	}
-}
-
-// TestAggSumlessV2DecodesOnlyForSum: on a v2 directory (summaries
-// without Sum), count/min/max still push down with zero decodes, while
-// requesting a sum falls back to decode — and both answers match the
-// reference.
-func TestAggSumlessV2DecodesOnlyForSum(t *testing.T) {
-	src := aggStore(2, 1)
-	dir := snapToDir(t, src, DirOptions{FormatVersion: SegmentVersionBlocks})
-	lz := lazyOpen(t, dir, DirOptions{})
-	from, to := t0, t0.Add(24*time.Hour)
-
-	before := lazyStats(t, lz)
-	got, err := lz.QueryAggregate("tslp", nil, from, to, time.Hour, AggCount|AggMin|AggMax)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := lazyStats(t, lz).BlocksDecoded - before.BlocksDecoded; d != 0 {
-		t.Fatalf("sum-less aggregate on v2 decoded %d blocks, want 0", d)
-	}
-	ref := refAggregate(src, "tslp", from, to, time.Hour)
-	for i := range ref {
-		for j := range ref[i].Buckets {
-			ref[i].Buckets[j].Sum, ref[i].Buckets[j].Mean = math.NaN(), math.NaN()
-		}
-	}
-	if !aggEqualBits(got, ref) {
-		t.Fatal("v2 count/min/max pushdown differs from reference")
-	}
-
-	before = lazyStats(t, lz)
-	got, err = lz.QueryAggregate("tslp", nil, from, to, time.Hour, AggAll)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := lazyStats(t, lz).BlocksDecoded - before.BlocksDecoded; d == 0 {
-		t.Fatal("sum over v2 blocks decoded nothing")
-	}
-	if !aggEqualBits(got, refAggregate(src, "tslp", from, to, time.Hour)) {
-		t.Fatal("v2 sum fallback differs from reference")
 	}
 }
 
@@ -463,10 +424,10 @@ func TestAggByteBudgetConcurrent(t *testing.T) {
 	}
 }
 
-// TestAggMatchesDownsampleShape cross-checks against the existing
-// per-point Downsample API where their semantics overlap (bucket
-// minimum of NaN-free integer data): the new pushdown must agree with
-// the old fold the dashboards were built on.
+// TestAggMatchesDownsampleShape cross-checks the pushdown against the
+// per-point bin-minimum fold the dashboards were first built on (a
+// test-local reference: NaN-free integer data, fixed bins aligned to
+// the range start).
 func TestAggMatchesDownsampleShape(t *testing.T) {
 	src := aggStore(1, 1)
 	dir := snapToDir(t, src, DirOptions{})
@@ -481,7 +442,15 @@ func TestAggMatchesDownsampleShape(t *testing.T) {
 	if len(pts) != 1 {
 		t.Fatalf("Query: %d series", len(pts))
 	}
-	down := Downsample(pts[0].Points, from, time.Hour, 24, Min)
+	down := make([]float64, 24)
+	for i := range down {
+		down[i] = math.Inf(1)
+	}
+	for _, p := range pts[0].Points {
+		if i := int(p.Time.Sub(from) / time.Hour); p.Value < down[i] {
+			down[i] = p.Value
+		}
+	}
 	if len(down) != len(agg[0].Buckets) {
 		t.Fatalf("bin counts differ: %d vs %d", len(down), len(agg[0].Buckets))
 	}
@@ -489,8 +458,8 @@ func TestAggMatchesDownsampleShape(t *testing.T) {
 		if b.Count == 0 {
 			continue
 		}
-		if math.Float64bits(down[i].Value) != math.Float64bits(b.Min) {
-			t.Fatalf("bucket %v: aggregate min %v, Downsample min %v", b.Start, b.Min, down[i].Value)
+		if math.Float64bits(down[i]) != math.Float64bits(b.Min) {
+			t.Fatalf("bucket %v: aggregate min %v, per-point min %v", b.Start, b.Min, down[i])
 		}
 	}
 }

@@ -1,9 +1,9 @@
-// Package blockenc implements the segment payload format v2 of
-// docs/PERSISTENCE.md §8: per-series columnar blocks holding
+// Package blockenc implements the segment payload of
+// docs/PERSISTENCE.md §2: per-series columnar blocks holding
 // delta-of-delta varint-encoded timestamps next to Gorilla
 // XOR-compressed float64 values, each block fronted by a
-// (minT, maxT, min, max, count) summary so readers can skip or reuse a
-// block without decoding a single point. The package is deliberately
+// (minT, maxT, min, max, sum, count) summary so readers can skip,
+// reuse or aggregate a block without decoding a single point. The package is deliberately
 // free of tsdb types — it encodes raw column slices — so the encode
 // and decode halves of the storage engine are testable in isolation
 // and the wire/disk layers above (segments, compaction, replication)
@@ -28,7 +28,7 @@ import (
 // MaxBlockPoints is the largest number of points a single block may
 // hold. Encoders split longer columns into consecutive blocks, which
 // bounds the work a reader must do to skip past data it does not want
-// (docs/PERSISTENCE.md §8).
+// (docs/PERSISTENCE.md §2).
 const MaxBlockPoints = 1024
 
 // ErrCorrupt is wrapped by every decoding error of this package: a
@@ -56,13 +56,8 @@ type Block struct {
 	// NaNs included — one NaN point poisons the sum to NaN, exactly as
 	// it would poison a decode-and-add fold. Aggregate pushdown
 	// (docs/PERSISTENCE.md §10) folds bucket sums from this field
-	// without decoding. Only meaningful when HasSum is true: blocks
-	// decoded from a v2 payload predate the field.
+	// without decoding.
 	Sum float64
-	// HasSum reports whether Sum was populated (built locally or
-	// decoded from a v3 payload). Readers needing a sum from a
-	// HasSum=false block must decode it.
-	HasSum bool
 	// Count is the number of points encoded in the block.
 	Count int
 	// Times is the delta-of-delta varint encoding of the timestamps.
@@ -71,7 +66,7 @@ type Block struct {
 	Values []byte
 }
 
-// Series is one series' identity and encoded blocks inside a v2
+// Series is one series' identity and encoded blocks inside a
 // payload. Tags are sorted by key on encode so payload bytes are
 // canonical for identical content.
 type Series struct {
@@ -87,7 +82,7 @@ type Series struct {
 // Timestamp column: delta-of-delta, zigzag varint.
 
 // AppendTimes appends the delta-of-delta varint encoding of ts
-// (docs/PERSISTENCE.md §8.2) to dst and returns the extended slice.
+// (docs/PERSISTENCE.md §2.3) to dst and returns the extended slice.
 // The first timestamp is stored absolute, the second as a delta, and
 // every later one as the difference between consecutive deltas — zero
 // for the fixed-cadence rounds the probers emit, which varint-encodes
@@ -150,7 +145,7 @@ func DecodeTimes(src []byte, count int) ([]int64, error) {
 // Value column: Gorilla XOR bitstream.
 
 // AppendValues appends the Gorilla XOR encoding of vs
-// (docs/PERSISTENCE.md §8.3) to dst and returns the extended slice:
+// (docs/PERSISTENCE.md §2.4) to dst and returns the extended slice:
 // the first value raw, then per value one bit for "unchanged", or a
 // leading/significant-bits window borrowed from the previous value, or
 // a freshly described window.
@@ -288,7 +283,6 @@ func BuildBlocks(times []int64, values []float64) []Block {
 			MinT:   ts[0],
 			MaxT:   ts[n-1],
 			Count:  n,
-			HasSum: true,
 			Times:  AppendTimes(nil, ts),
 			Values: AppendValues(nil, vs),
 		}
@@ -323,9 +317,10 @@ func summarize(vs []float64) (min, max, sum float64) {
 // Decode expands the block back into its time and value columns and
 // verifies the summary against them: the columns must hold exactly
 // Count points in non-decreasing time order, MinT/MaxT must equal the
-// first and last timestamps, and Min/Max must equal the NaN-excluding
-// extrema of the values. Readers prune whole blocks on these fields
-// without decoding them (docs/PERSISTENCE.md §9), so a summary that
+// first and last timestamps, Min/Max must equal the NaN-excluding
+// extrema of the values, and Sum their sequential sum bit for bit.
+// Readers prune and aggregate whole blocks on these fields without
+// decoding them (docs/PERSISTENCE.md §9, §10), so a summary that
 // disagrees with its block's contents is corruption and fails loud
 // here rather than silently mis-pruning.
 func (b Block) Decode() (times []int64, values []float64, err error) {
@@ -354,28 +349,11 @@ func (b Block) Decode() (times []int64, values []float64, err error) {
 		return nil, nil, fmt.Errorf("%w: summary value bounds [%v,%v] disagree with decoded [%v,%v]",
 			ErrCorrupt, b.Min, b.Max, min, max)
 	}
-	if b.HasSum && !sameFloat(sum, b.Sum) {
+	if !sameFloat(sum, b.Sum) {
 		return nil, nil, fmt.Errorf("%w: summary sum %v disagrees with decoded %v",
 			ErrCorrupt, b.Sum, sum)
 	}
 	return times, values, nil
-}
-
-// FillSum populates a sum-less block's Sum summary by decoding its
-// value column once, so a v2-origin block can be carried into a v3
-// payload (compaction's upgrade path, docs/PERSISTENCE.md §10.2).
-// No-op when the block already has a sum.
-func (b *Block) FillSum() error {
-	if b.HasSum {
-		return nil
-	}
-	_, vs, err := b.Decode()
-	if err != nil {
-		return err
-	}
-	_, _, sum := summarize(vs)
-	b.Sum, b.HasSum = sum, true
-	return nil
 }
 
 // sameFloat is float equality with NaN equal to NaN, matching how
@@ -387,21 +365,15 @@ func sameFloat(a, b float64) bool {
 // ---------------------------------------------------------------------------
 // Payload: []Series <-> bytes.
 
-// EncodePayload serializes series (docs/PERSISTENCE.md §8.1, §10.1)
-// into a fresh buffer: a series count, then per series its
-// measurement, sorted tags, and blocks — each block its summary
-// followed by the two encoded columns. With withSums the v3 layout is
-// written: a fixed64 Sum follows Max in every block summary, and every
-// block must carry one (HasSum) — encoding a sum-less block into a v3
-// payload is a programming error upstream (compaction backfills sums
-// before concatenating, docs/PERSISTENCE.md §10.2) and panics rather
-// than silently writing garbage. Content-identical inputs produce
-// identical bytes.
-func EncodePayload(series []Series, withSums bool) []byte {
+// EncodePayload serializes series (docs/PERSISTENCE.md §2.2) into a
+// fresh buffer: a series count, then per series its measurement,
+// sorted tags, and blocks — each block its summary followed by the two
+// encoded columns. Content-identical inputs produce identical bytes.
+func EncodePayload(series []Series) []byte {
 	var dst []byte
 	dst = binary.AppendUvarint(dst, uint64(len(series)))
 	for _, s := range series {
-		dst = AppendSeries(dst, s, withSums)
+		dst = AppendSeries(dst, s)
 	}
 	return dst
 }
@@ -411,9 +383,8 @@ func EncodePayload(series []Series, withSums bool) []byte {
 // slice. It is the per-entry half of EncodePayload, exported so the
 // append-extend snapshot path can grow an existing payload's entries
 // region without re-encoding the entries already on disk
-// (docs/REPLICATION.md §8). The withSums rules of EncodePayload apply
-// unchanged.
-func AppendSeries(dst []byte, s Series, withSums bool) []byte {
+// (docs/REPLICATION.md §8).
+func AppendSeries(dst []byte, s Series) []byte {
 	dst = appendString(dst, s.Measurement)
 	keys := make([]string, 0, len(s.Tags))
 	for k := range s.Tags {
@@ -431,12 +402,7 @@ func AppendSeries(dst []byte, s Series, withSums bool) []byte {
 		dst = binary.AppendVarint(dst, b.MaxT)
 		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(b.Min))
 		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(b.Max))
-		if withSums {
-			if !b.HasSum {
-				panic("blockenc: encoding a sum-less block into a v3 payload")
-			}
-			dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(b.Sum))
-		}
+		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(b.Sum))
 		dst = binary.AppendUvarint(dst, uint64(b.Count))
 		dst = binary.AppendUvarint(dst, uint64(len(b.Times)))
 		dst = append(dst, b.Times...)
@@ -460,13 +426,12 @@ func PayloadHead(data []byte) (count int, headLen int, err error) {
 	return int(v), n, nil
 }
 
-// DecodePayload parses a v2 (withSums false) or v3 (withSums true)
-// payload back into series whose blocks alias data. It validates
-// structure only — lengths, counts, string bounds — and leaves
-// point-level decoding to Block.Decode, so callers that merely
-// reshuffle blocks (compaction, retention) never pay for a full
-// decode. Blocks from a v3 payload come back with HasSum set.
-func DecodePayload(data []byte, withSums bool) ([]Series, error) {
+// DecodePayload parses a payload back into series whose blocks alias
+// data. It validates structure only — lengths, counts, string bounds —
+// and leaves point-level decoding to Block.Decode, so callers that
+// merely reshuffle blocks (compaction, retention) never pay for a full
+// decode.
+func DecodePayload(data []byte) ([]Series, error) {
 	d := payloadReader{buf: data}
 	n, err := d.uvarint("series count")
 	if err != nil {
@@ -515,14 +480,11 @@ func DecodePayload(data []byte, withSums bool) ([]Series, error) {
 			if err != nil {
 				return nil, err
 			}
-			b.Min, b.Max = math.Float64frombits(minBits), math.Float64frombits(maxBits)
-			if withSums {
-				sumBits, err := d.fixed64("block sum")
-				if err != nil {
-					return nil, err
-				}
-				b.Sum, b.HasSum = math.Float64frombits(sumBits), true
+			sumBits, err := d.fixed64("block sum")
+			if err != nil {
+				return nil, err
 			}
+			b.Min, b.Max, b.Sum = math.Float64frombits(minBits), math.Float64frombits(maxBits), math.Float64frombits(sumBits)
 			count, err := d.uvarint("block count")
 			if err != nil {
 				return nil, err

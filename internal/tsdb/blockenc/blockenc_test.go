@@ -1,7 +1,7 @@
 package blockenc
 
-// Round-trip and corruption tests for the v2 block encodings
-// (docs/PERSISTENCE.md §8). The round-trip suite covers every shape
+// Round-trip and corruption tests for the block encodings
+// (docs/PERSISTENCE.md §2). The round-trip suite covers every shape
 // the probing modules emit — fixed cadences, jittered cadences,
 // duplicate timestamps, constant values, NaN/Inf, denormals — and the
 // corruption suite is fuzz-style: byte flips and truncations at every
@@ -9,6 +9,7 @@ package blockenc
 // never a panic or runaway allocation.
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -86,7 +87,7 @@ func sameFloats(a, b []float64) bool {
 
 // TestColumnRoundTrip: AppendTimes/DecodeTimes and
 // AppendValues/DecodeValues are exact inverses for every column shape,
-// bit-for-bit including NaN payloads (docs/PERSISTENCE.md §8.2, §8.3).
+// bit-for-bit including NaN payloads (docs/PERSISTENCE.md §2.3, §2.4).
 func TestColumnRoundTrip(t *testing.T) {
 	for _, c := range testColumns() {
 		ts, err := DecodeTimes(AppendTimes(nil, c.times), len(c.times))
@@ -160,12 +161,12 @@ func payloadFixture() []Series {
 // replication reuse rely on).
 func TestPayloadRoundTrip(t *testing.T) {
 	series := payloadFixture()
-	data := EncodePayload(series, true)
-	if !reflect.DeepEqual(data, EncodePayload(series, true)) {
+	data := EncodePayload(series)
+	if !reflect.DeepEqual(data, EncodePayload(series)) {
 		t.Fatal("encoding is not deterministic")
 	}
 
-	got, err := DecodePayload(data, true)
+	got, err := DecodePayload(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,101 +197,63 @@ func TestPayloadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPayloadVersionLayouts pins the v2/v3 wire difference: the same
-// series encode to different byte lengths (v3 carries a fixed64 sum
-// per block), a v2 decode yields sum-less blocks, and a v3 decode
-// yields sum-carrying blocks whose sums match a fresh summarize of
-// the decoded values bit-for-bit (docs/PERSISTENCE.md §10.1).
+// TestPayloadVersionLayouts pins the one payload layout
+// (docs/PERSISTENCE.md §2.2): every block summary carries the five
+// fixed-width and varint fields in order with a fixed64 sum after max,
+// so a payload's length is exactly its entries' — and a decoded
+// block's sum matches a fresh summarize of its decoded values
+// bit-for-bit.
 func TestPayloadVersionLayouts(t *testing.T) {
 	series := payloadFixture()
-	v3 := EncodePayload(series, true)
-	v2 := EncodePayload(series, false)
-	var blocks int
+	data := EncodePayload(series)
+	want := len(binary.AppendUvarint(nil, uint64(len(series))))
 	for _, s := range series {
-		blocks += len(s.Blocks)
+		want += len(AppendSeries(nil, s))
 	}
-	if len(v3)-len(v2) != 8*blocks {
-		t.Fatalf("v3 is %d bytes over v2 for %d blocks, want %d", len(v3)-len(v2), blocks, 8*blocks)
+	if len(data) != want {
+		t.Fatalf("payload is %d bytes, its head plus entries %d", len(data), want)
+	}
+	// One block, hand-laid: minT maxT | min max sum (3 x fixed64) | count
+	// | len+times | len+values.
+	b := BuildBlocks([]int64{5, 6}, []float64{1.5, 2.5})[0]
+	entry := AppendSeries(nil, Series{Measurement: "m", Blocks: []Block{b}})
+	hand := []byte{1, 'm', 0, 1}
+	hand = binary.AppendVarint(hand, 5)
+	hand = binary.AppendVarint(hand, 6)
+	for _, f := range []float64{1.5, 2.5, 4} {
+		hand = binary.BigEndian.AppendUint64(hand, math.Float64bits(f))
+	}
+	hand = binary.AppendUvarint(hand, 2)
+	hand = append(binary.AppendUvarint(hand, uint64(len(b.Times))), b.Times...)
+	hand = append(binary.AppendUvarint(hand, uint64(len(b.Values))), b.Values...)
+	if !reflect.DeepEqual(entry, hand) {
+		t.Fatalf("entry bytes\n got %x\nwant %x", entry, hand)
 	}
 
-	from2, err := DecodePayload(v2, false)
+	decoded, err := DecodePayload(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, s := range from2 {
+	for i, s := range decoded {
 		for bi, b := range s.Blocks {
-			if b.HasSum {
-				t.Fatalf("series %d block %d: v2 decode claims a sum", i, bi)
-			}
-		}
-	}
-
-	from3, err := DecodePayload(v3, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range from3 {
-		for bi, b := range s.Blocks {
-			if !b.HasSum {
-				t.Fatalf("series %d block %d: v3 decode lost the sum", i, bi)
-			}
 			_, vs, err := b.Decode()
 			if err != nil {
 				t.Fatalf("series %d block %d: %v", i, bi, err)
 			}
-			_, _, sum := summarize(vs)
-			if math.Float64bits(sum) != math.Float64bits(b.Sum) {
+			if _, _, sum := summarize(vs); math.Float64bits(sum) != math.Float64bits(b.Sum) {
 				t.Fatalf("series %d block %d: sum %v != recomputed %v", i, bi, b.Sum, sum)
 			}
 		}
 	}
 }
 
-// TestEncodeSumlessIntoV3Panics: writing a block with no sum into a
-// v3 payload would persist a summary the read path trusts blindly, so
-// the encoder refuses at the call site rather than inventing one.
-func TestEncodeSumlessIntoV3Panics(t *testing.T) {
-	series := payloadFixture()
-	series[0].Blocks[0].HasSum = false
-	defer func() {
-		if recover() == nil {
-			t.Fatal("encoding a sum-less block into a v3 payload did not panic")
-		}
-	}()
-	EncodePayload(series, true)
-}
-
-// TestFillSum backfills sums on sum-less blocks (the v2→v3 compaction
-// upgrade path) and is a no-op on blocks that already carry one.
-func TestFillSum(t *testing.T) {
-	for _, c := range testColumns() {
-		for _, b := range BuildBlocks(c.times, c.values) {
-			want := b.Sum
-			stripped := b
-			stripped.HasSum, stripped.Sum = false, 0
-			if err := stripped.FillSum(); err != nil {
-				t.Fatalf("%s: FillSum: %v", c.name, err)
-			}
-			if !stripped.HasSum || math.Float64bits(stripped.Sum) != math.Float64bits(want) {
-				t.Fatalf("%s: FillSum = (%v,%v), want (%v,true)", c.name, stripped.Sum, stripped.HasSum, want)
-			}
-			// No-op path: an existing (even wrong) sum is left alone.
-			marked := b
-			marked.Sum = -12345
-			if err := marked.FillSum(); err != nil || marked.Sum != -12345 {
-				t.Fatalf("%s: FillSum touched an existing sum (%v, %v)", c.name, marked.Sum, err)
-			}
-		}
-	}
-}
-
-// TestDecodeVerifiesSum: a v3 summary sum that disagrees with the
+// TestDecodeVerifiesSum: a summary sum that disagrees with the
 // decoded values is corruption, same contract as min/max/time bounds.
 // NaN sums (any NaN in the block poisons the sum) must verify too.
 func TestDecodeVerifiesSum(t *testing.T) {
 	b := BuildBlocks([]int64{1, 2, 3, 4}, []float64{1, 2, 3, 4})[0]
-	if !b.HasSum || b.Sum != 10 {
-		t.Fatalf("sum = %v (has=%v), want 10", b.Sum, b.HasSum)
+	if b.Sum != 10 {
+		t.Fatalf("sum = %v, want 10", b.Sum)
 	}
 	if _, _, err := b.Decode(); err != nil {
 		t.Fatalf("honest sum rejected: %v", err)
@@ -319,10 +282,10 @@ func TestDecodeVerifiesSum(t *testing.T) {
 // panic (the payload-level CRC catches silent changes; this package
 // only owes memory safety and bounded work).
 func TestDecodeCorruptionSafety(t *testing.T) {
-	data := EncodePayload(payloadFixture(), true)
+	data := EncodePayload(payloadFixture())
 
 	decodeAll := func(data []byte) error {
-		series, err := DecodePayload(data, true)
+		series, err := DecodePayload(data)
 		if err != nil {
 			return err
 		}
@@ -385,21 +348,21 @@ func TestDecodeCorruptionSafety(t *testing.T) {
 func TestDecodeRejectsAbsurdCounts(t *testing.T) {
 	// Huge series count followed by nothing.
 	data := []byte{0xff, 0xff, 0xff, 0xff, 0x07} // uvarint ~2^31
-	if _, err := DecodePayload(data, false); !errors.Is(err, ErrCorrupt) {
+	if _, err := DecodePayload(data); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("absurd series count accepted: %v", err)
 	}
 	// A block claiming more than MaxBlockPoints. Hand-built: series
 	// count 1, measurement "m", 0 tags, 1 block, minT 0, maxT 0,
-	// min/max bits, count 1<<30.
+	// min/max/sum bits, count 1<<30.
 	bad := []byte{1, 1, 'm', 0, 1, 0, 0}
-	bad = append(bad, make([]byte, 16)...)          // min/max
+	bad = append(bad, make([]byte, 24)...)          // min/max/sum
 	bad = append(bad, 0x80, 0x80, 0x80, 0x80, 0x04) // uvarint 1<<30
-	if _, err := DecodePayload(bad, false); !errors.Is(err, ErrCorrupt) {
+	if _, err := DecodePayload(bad); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("absurd block count accepted: %v", err)
 	}
 }
 
-// TestCompressionOnCadenceData pins the reason v2 exists: a
+// TestCompressionOnCadenceData pins the reason the block format exists: a
 // fixed-cadence column must encode far below the 16 bytes/point of
 // raw (time, value) pairs.
 func TestCompressionOnCadenceData(t *testing.T) {

@@ -1,12 +1,11 @@
 package tsdb
 
 // Background level compaction for segment directories
-// (docs/PERSISTENCE.md §8.4): adjacent cold windows of the same shard
+// (docs/PERSISTENCE.md §8): adjacent cold windows of the same shard
 // are merged into one wider generation-qualified segment, cutting the
-// file count — and, for v3 inputs, without ever decoding a point,
-// because a merged span's blocks are the concatenation of its inputs'
-// blocks in window order (v2 inputs decode once per block to backfill
-// the v3 Sum summary). The pass runs under the same atomic
+// file count — without ever decoding a point, because a merged span's
+// blocks are the concatenation of its inputs' blocks in window order.
+// The pass runs under the same atomic
 // manifest-rename commit protocol as SnapshotDir and RetainDir, so a
 // crash at any moment leaves the previous snapshot fully restorable,
 // and it preserves the manifest's series and point totals — content is
@@ -111,12 +110,10 @@ func planCompaction(m *Manifest, cut int64, maxWindows int) []*compactRun {
 	return runs
 }
 
-// mergeRun merges one run's inputs into a single v3 segment spanning
-// [first.WindowStart, last.WindowEnd). v3 inputs contribute their
-// blocks verbatim — no point decode — v2 inputs decode each block once
-// to backfill its Sum summary, and v1 (gob) inputs are decoded and
-// re-encoded as blocks, upgrading both in passing. The output's level
-// is one above the deepest input (docs/PERSISTENCE.md §8.4, §10.2).
+// mergeRun merges one run's inputs into a single segment spanning
+// [first.WindowStart, last.WindowEnd). Inputs contribute their blocks
+// verbatim — no point decode. The output's level is one above the
+// deepest input (docs/PERSISTENCE.md §8).
 func mergeRun(dir string, gen uint64, r *compactRun) error {
 	type acc struct {
 		measurement string
@@ -125,20 +122,10 @@ func mergeRun(dir string, gen uint64, r *compactRun) error {
 	}
 	byKey := make(map[string]*acc)
 	var keys []string
-	add := func(measurement string, tags map[string]string, blocks []blockenc.Block) {
-		key := Key(measurement, tags)
-		a, ok := byKey[key]
-		if !ok {
-			a = &acc{measurement: measurement, tags: tags}
-			byKey[key] = a
-			keys = append(keys, key)
-		}
-		a.blocks = append(a.blocks, blocks...)
-	}
 
 	points, level := 0, 0
 	for _, sm := range r.inputs {
-		payload, version, err := loadSegmentPayload(dir, sm)
+		payload, err := loadSegmentPayload(dir, sm)
 		if err != nil {
 			return err
 		}
@@ -147,33 +134,19 @@ func mergeRun(dir string, gen uint64, r *compactRun) error {
 			level = sm.Level
 		}
 		points += sm.Points
-		switch version {
-		case SegmentVersionGob:
-			list, err := decodeGobPayload(payload, sm)
-			if err != nil {
-				return err
+		list, err := decodeBlockPayload(payload, sm)
+		if err != nil {
+			return err
+		}
+		for i := range list {
+			key := Key(list[i].Measurement, list[i].Tags)
+			a, ok := byKey[key]
+			if !ok {
+				a = &acc{measurement: list[i].Measurement, tags: list[i].Tags}
+				byKey[key] = a
+				keys = append(keys, key)
 			}
-			for _, bs := range toBlockSeries(list) {
-				add(bs.Measurement, bs.Tags, bs.Blocks)
-			}
-		default:
-			list, err := decodeBlockPayload(payload, sm, version)
-			if err != nil {
-				return err
-			}
-			for i := range list {
-				// v2 inputs lack block sums; the v3 output requires them,
-				// so sum-less blocks are decoded once here to backfill —
-				// the lone exception to the zero-decode merge, paid only
-				// when upgrading pre-sum segments (docs/PERSISTENCE.md
-				// §10.2). v3 inputs still concatenate verbatim.
-				for bi := range list[i].Blocks {
-					if err := list[i].Blocks[bi].FillSum(); err != nil {
-						return fmt.Errorf("tsdb: segment %s: series %q: %w", sm.File, Key(list[i].Measurement, list[i].Tags), err)
-					}
-				}
-				add(list[i].Measurement, list[i].Tags, list[i].Blocks)
-			}
+			a.blocks = append(a.blocks, list[i].Blocks...)
 		}
 	}
 
@@ -188,8 +161,8 @@ func mergeRun(dir string, gen uint64, r *compactRun) error {
 	}
 
 	first, last := r.inputs[0], r.inputs[len(r.inputs)-1]
-	payload := blockenc.EncodePayload(out, true)
-	meta, err := writeSegmentFile(dir, gen, SegmentVersion, first.Shard,
+	payload := blockenc.EncodePayload(out)
+	meta, err := writeSegmentFile(dir, gen, first.Shard,
 		first.WindowStart, last.WindowEnd, len(out), points, level+1, payload)
 	if err != nil {
 		return err

@@ -1,118 +1,19 @@
 package tsdb
 
-// Tests for the v2 columnar segment format and the level-compaction
-// pass (docs/PERSISTENCE.md §8): format-version selection, mixed v1/v2
-// directories, the named version error, digest-preserving compaction,
-// and the interplay of compaction with incremental snapshots,
-// retention and crash leftovers.
+// Tests for the segment format version gate and the level-compaction
+// pass (docs/PERSISTENCE.md §2, §8): the named version error for every
+// version but the supported one, digest-preserving compaction, and the
+// interplay of compaction with incremental snapshots, retention and
+// crash leftovers.
 
 import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
-
-// segmentVersions reads every committed segment's header version.
-func segmentVersions(t *testing.T, dir string) map[int]int {
-	t.Helper()
-	m, err := readManifest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	versions := make(map[int]int)
-	for _, sm := range m.Segments {
-		_, v, err := loadSegmentPayload(dir, sm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		versions[v]++
-	}
-	return versions
-}
-
-// dirBytes sums the committed segment files' sizes.
-func dirBytes(t *testing.T, dir string) int64 {
-	t.Helper()
-	m, err := readManifest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var n int64
-	for _, sm := range m.Segments {
-		fi, err := os.Stat(filepath.Join(dir, sm.File))
-		if err != nil {
-			t.Fatal(err)
-		}
-		n += fi.Size()
-	}
-	return n
-}
-
-// TestSnapshotDirFormatVersions: the default snapshot writes v2, the
-// legacy option writes v1, and both restore to the same digest
-// (docs/PERSISTENCE.md §8 — the format changes, the content cannot).
-func TestSnapshotDirFormatVersions(t *testing.T) {
-	db := buildSegStore(time.Hour)
-	for _, tc := range []struct {
-		format, want int
-	}{
-		{format: 0, want: SegmentVersion},
-		{format: SegmentVersion, want: SegmentVersion},
-		{format: SegmentVersionGob, want: SegmentVersionGob},
-	} {
-		dir := t.TempDir()
-		if _, err := db.SnapshotDir(dir, DirOptions{FormatVersion: tc.format}); err != nil {
-			t.Fatalf("format %d: %v", tc.format, err)
-		}
-		versions := segmentVersions(t, dir)
-		if len(versions) != 1 || versions[tc.want] == 0 {
-			t.Fatalf("format %d: segment versions %v, want only v%d", tc.format, versions, tc.want)
-		}
-		assertRestoresTo(t, dir, db)
-	}
-	if _, err := db.SnapshotDir(t.TempDir(), DirOptions{FormatVersion: SegmentVersion + 1}); err == nil {
-		t.Fatal("SnapshotDir accepted an unknown format version")
-	}
-}
-
-// TestMixedVersionRestore: a directory holding v1 and v2 segments side
-// by side — the state of a store mid-migration — restores to exactly
-// the digest of an all-v1 and an all-v2 snapshot of the same store.
-func TestMixedVersionRestore(t *testing.T) {
-	db := buildSegStore(time.Hour)
-	want := db.Digest()
-	dir := t.TempDir()
-	if _, err := db.SnapshotDir(dir, DirOptions{FormatVersion: SegmentVersionGob, Incremental: true}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Dirty a few windows, then snapshot incrementally in v2: clean v1
-	// segments are reused byte-for-byte, dirty windows are rewritten v2.
-	db.Write("tslp", map[string]string{"link": "l1", "vp": "vp-a", "side": "far"}, t0.Add(30*time.Minute), 99)
-	db.Write("loss", map[string]string{"link": "l3", "vp": "vp-b", "side": "near"}, t0.Add(4*time.Hour), 1)
-	want = db.Digest()
-	st, err := db.SnapshotDir(dir, DirOptions{Incremental: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Reused == 0 || st.Written == 0 {
-		t.Fatalf("expected a mix of reused and rewritten segments: %+v", st)
-	}
-	versions := segmentVersions(t, dir)
-	if versions[SegmentVersionGob] == 0 || versions[SegmentVersion] == 0 {
-		t.Fatalf("directory is not mixed-version: %v", versions)
-	}
-
-	got := Open()
-	if err := got.RestoreDir(dir, DirOptions{}); err != nil {
-		t.Fatalf("RestoreDir on mixed-version dir: %v", err)
-	}
-	if got.Digest() != want {
-		t.Fatal("mixed-version directory does not restore to the source digest")
-	}
-}
 
 // TestUnknownSegmentVersionNamedError: a future format version is
 // rejected with an error wrapping ErrSegmentVersion, so callers can
@@ -136,6 +37,80 @@ func TestUnknownSegmentVersionNamedError(t *testing.T) {
 	err = Open().RestoreDir(dir, DirOptions{})
 	if !errors.Is(err, ErrSegmentVersion) {
 		t.Fatalf("error does not wrap ErrSegmentVersion: %v", err)
+	}
+}
+
+// TestOldSegmentVersionsRefused: the retired v1 (gob) and v2 (sum-less
+// block) payload versions are refused by every reader — eager and lazy
+// RestoreDir, VerifySegmentFile (so a follower rejects the file before
+// its manifest commit), CompactDir and RetainDir — with an error
+// wrapping ErrSegmentVersion that names the file. The headers are
+// hand-built from a current segment: valid magic, valid CRC, only the
+// version field rewritten (docs/PERSISTENCE.md §2, "Versioning").
+func TestOldSegmentVersionsRefused(t *testing.T) {
+	window := time.Hour
+	cut := t0.Add(2*window + 17*time.Minute) // mid-window: RetainDir must read the boundary segment
+	readers := []struct {
+		name string
+		read func(dir string, sm SegmentMeta) error
+	}{
+		{"RestoreDir eager", func(dir string, _ SegmentMeta) error { return Open().RestoreDir(dir, DirOptions{}) }},
+		{"RestoreDir lazy", func(dir string, _ SegmentMeta) error { return Open().RestoreDir(dir, DirOptions{Lazy: true}) }},
+		{"VerifySegmentFile", func(dir string, sm SegmentMeta) error {
+			return VerifySegmentFile(filepath.Join(dir, sm.File), sm)
+		}},
+		{"CompactDir", func(dir string, _ SegmentMeta) error {
+			_, err := CompactDir(dir, CompactOptions{ColdBefore: maxTime})
+			return err
+		}},
+		{"RetainDir", func(dir string, _ SegmentMeta) error {
+			_, _, err := RetainDir(dir, cut)
+			return err
+		}},
+	}
+	for _, version := range []byte{1, 2} {
+		for _, r := range readers {
+			dir := t.TempDir()
+			if _, err := buildSegStore(window).SnapshotDir(dir, DirOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			m, err := readManifest(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var old SegmentMeta
+			for _, sm := range m.Segments {
+				if sm.WindowStart <= cut.UnixNano() && cut.UnixNano() < sm.WindowEnd {
+					old = sm
+					break
+				}
+			}
+			if old.File == "" {
+				t.Fatal("fixture has no segment straddling the retention cut")
+			}
+			path := filepath.Join(dir, old.File)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[11] = version // version field, docs/PERSISTENCE.md §2 field 2
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			err = r.read(dir, old)
+			if !errors.Is(err, ErrSegmentVersion) {
+				t.Fatalf("v%d via %s: error does not wrap ErrSegmentVersion: %v", version, r.name, err)
+			}
+			if !strings.Contains(err.Error(), old.File) {
+				t.Fatalf("v%d via %s: error %q does not name %s", version, r.name, err, old.File)
+			}
+			// Fail-loud, not destructive: the refusing pass left the
+			// committed manifest in place.
+			if after, err := readManifest(dir); err != nil || after.Generation != m.Generation {
+				t.Fatalf("v%d via %s: refused pass moved the manifest (%v)", version, r.name, err)
+			}
+		}
 	}
 }
 
@@ -213,41 +188,6 @@ func TestCompactDirEquivalence(t *testing.T) {
 	}
 }
 
-// TestCompactDirUpgradesGob: compacting a v1 directory rewrites the
-// merged spans as v2 — the migration path from a pre-v2 data
-// directory — while preserving the digest and shrinking bytes on disk.
-func TestCompactDirUpgradesGob(t *testing.T) {
-	db := buildSegStore(time.Hour)
-	want := db.Digest()
-	dir := t.TempDir()
-	if _, err := db.SnapshotDir(dir, DirOptions{FormatVersion: SegmentVersionGob}); err != nil {
-		t.Fatal(err)
-	}
-	bytesBefore := dirBytes(t, dir)
-
-	st, err := CompactDir(dir, CompactOptions{ColdBefore: maxTime})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Merged == 0 {
-		t.Fatalf("nothing merged: %+v", st)
-	}
-	versions := segmentVersions(t, dir)
-	if versions[SegmentVersion] == 0 {
-		t.Fatalf("no v2 segment after compacting a gob directory: %v", versions)
-	}
-	if got := dirBytes(t, dir); got >= bytesBefore {
-		t.Fatalf("compaction did not shrink the directory: %d -> %d bytes", bytesBefore, got)
-	}
-	got := Open()
-	if err := got.RestoreDir(dir, DirOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if got.Digest() != want {
-		t.Fatal("gob-to-v2 compaction changed the restored digest")
-	}
-}
-
 // TestCompactRespectsColdBoundary: windows reaching past ColdBefore
 // are never merged.
 func TestCompactRespectsColdBoundary(t *testing.T) {
@@ -277,7 +217,7 @@ func TestCompactRespectsColdBoundary(t *testing.T) {
 // bookkeeping in step, so the next incremental snapshot reuses the
 // merged segments instead of demoting to a full rewrite; a write into
 // a merged span rewrites that one span whole, keeping compaction
-// sticky (docs/PERSISTENCE.md §8.4).
+// sticky (docs/PERSISTENCE.md §8).
 func TestIncrementalSnapshotAfterCompact(t *testing.T) {
 	window := time.Hour
 	db := buildSegStore(window)

@@ -1,7 +1,6 @@
 package tsdb
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -82,17 +81,17 @@ func TestConcurrentStress(t *testing.T) {
 
 	// Snapshotters: serialize a consistent view while writes continue.
 	for s := 0; s < snapshotters; s++ {
+		dir := t.TempDir()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				var buf bytes.Buffer
-				if err := db.Snapshot(&buf); err != nil {
+				if _, err := db.SnapshotDir(dir, DirOptions{}); err != nil {
 					t.Errorf("snapshot: %v", err)
 					return
 				}
 				// A snapshot must itself restore cleanly.
-				if err := Open().Restore(&buf); err != nil {
+				if err := Open().RestoreDir(dir, DirOptions{}); err != nil {
 					t.Errorf("restore: %v", err)
 					return
 				}
@@ -206,12 +205,8 @@ func TestWriteBatchEquivalentToWrites(t *testing.T) {
 	for _, p := range mk() {
 		b.Write(p.Measurement, p.Tags, p.Time, p.Value)
 	}
-	var bufA, bufB bytes.Buffer
-	if err := a.Snapshot(&bufA); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Snapshot(&bufB); err != nil {
-		t.Fatal(err)
+	if a.Digest() != b.Digest() {
+		t.Fatal("batch store and write store digests differ")
 	}
 	if a.PointCount() != b.PointCount() || a.SeriesCount() != b.SeriesCount() {
 		t.Fatalf("batch store %d/%d points/series, write store %d/%d",

@@ -43,8 +43,8 @@ type DeltaBase struct {
 // OpenDeltaBase reads the local segment file at path and prepares it as
 // the splice base for the successor described by sm (the new manifest
 // entry, same shard and window span). The local file is verified
-// self-consistently — magic, supported block format version, its own
-// header's payload length and CRC — so a corrupt local copy is detected
+// self-consistently — magic, format version, its own header's payload
+// length and CRC — so a corrupt local copy is detected
 // here rather than poisoning an assembled segment. The successor's
 // identity fields must match; everything else (whether the local bytes
 // really are a prefix of the successor) is settled by AssembleDelta's
@@ -60,9 +60,8 @@ func OpenDeltaBase(path string, sm SegmentMeta) (*DeltaBase, error) {
 	if string(data[:8]) != SegmentMagic {
 		return nil, fmt.Errorf("tsdb: delta base %s: bad magic %q", path, data[:8])
 	}
-	version := binary.BigEndian.Uint32(data[8:12])
-	if version < SegmentVersionBlocks || version > SegmentVersion {
-		return nil, fmt.Errorf("tsdb: delta base %s: format version %d has no entries region", path, version)
+	if version := binary.BigEndian.Uint32(data[8:12]); version != SegmentVersion {
+		return nil, fmt.Errorf("tsdb: delta base %s: %w: format version %d, supported %d", path, ErrSegmentVersion, version, SegmentVersion)
 	}
 	shard := int(binary.BigEndian.Uint32(data[12:16]))
 	winStart := int64(binary.BigEndian.Uint64(data[16:24]))
@@ -113,7 +112,7 @@ func AssembleDelta(sm SegmentMeta, base *DeltaBase, hdr, tail []byte) ([]byte, e
 	full = append(full, head...)
 	full = append(full, base.Entries...)
 	full = append(full, tail...)
-	if _, _, err := verifySegmentBytes(full, sm); err != nil {
+	if _, err := verifySegmentBytes(full, sm); err != nil {
 		return nil, fmt.Errorf("tsdb: assemble delta: %w", err)
 	}
 	return full, nil

@@ -1,12 +1,10 @@
 package tsdb
 
 // Observability for segment directories: the serving tier reports what
-// is actually on disk — bytes, file count, format versions, compaction
-// depth — next to the manifest generation it already exposes
+// is actually on disk — bytes, file count, compaction depth — next to the manifest generation it already exposes
 // (docs/SERVING.md, /api/v1/stats).
 
 import (
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -24,17 +22,14 @@ type DirInfo struct {
 	// Points is the manifest's total point count.
 	Points int `json:"points"`
 	// MaxLevel is the deepest compaction level present
-	// (docs/PERSISTENCE.md §8.4); 0 when nothing was ever compacted.
+	// (docs/PERSISTENCE.md §8); 0 when nothing was ever compacted.
 	MaxLevel int `json:"max_level"`
-	// FormatVersions counts committed segments per header format
-	// version, e.g. {"1": 3, "2": 9} for a mixed v1/v2 directory.
-	FormatVersions map[string]int `json:"format_versions"`
 }
 
-// ReadDirInfo reads a committed segment directory's manifest and file
-// headers and summarizes them. It validates nothing beyond what it
-// reports — headers are read for their version field only, so the call
-// stays cheap enough for a stats endpoint to make per request.
+// ReadDirInfo reads a committed segment directory's manifest, stats its
+// files and summarizes them. It validates nothing beyond what it
+// reports, so the call stays cheap enough for a stats endpoint to make
+// per request.
 func ReadDirInfo(dir string) (DirInfo, error) {
 	var info DirInfo
 	m, err := readManifest(dir)
@@ -44,40 +39,15 @@ func ReadDirInfo(dir string) (DirInfo, error) {
 	info.Generation = m.Generation
 	info.Segments = len(m.Segments)
 	info.Points = m.TotalPoints
-	info.FormatVersions = make(map[string]int)
 	for _, sm := range m.Segments {
 		if sm.Level > info.MaxLevel {
 			info.MaxLevel = sm.Level
 		}
-		path := filepath.Join(dir, sm.File)
-		fi, err := os.Stat(path)
+		fi, err := os.Stat(filepath.Join(dir, sm.File))
 		if err != nil {
 			return info, fmt.Errorf("tsdb: dirinfo: %w", err)
 		}
 		info.Bytes += fi.Size()
-		version, err := readSegmentVersion(path)
-		if err != nil {
-			return info, fmt.Errorf("tsdb: dirinfo: segment %s: %w", sm.File, err)
-		}
-		info.FormatVersions[fmt.Sprint(version)]++
 	}
 	return info, nil
-}
-
-// readSegmentVersion reads just the magic and version fields of a
-// segment file's header (docs/PERSISTENCE.md §2, fields 1-2).
-func readSegmentVersion(path string) (int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	var hdr [12]byte
-	if _, err := f.ReadAt(hdr[:], 0); err != nil {
-		return 0, fmt.Errorf("read header: %w", err)
-	}
-	if string(hdr[:8]) != SegmentMagic {
-		return 0, fmt.Errorf("bad magic %q", hdr[:8])
-	}
-	return int(binary.BigEndian.Uint32(hdr[8:12])), nil
 }

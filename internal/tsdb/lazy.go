@@ -1,10 +1,10 @@
 package tsdb
 
 // Lazy block-pruned read path (docs/PERSISTENCE.md §9). A directory
-// restored with DirOptions.Lazy is mapped, not decoded: every v2
+// restored with DirOptions.Lazy is mapped, not decoded: every
 // segment's payload is structurally parsed into its per-series blocks
 // (summaries + still-encoded columns aliasing the mapping) and each
-// series becomes a stub holding block references instead of Points.
+// series becomes a stub holding block references instead of columns.
 // Queries prune whole blocks against the summaries' [minT,maxT] and
 // [min,max] ranges and decode only the survivors, on demand, through a
 // small decoded-block LRU — so cold opens are O(metadata), query cost
@@ -18,8 +18,6 @@ package tsdb
 //     lazy opens of the same directory.
 //   - Pruning is conservative: a block is skipped only when its
 //     summary proves no point can match; NaN value summaries are kept.
-//   - gob v1 segments fall back to eager decode transparently and are
-//     never pruned.
 //   - Mutation materializes: a write or trim into a lazy series first
 //     decodes it fully, so the mutable path never sees block refs.
 //   - Block summaries are verified against decoded contents on every
@@ -31,27 +29,19 @@ import (
 	"container/list"
 	"fmt"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"interdomain/internal/pipeline"
 	"interdomain/internal/tsdb/blockenc"
 )
 
 // DefaultBlockCacheBytes is the decoded-block LRU byte budget a lazy
-// restore installs when neither DirOptions.BlockCacheBytes nor the
-// legacy DirOptions.BlockCacheBlocks is set: 16 MiB of decoded
-// columns, roughly 1M points — small next to an eagerly decoded
+// restore installs when DirOptions.BlockCacheBytes is zero: 16 MiB of
+// decoded columns, roughly 1M points — small next to an eagerly decoded
 // directory, large enough that a dashboard fanning out over the hot
-// window never decodes a block twice (docs/PERSISTENCE.md §10.3).
+// window never decodes a block twice (docs/PERSISTENCE.md §9.5).
 const DefaultBlockCacheBytes = 16 << 20
-
-// DefaultBlockCacheBlocks is the block count DefaultBlockCacheBytes
-// corresponds to at the encoder's MaxBlockPoints, kept as the unit of
-// the legacy DirOptions.BlockCacheBlocks bound.
-const DefaultBlockCacheBlocks = 1024
 
 // decodedBlockBytes is the heap cost the cache charges one decoded
 // point: an int64 timestamp plus a float64 value.
@@ -63,11 +53,8 @@ const decodedBlockBytes = 16
 // directory), which is what makes "a tail commit reopened only the
 // changed segments" observable.
 type LazyStats struct {
-	// Segments is the number of v2 segment files currently mapped.
+	// Segments is the number of segment files currently mapped.
 	Segments int `json:"segments"`
-	// EagerSegments is the number of gob v1 segment files that were
-	// decoded eagerly at open (the transparent fallback).
-	EagerSegments int `json:"eager_segments"`
 	// Blocks is the number of encoded blocks currently indexed.
 	Blocks int `json:"blocks"`
 	// SegmentsOpened counts segment files mapped and parsed since the
@@ -92,7 +79,7 @@ type LazyStats struct {
 	DecodedBytes uint64 `json:"decoded_bytes"`
 	// SummaryOnlyBuckets counts aggregate buckets answered entirely
 	// from block summaries — no decode, no cache traffic
-	// (docs/PERSISTENCE.md §10.2).
+	// (docs/PERSISTENCE.md §10).
 	SummaryOnlyBuckets uint64 `json:"summary_only_buckets"`
 	// CacheHits counts decoded-block cache hits.
 	CacheHits uint64 `json:"cache_hits"`
@@ -122,24 +109,14 @@ type decodedBlock struct {
 	values []float64
 }
 
-// lazyFile is one held segment file: either a mapped v2 payload whose
-// blocks alias data, or an eagerly decoded gob v1 file kept as
-// pre-decoded synthetic series (data nil, mapping already released).
+// lazyFile is one held segment file: a mapped payload whose blocks
+// alias data.
 type lazyFile struct {
 	name   string
 	data   []byte
 	unmap  func()
-	series []blockenc.Series // v2: blocks alias data
-	synth  []synthSeries     // v1: decoded at open
-	blocks int               // encoded block count (v2), 0 for v1
-}
-
-// synthSeries is one gob v1 series in lazy form: already decoded, so
-// its ref pins dec and is exempt from pruning (v1 is never pruned).
-type synthSeries struct {
-	measurement string
-	tags        map[string]string
-	dec         *decodedBlock
+	series []blockenc.Series // blocks alias data
+	blocks int               // encoded block count
 }
 
 // close releases the file's mapping, if any.
@@ -165,9 +142,8 @@ type lazyStore struct {
 
 	// Current-state gauges, recomputed at each swap under the
 	// exclusive lock.
-	segments  int
-	eagerSegs int
-	blocks    int
+	segments int
+	blocks   int
 
 	// Cumulative counters; atomic because queries bump them under
 	// shard read locks.
@@ -191,19 +167,6 @@ func newLazyStore(dir string, cacheBytes int64) *lazyStore {
 	}
 }
 
-// cacheBudget resolves DirOptions' cache bounds to a byte budget: the
-// explicit byte budget wins, the legacy block count converts at full
-// blocks, zero means the default.
-func cacheBudget(opts DirOptions) int64 {
-	if opts.BlockCacheBytes > 0 {
-		return opts.BlockCacheBytes
-	}
-	if opts.BlockCacheBlocks > 0 {
-		return int64(opts.BlockCacheBlocks) * blockenc.MaxBlockPoints * decodedBlockBytes
-	}
-	return DefaultBlockCacheBytes
-}
-
 // close unmaps every held file. The caller must guarantee no reader
 // can still reach the store's refs (all series materialized, or all
 // shard maps replaced under the exclusive lock).
@@ -219,7 +182,6 @@ func (ls *lazyStore) stats() LazyStats {
 	hits, evictions, cached, cacheBytes := ls.cache.stats()
 	return LazyStats{
 		Segments:           ls.segments,
-		EagerSegments:      ls.eagerSegs,
 		Blocks:             ls.blocks,
 		SegmentsOpened:     ls.segmentsOpened.Load(),
 		SegmentsReused:     ls.segmentsReused.Load(),
@@ -268,46 +230,25 @@ type lazySeries struct {
 }
 
 // lazyBlockRef is one block of a lazy series: the summary fields
-// needed for pruning and aggregate pushdown plus either the encoded
-// block (enc, v2/v3) or the pinned pre-decoded columns (dec, v1
-// synthetic). sum is meaningful only when hasSum (v3 blocks); a
-// sum-needing aggregate over a sum-less ref decodes it instead
-// (docs/PERSISTENCE.md §10.2).
+// needed for pruning and aggregate pushdown plus the encoded block.
 type lazyBlockRef struct {
 	key        blockKey
 	enc        *blockenc.Block
-	dec        *decodedBlock
 	minT, maxT int64
 	min, max   float64
 	sum        float64
-	hasSum     bool
 	count      int
-}
-
-// decodeRef resolves a ref to decoded columns: pinned for synthetic
-// v1 refs, via the store's cache for encoded ones.
-func (l *lazySeries) decodeRef(r *lazyBlockRef) *decodedBlock {
-	if r.dec != nil {
-		return r.dec
-	}
-	return l.store.decode(r)
 }
 
 // selectRefs returns the refs that may hold points in [fromNs, toNs)
 // — and, with vb non-nil, whose value summary intersects the bound —
-// bumping the store's scanned/skipped counters for the encoded blocks
-// consulted. Synthetic v1 refs are never pruned (their per-point range
-// checks happen at decode-free cost downstream); NaN value summaries
-// are conservatively kept.
+// bumping the store's scanned/skipped counters for the blocks
+// consulted. NaN value summaries are conservatively kept.
 func (l *lazySeries) selectRefs(fromNs, toNs int64, vb *ValueBound) []*lazyBlockRef {
 	var out []*lazyBlockRef
 	var scanned, skipped uint64
 	for i := range l.blocks {
 		r := &l.blocks[i]
-		if r.enc == nil {
-			out = append(out, r)
-			continue
-		}
 		scanned++
 		if r.maxT < fromNs || r.minT >= toNs {
 			skipped++
@@ -340,54 +281,32 @@ func (l *lazySeries) timeBounds() (minT, maxT int64, ok bool) {
 	return minT, maxT, ok
 }
 
-// lazyRangeCopy is rangeCopy for a lazy series: prune by summary,
-// decode survivors, binary-search the decoded columns. Equivalent to
-// the eager path point for point.
-func (s *Series) lazyRangeCopy(from, to time.Time) (Series, bool) {
-	l := s.lazy
-	fromNs, toNs := from.UnixNano(), to.UnixNano()
-	var pts []Point
-	for _, r := range l.selectRefs(fromNs, toNs, nil) {
-		d := l.decodeRef(r)
-		lo := sort.Search(len(d.times), func(i int) bool { return d.times[i] >= fromNs })
-		hi := sort.Search(len(d.times), func(i int) bool { return d.times[i] >= toNs })
-		for j := lo; j < hi; j++ {
-			pts = append(pts, Point{Time: time.Unix(0, d.times[j]).UTC(), Value: d.values[j]})
-		}
-	}
-	if len(pts) == 0 {
-		return Series{}, false
-	}
-	return Series{Measurement: s.Measurement, Tags: cloneTags(s.Tags), Points: pts}, true
-}
-
-// materializeLocked decodes a lazy series fully into Points and drops
-// the stub, so the mutable write/trim paths and the raw-Points walkers
-// see an ordinary series. Not a data mutation: the series version does
-// not move. The caller must hold the shard write lock.
-func (s *Series) materializeLocked() {
+// materializeLocked decodes a lazy series fully into its columns and
+// drops the stub, so the mutable write/trim paths and the column
+// walkers see an ordinary series. Not a data mutation: the series
+// version does not move. The caller must hold the shard write lock.
+func (s *series) materializeLocked() {
 	if s.lazy == nil {
 		return
 	}
 	l := s.lazy
-	pts := make([]Point, 0, l.points)
+	s.times = make([]int64, 0, l.points)
+	s.values = make([]float64, 0, l.points)
 	for i := range l.blocks {
-		d := l.decodeRef(&l.blocks[i])
-		for j := range d.times {
-			pts = append(pts, Point{Time: time.Unix(0, d.times[j]).UTC(), Value: d.values[j]})
-		}
+		d := l.store.decode(&l.blocks[i])
+		s.times = append(s.times, d.times...)
+		s.values = append(s.values, d.values...)
 	}
-	s.Points = pts
 	s.lazy = nil
 }
 
-// materializeAllLocked decodes every lazily held series into Points
-// and releases the lazy store. Whole-store operations that walk raw
-// Points (stream snapshots, line-protocol export, segment planning)
-// call it first so their output cannot depend on open mode. The caller
-// must hold the exclusive global lock but no shard locks; each shard's
-// write lock is taken in turn, so in-flight queries drain before their
-// shard flips and no reader can reach a mapping once this returns.
+// materializeAllLocked decodes every lazily held series into columns
+// and releases the lazy store. Whole-store operations that walk the
+// columns (line-protocol export, segment planning) call it first so
+// their output cannot depend on open mode. The caller must hold the
+// exclusive global lock but no shard locks; each shard's write lock is
+// taken in turn, so in-flight queries drain before their shard flips
+// and no reader can reach a mapping once this returns.
 func (db *DB) materializeAllLocked() {
 	if db.lazy == nil {
 		return
@@ -431,137 +350,61 @@ func (db *DB) LazyReadStats() (LazyStats, bool) {
 // Lazy open.
 
 // openLazyFile maps one committed segment and prepares it for lazy
-// serving: v2 payloads are verified (header identity + CRC) and
-// structurally decoded so their blocks alias the mapping; gob v1
-// payloads are decoded eagerly into synthetic pre-decoded series and
-// the mapping is released immediately.
+// serving: the payload is verified (header identity + CRC) and
+// structurally decoded so its blocks alias the mapping.
 func openLazyFile(dir string, sm SegmentMeta) (*lazyFile, error) {
 	data, unmap, err := mapFile(filepath.Join(dir, sm.File))
 	if err != nil {
 		return nil, fmt.Errorf("tsdb: segment %s: %w", sm.File, err)
 	}
-	payload, version, err := verifySegmentBytes(data, sm)
+	payload, err := verifySegmentBytes(data, sm)
 	if err != nil {
 		unmap()
 		return nil, err
 	}
-	switch version {
-	case SegmentVersionBlocks, SegmentVersion:
-		list, err := decodeBlockPayload(payload, sm, version)
-		if err != nil {
-			unmap()
-			return nil, err
-		}
-		blocks := 0
-		for i := range list {
-			blocks += len(list[i].Blocks)
-		}
-		return &lazyFile{name: sm.File, data: data, unmap: unmap, series: list, blocks: blocks}, nil
-	case SegmentVersionGob:
-		list, err := decodeGobPayload(payload, sm)
+	list, err := decodeBlockPayload(payload, sm)
+	if err != nil {
 		unmap()
-		if err != nil {
-			return nil, err
-		}
-		lf := &lazyFile{name: sm.File}
-		for _, s := range list {
-			if len(s.Points) == 0 {
-				continue
-			}
-			d := &decodedBlock{
-				times:  make([]int64, len(s.Points)),
-				values: make([]float64, len(s.Points)),
-			}
-			for i, p := range s.Points {
-				d.times[i] = p.Time.UnixNano()
-				d.values[i] = p.Value
-			}
-			lf.synth = append(lf.synth, synthSeries{measurement: s.Measurement, tags: s.Tags, dec: d})
-		}
-		return lf, nil
-	default:
-		// Unreachable: verifySegmentBytes rejects newer versions and no
-		// release wrote other versions.
-		return nil, fmt.Errorf("tsdb: segment %s: %w: format version %d", sm.File, ErrSegmentVersion, version)
+		return nil, err
 	}
+	blocks := 0
+	for i := range list {
+		blocks += len(list[i].Blocks)
+	}
+	return &lazyFile{name: sm.File, data: data, unmap: unmap, series: list, blocks: blocks}, nil
 }
 
 // appendRefs adds the file's series to a shard map under construction
 // as lazy stubs, checking shard ownership. Callers feed files in
 // ascending window order, which keeps each stub's refs time-ordered
 // (windows partition time; blocks within a payload are time-ordered).
-func (lf *lazyFile) appendRefs(series map[string]*Series, ls *lazyStore, si int) error {
-	add := func(measurement string, tags map[string]string, ref lazyBlockRef, points int) error {
-		key := Key(measurement, tags)
-		if shardFor(key) != uint32(si) {
-			return fmt.Errorf("tsdb: segment %s: series %q does not belong to shard %d", lf.name, key, si)
-		}
-		s, ok := series[key]
-		if !ok {
-			s = &Series{Measurement: measurement, Tags: tags, lazy: &lazySeries{store: ls}}
-			series[key] = s
-		}
-		s.lazy.blocks = append(s.lazy.blocks, ref)
-		s.lazy.points += points
-		return nil
-	}
+func (lf *lazyFile) appendRefs(shardSeries map[string]*series, ls *lazyStore, si int) error {
 	ord := 0
 	for i := range lf.series {
 		bs := &lf.series[i]
+		key := Key(bs.Measurement, bs.Tags)
+		if shardFor(key) != uint32(si) {
+			return fmt.Errorf("tsdb: segment %s: series %q does not belong to shard %d", lf.name, key, si)
+		}
+		s, ok := shardSeries[key]
+		if !ok {
+			s = &series{measurement: bs.Measurement, tags: bs.Tags, lazy: &lazySeries{store: ls}}
+			shardSeries[key] = s
+		}
 		for bi := range bs.Blocks {
 			b := &bs.Blocks[bi]
-			ref := lazyBlockRef{
+			s.lazy.blocks = append(s.lazy.blocks, lazyBlockRef{
 				key:  blockKey{file: lf.name, ord: ord},
 				enc:  b,
 				minT: b.MinT, maxT: b.MaxT,
-				min: b.Min, max: b.Max,
-				sum: b.Sum, hasSum: b.HasSum,
+				min: b.Min, max: b.Max, sum: b.Sum,
 				count: b.Count,
-			}
+			})
+			s.lazy.points += b.Count
 			ord++
-			if err := add(bs.Measurement, bs.Tags, ref, b.Count); err != nil {
-				return err
-			}
-		}
-	}
-	for i := range lf.synth {
-		ss := &lf.synth[i]
-		d := ss.dec
-		min, max := valueBounds(d.values)
-		ref := lazyBlockRef{
-			dec:  d,
-			minT: d.times[0], maxT: d.times[len(d.times)-1],
-			min: min, max: max,
-			count: len(d.times),
-		}
-		if err := add(ss.measurement, ss.tags, ref, len(d.times)); err != nil {
-			return err
 		}
 	}
 	return nil
-}
-
-// valueBounds is the NaN-excluding min/max used for synthetic v1
-// refs, mirroring blockenc's summary convention.
-func valueBounds(vs []float64) (min, max float64) {
-	min, max = nan(), nan()
-	for _, v := range vs {
-		if v != v { // NaN
-			continue
-		}
-		if min != min || v < min {
-			min = v
-		}
-		if max != max || v > max {
-			max = v
-		}
-	}
-	return min, max
-}
-
-func nan() float64 {
-	var zero float64
-	return zero / zero
 }
 
 // restoreDirLazy is RestoreDir's lazy mode: reuse or create the lazy
@@ -581,7 +424,7 @@ func (db *DB) restoreDirLazy(dir string, m *Manifest, opts DirOptions) error {
 	}
 	fresh := ls == nil
 	if fresh {
-		ls = newLazyStore(dir, cacheBudget(opts))
+		ls = newLazyStore(dir, opts.BlockCacheBytes)
 	}
 
 	var toOpen []SegmentMeta
@@ -632,49 +475,21 @@ func (db *DB) restoreDirLazy(dir string, m *Manifest, opts DirOptions) error {
 
 	// Build the new shard maps from summaries alone, in ascending
 	// window order per shard (same merge order as the eager path).
-	byShard := make([][]SegmentMeta, NumShards)
-	for _, sm := range m.Segments {
-		byShard[sm.Shard] = append(byShard[sm.Shard], sm)
-	}
-	newShards := make([]map[string]*Series, NumShards)
-	storeSeries, totalPoints := 0, 0
-	for si := range byShard {
-		sms := byShard[si]
-		sort.Slice(sms, func(i, j int) bool { return sms[i].WindowStart < sms[j].WindowStart })
-		series := make(map[string]*Series)
+	newShards := make([]map[string]*series, NumShards)
+	for si, sms := range segmentsByShard(m) {
+		newShards[si] = make(map[string]*series)
 		for _, sm := range sms {
-			if err := ls.files[sm.File].appendRefs(series, ls, si); err != nil {
+			if err := ls.files[sm.File].appendRefs(newShards[si], ls, si); err != nil {
 				return fmt.Errorf("tsdb: restoredir: %w", err)
 			}
 		}
-		newShards[si] = series
-		storeSeries += len(series)
-		for _, s := range series {
-			totalPoints += s.lazy.points
-		}
-	}
-	if totalPoints != m.TotalPoints {
-		return fmt.Errorf("tsdb: restoredir: indexed %d points, manifest says %d", totalPoints, m.TotalPoints)
-	}
-	if m.StoreSeries != 0 && storeSeries != m.StoreSeries {
-		return fmt.Errorf("tsdb: restoredir: indexed %d series, manifest says %d", storeSeries, m.StoreSeries)
 	}
 
 	// Swap. All shard locks are held, so no reader can be mid-flight
 	// on the old stubs while stale files are unmapped below.
-	db.idx.reset()
-	for si := range db.shards {
-		db.shards[si].series = newShards[si]
-		db.shards[si].dirty = nil
-		db.shards[si].trimmed = nil
-		for key, s := range newShards[si] {
-			db.idx.add(s.Measurement, s.Tags, key)
-		}
+	if err := db.installLocked(dir, m, newShards); err != nil {
+		return err
 	}
-	db.window = time.Duration(m.WindowNanos)
-	db.snapDir = dir
-	db.snapGen = m.Generation
-	db.epoch++
 
 	// Drop files the new manifest no longer references.
 	listed := make(map[string]bool, len(m.Segments))
@@ -689,13 +504,8 @@ func (db *DB) restoreDirLazy(dir string, m *Manifest, opts DirOptions) error {
 		lf.close()
 		delete(ls.files, name)
 	}
-	ls.segments, ls.eagerSegs, ls.blocks = 0, 0, 0
+	ls.segments, ls.blocks = len(ls.files), 0
 	for _, lf := range ls.files {
-		if lf.data == nil && lf.series == nil {
-			ls.eagerSegs++
-		} else {
-			ls.segments++
-		}
 		ls.blocks += lf.blocks
 	}
 	ls.segmentsOpened.Add(uint64(len(toOpen)))
@@ -709,7 +519,7 @@ func (db *DB) restoreDirLazy(dir string, m *Manifest, opts DirOptions) error {
 // Decoded-block LRU.
 
 // blockCache is the byte-budgeted decoded-block LRU shared by a lazy
-// store's readers (docs/PERSISTENCE.md §10.3). Each entry is charged
+// store's readers (docs/PERSISTENCE.md §9.5). Each entry is charged
 // the heap its decoded columns occupy (decodedBlockBytes per point);
 // inserts evict from the cold end until the total fits the budget
 // again, always keeping at least the entry just inserted so a block

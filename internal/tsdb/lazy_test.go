@@ -119,9 +119,6 @@ func TestLazyRestoreDigestEqual(t *testing.T) {
 		if st.Segments == 0 || st.Blocks == 0 {
 			t.Fatalf("workers=%d: lazy store indexed nothing: %+v", workers, st)
 		}
-		if st.EagerSegments != 0 {
-			t.Fatalf("workers=%d: pure v2 directory reported eager segments: %+v", workers, st)
-		}
 		if lz.SeriesCount() != src.SeriesCount() || lz.PointCount() != src.PointCount() {
 			t.Fatalf("workers=%d: lazy counts %d series/%d points, want %d/%d",
 				workers, lz.SeriesCount(), lz.PointCount(), src.SeriesCount(), src.PointCount())
@@ -278,53 +275,6 @@ func TestLazyPruneZeroPointWindows(t *testing.T) {
 	}
 }
 
-// TestLazyMixedVersionNeverPrunesV1 opens a directory holding both gob
-// v1 and columnar v2 segments lazily: the v1 segments fall back to
-// eager decode transparently, are exempt from prune accounting, and
-// the §9 oracle still holds across the whole store.
-func TestLazyMixedVersionNeverPrunesV1(t *testing.T) {
-	window := time.Hour
-	src := buildSegStore(window)
-	dir := t.TempDir()
-	if _, err := src.SnapshotDir(dir, DirOptions{Incremental: true, FormatVersion: SegmentVersionGob}); err != nil {
-		t.Fatal(err)
-	}
-	// Dirty only a window past the original six, so the incremental
-	// snapshot writes it in v2 and reuses every gob segment unchanged.
-	src.Write("tslp", map[string]string{"link": "l9"}, t0.Add(10*window), 1.25)
-	st2, err := src.SnapshotDir(dir, DirOptions{Incremental: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2.Reused == 0 || st2.Written == 0 {
-		t.Fatalf("fixture is not mixed-version: %+v", st2)
-	}
-
-	lz := lazyOpen(t, dir, DirOptions{})
-	st := lazyStats(t, lz)
-	if st.EagerSegments == 0 || st.Segments == 0 {
-		t.Fatalf("directory did not open mixed: %+v", st)
-	}
-	if lz.Digest() != src.Digest() {
-		t.Fatal("mixed-version digest mismatch")
-	}
-	if !reflect.DeepEqual(allSeries(lz), allSeries(src)) {
-		t.Fatal("mixed-version query results differ")
-	}
-
-	// Out-of-range query: the v2 blocks are scanned and skipped; the v1
-	// synthetic refs never enter prune accounting and still contribute
-	// no points — exactly like the eager store.
-	before := lazyStats(t, lz)
-	if out := lz.Query("tslp", nil, t0.AddDate(10, 0, 0), t0.AddDate(11, 0, 0)); out != nil {
-		t.Fatalf("out-of-range query returned %d series", len(out))
-	}
-	after := lazyStats(t, lz)
-	if scanned, skipped := after.BlocksScanned-before.BlocksScanned, after.BlocksSkipped-before.BlocksSkipped; scanned != skipped {
-		t.Fatalf("v2 accounting: scanned %d != skipped %d", scanned, skipped)
-	}
-}
-
 // TestLazyTamperedSummaryFailsLoud encodes corruption into a block
 // summary and refreshes every checksum above it, so the lie survives
 // CRC verification at open. The eager open must fail at decode; the
@@ -340,20 +290,17 @@ func TestLazyTamperedSummaryFailsLoud(t *testing.T) {
 		t.Fatal(err)
 	}
 	sm := m.Segments[0]
-	payload, version, err := loadSegmentPayload(dir, sm)
+	payload, err := loadSegmentPayload(dir, sm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if version != SegmentVersion {
-		t.Fatalf("fixture wrote version %d, want %d", version, SegmentVersion)
-	}
-	list, err := blockenc.DecodePayload(payload, true)
+	list, err := blockenc.DecodePayload(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The summary now claims a minimum no point has.
 	list[0].Blocks[0].Min -= 100
-	tampered := blockenc.EncodePayload(list, true)
+	tampered := blockenc.EncodePayload(list)
 
 	crc := crc32.Checksum(tampered, crcTable)
 	hdr := make([]byte, 0, segmentHeaderSize)
@@ -429,31 +376,13 @@ func TestLazyWriteMaterializes(t *testing.T) {
 }
 
 // TestLazySnapshotRoundTrip runs every whole-store exporter over a
-// lazily opened store: stream Snapshot, SnapshotDir and ExportLines
-// must produce output identical to the eager open's, which requires
-// the implicit full materialization to be correct.
+// lazily opened store: SnapshotDir and ExportLines must produce output
+// identical to the eager open's, which requires the implicit full
+// materialization to be correct.
 func TestLazySnapshotRoundTrip(t *testing.T) {
 	src := buildSegStore(time.Hour)
 	dir := snapToDir(t, src, DirOptions{Incremental: true})
 	want := src.Digest()
-
-	// Stream snapshot of a lazy open restores to the same digest.
-	lz := lazyOpen(t, dir, DirOptions{})
-	var stream bytes.Buffer
-	if err := lz.Snapshot(&stream); err != nil {
-		t.Fatal(err)
-	}
-	viaStream := Open()
-	if err := viaStream.Restore(&stream); err != nil {
-		t.Fatal(err)
-	}
-	if viaStream.Digest() != want {
-		t.Fatal("stream snapshot of lazy store lost data")
-	}
-	// Snapshot walks raw points, so the store materialized fully.
-	if _, ok := lz.LazyReadStats(); ok {
-		t.Fatal("stream snapshot left the store lazy")
-	}
 
 	// ExportLines output is byte-identical between open modes.
 	lz2, eg := lazyOpen(t, dir, DirOptions{}), eagerOpen(t, dir)
@@ -466,6 +395,10 @@ func TestLazySnapshotRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(lzOut.Bytes(), egOut.Bytes()) {
 		t.Fatal("ExportLines differs between open modes")
+	}
+	// The export walks the columns, so the store materialized fully.
+	if _, ok := lz2.LazyReadStats(); ok {
+		t.Fatal("ExportLines left the store lazy")
 	}
 
 	// SnapshotDir from a lazy open: the restore adopted the directory's
@@ -524,14 +457,13 @@ func TestLazyRetainPrune(t *testing.T) {
 
 // TestLazyBlockCacheLRU pins the decoded-block cache contract: repeat
 // reads of a hot range hit without re-decoding, resident decoded bytes
-// never exceed the configured budget, and overflow evicts. The legacy
-// BlockCacheBlocks option converts to a byte budget at the encoder's
-// full-block size (docs/PERSISTENCE.md §10.3).
+// never exceed the configured budget, and overflow evicts
+// (docs/PERSISTENCE.md §9.5).
 func TestLazyBlockCacheLRU(t *testing.T) {
 	src := monoStore(3000) // 5 blocks across 3 windows
 	dir := snapToDir(t, src, DirOptions{})
-	lz := lazyOpen(t, dir, DirOptions{BlockCacheBlocks: 2})
 	budget := int64(2) * blockenc.MaxBlockPoints * decodedBlockBytes
+	lz := lazyOpen(t, dir, DirOptions{BlockCacheBytes: budget})
 
 	// A full scan decodes more bytes than the budget holds: evictions.
 	if got, want := lz.Query("m", nil, t0, maxTime), src.Query("m", nil, t0, maxTime); !reflect.DeepEqual(got, want) {
@@ -607,8 +539,8 @@ func TestLazyHotSwapReusesSegments(t *testing.T) {
 		t.Fatalf("hot swap reused %d segments, want %d", reused, second.Reused)
 	}
 	// Replaced files must be dropped: the held set matches the manifest.
-	if st2.Segments+st2.EagerSegments != second.Segments {
-		t.Fatalf("store holds %d files, manifest lists %d", st2.Segments+st2.EagerSegments, second.Segments)
+	if st2.Segments != second.Segments {
+		t.Fatalf("store holds %d files, manifest lists %d", st2.Segments, second.Segments)
 	}
 	if reader.Digest() != src.Digest() {
 		t.Fatal("digest mismatch after hot swap")

@@ -104,24 +104,15 @@ func (db *DB) IngestLines(r io.Reader) (int, error) {
 func (db *DB) ExportLines(w io.Writer) (int, error) {
 	unlock := db.lockAll(false)
 	defer unlock()
-	// The export walks raw Points; a lazily open store is materialized
+	// The export walks the columns; a lazily open store is materialized
 	// first so output cannot depend on open mode (docs/PERSISTENCE.md §9).
 	db.materializeAllLocked()
-	var keys []string
-	byKey := make(map[string]*Series)
-	for i := range db.shards {
-		for k, s := range db.shards[i].series {
-			keys = append(keys, k)
-			byKey[k] = s
-		}
-	}
-	sort.Strings(keys)
 	bw := bufio.NewWriter(w)
 	n := 0
-	for _, k := range keys {
-		s := byKey[k]
-		for _, p := range s.Points {
-			if _, err := bw.WriteString(FormatLine(s.Measurement, s.Tags, p.Time, p.Value) + "\n"); err != nil {
+	for _, k := range db.sortedKeysLocked() {
+		s := db.shards[shardFor(k)].series[k]
+		for i, t := range s.times {
+			if _, err := bw.WriteString(FormatLine(s.measurement, s.tags, time.Unix(0, t).UTC(), s.values[i]) + "\n"); err != nil {
 				return n, err
 			}
 			n++

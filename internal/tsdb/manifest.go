@@ -42,7 +42,7 @@ type SegmentMeta struct {
 	CRC uint32 `json:"crc"`
 	// Level is the compaction level: 0 for segments written directly by
 	// a snapshot or retention pass, k+1 for a segment produced by
-	// merging level-<=k inputs (docs/PERSISTENCE.md §8.4). Informational
+	// merging level-<=k inputs (docs/PERSISTENCE.md §8). Informational
 	// — the window bounds, not the level, define the segment's identity.
 	Level int `json:"level,omitempty"`
 	// AppendCursor, when positive, records that this segment was
@@ -52,8 +52,7 @@ type SegmentMeta struct {
 	// everything from AppendCursor on is newly appended
 	// (docs/REPLICATION.md §8). Zero means no such relationship is
 	// promised. Purely an optimization hint for delta shipping — the
-	// segment file is complete and self-contained either way, and v1
-	// readers ignore the field.
+	// segment file is complete and self-contained either way.
 	AppendCursor int64 `json:"append_cursor,omitempty"`
 }
 
@@ -187,7 +186,7 @@ func ParseManifest(data []byte) (*Manifest, error) {
 		// window length: a positive whole number of base windows, aligned
 		// to the window grid (docs/PERSISTENCE.md §3). Freshly written
 		// segments span exactly one window; compaction merges adjacent
-		// windows into wider spans (docs/PERSISTENCE.md §8.4). Per-segment
+		// windows into wider spans (docs/PERSISTENCE.md §8). Per-segment
 		// header checks alone would accept a manifest whose window_nanos
 		// disagrees with its entries.
 		if span := sm.WindowEnd - sm.WindowStart; span <= 0 || span%m.WindowNanos != 0 {

@@ -57,7 +57,7 @@ func VerifySegmentFile(path string, sm SegmentMeta) error {
 	if err != nil {
 		return fmt.Errorf("tsdb: segment %s: %w", sm.File, err)
 	}
-	_, _, err = verifySegmentBytes(data, sm)
+	_, err = verifySegmentBytes(data, sm)
 	return err
 }
 

@@ -4,18 +4,14 @@ package tsdb
 // (shard, time window) pair plus a manifest, the way InfluxDB's TSM
 // engine persists the deployed system's backend (§3 of the paper) —
 // retention becomes a file delete and snapshot/restore parallelizes
-// over segments instead of squeezing through one gob stream.
+// over segments.
 //
 // The segment file format implemented here is specified normatively in
 // docs/PERSISTENCE.md; the constants below mirror its §2 and tests cite
-// the doc section they enforce. The single-stream Snapshot/Restore in
-// tsdb.go remains as the compatibility path, and the two are proven
-// equivalent through the canonical digest (Digest).
+// the doc section they enforce.
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -36,28 +32,14 @@ const (
 	// field 1). Eight bytes so a corrupt or foreign file fails fast.
 	SegmentMagic = "ITSDBSEG"
 
-	// SegmentVersion is the newest segment format version this package
-	// writes and the default for new snapshots: columnar per-series
-	// blocks of delta-of-delta varint timestamps and Gorilla
-	// XOR-compressed values (docs/PERSISTENCE.md §8), with a per-block
-	// Sum summary field enabling aggregate pushdown
-	// (docs/PERSISTENCE.md §10). Readers accept any version <=
-	// SegmentVersion; a larger version is a descriptive error wrapping
-	// ErrSegmentVersion, never a silent skip (docs/PERSISTENCE.md §2,
-	// "Versioning").
+	// SegmentVersion is the one segment format version this package
+	// writes and reads: columnar per-series blocks of delta-of-delta
+	// varint timestamps and Gorilla XOR-compressed values, each fronted
+	// by a (minT, maxT, min, max, sum, count) summary
+	// (docs/PERSISTENCE.md §2). A header declaring any other version is
+	// a descriptive error wrapping ErrSegmentVersion, never a silent
+	// skip (docs/PERSISTENCE.md §2, "Versioning").
 	SegmentVersion = 3
-
-	// SegmentVersionBlocks is the v2 columnar payload encoding — the
-	// same block layout as v3 minus the Sum summary field. Still
-	// written on request (DirOptions.FormatVersion) and read forever;
-	// readers needing a sum from a v2 block decode it instead
-	// (docs/PERSISTENCE.md §10.2).
-	SegmentVersionBlocks = 2
-
-	// SegmentVersionGob is the legacy v1 payload encoding — one
-	// encoding/gob stream of the segment's series. Still written on
-	// request (DirOptions.FormatVersion) and read forever.
-	SegmentVersionGob = 1
 
 	// segmentHeaderSize is the fixed byte length of the header laid out
 	// in docs/PERSISTENCE.md §2: magic(8) + version(4) + shard(4) +
@@ -82,11 +64,11 @@ const DefaultWindow = 24 * time.Hour
 // readers (docs/PERSISTENCE.md §2, field 9).
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// ErrSegmentVersion is wrapped by every "segment format version newer
-// than supported" error, so readers that must distinguish a
+// ErrSegmentVersion is wrapped by every "segment format version is not
+// the supported one" error, so readers that must distinguish a
 // version-skewed directory from plain corruption can errors.Is against
 // it (docs/PERSISTENCE.md §2, "Versioning").
-var ErrSegmentVersion = errors.New("segment format version newer than supported")
+var ErrSegmentVersion = errors.New("unsupported segment format version")
 
 // DirOptions configures SnapshotDir and RestoreDir.
 type DirOptions struct {
@@ -101,34 +83,19 @@ type DirOptions struct {
 	// store's bookkeeping (first snapshot, foreign directory, or a
 	// RetainDir ran in between).
 	Incremental bool
-	// FormatVersion selects the payload encoding SnapshotDir writes: 0
-	// means the current default (SegmentVersion, the columnar v3
-	// format with block sums), SegmentVersionBlocks the sum-less v2
-	// block format, SegmentVersionGob the legacy gob payload. It has
-	// no effect on reads — RestoreDir decodes every supported version,
-	// and incremental snapshots reuse clean segments of any version
-	// byte-for-byte, so mixed-version directories are normal
-	// (docs/PERSISTENCE.md §8, §10).
-	FormatVersion int
-	// Lazy makes RestoreDir map committed v2 segments without decoding
+	// Lazy makes RestoreDir map committed segments without decoding
 	// their points: series become block-index stubs and queries decode
 	// only the blocks that survive summary pruning, on demand, through
 	// a small LRU (docs/PERSISTENCE.md §9). Reads are byte-identical to
-	// an eager open; gob v1 segments fall back to eager decode
-	// transparently. A store already lazy over the same directory
+	// an eager open. A store already lazy over the same directory
 	// reuses held segments, making a repeat RestoreDir (a follower
 	// hot-swap) O(changed segments). Ignored by SnapshotDir.
 	Lazy bool
 	// BlockCacheBytes bounds the decoded-block LRU a lazy restore
 	// installs by the bytes its decoded columns occupy
-	// (docs/PERSISTENCE.md §10.3); 0 means DefaultBlockCacheBytes
-	// (unless BlockCacheBlocks sets a legacy budget). Ignored unless
-	// Lazy.
+	// (docs/PERSISTENCE.md §9.5); 0 means DefaultBlockCacheBytes.
+	// Ignored unless Lazy.
 	BlockCacheBytes int64
-	// BlockCacheBlocks is the legacy block-count cache bound, kept for
-	// compatibility: when set (and BlockCacheBytes is 0) the byte
-	// budget is BlockCacheBlocks full blocks. Ignored unless Lazy.
-	BlockCacheBlocks int
 }
 
 // DirStats reports what a SnapshotDir call did.
@@ -151,11 +118,11 @@ type DirStats struct {
 	Generation uint64
 }
 
-// windowStartNanos floors t to its window's inclusive lower bound in
-// Unix nanoseconds. Floor division keeps pre-1970 timestamps in the
-// correct window.
-func windowStartNanos(t time.Time, window time.Duration) int64 {
-	ns, w := t.UnixNano(), int64(window)
+// windowStartNanos floors a Unix-nanosecond timestamp to its window's
+// inclusive lower bound. Floor division keeps pre-1970 timestamps in
+// the correct window.
+func windowStartNanos(ns int64, window time.Duration) int64 {
+	w := int64(window)
 	k := ns / w
 	if ns%w < 0 {
 		k--
@@ -195,17 +162,26 @@ func parseSegmentGen(name string) (gen uint64, ok bool) {
 	return gen, true
 }
 
-// segPlan is one segment to persist: the series slices (views into the
-// store, valid only while the snapshot holds the store lock) falling
-// into one (shard, window span). Freshly planned segments span exactly
-// one window; rewrites of compacted segments keep the merged span
-// (docs/PERSISTENCE.md §8.4).
+// segChunk is one series' points inside one segment span: column
+// subslices aliasing the store, valid only while the snapshot holds
+// the store lock.
+type segChunk struct {
+	measurement string
+	tags        map[string]string
+	times       []int64
+	values      []float64
+}
+
+// segPlan is one segment to persist: every series' chunk falling into
+// one (shard, window span). Freshly planned segments span exactly one
+// window; rewrites of compacted segments keep the merged span
+// (docs/PERSISTENCE.md §8).
 type segPlan struct {
 	shard    int
 	winStart int64
 	winEnd   int64
 	level    int
-	series   []*Series // point slices alias the store; time-ascending per key
+	series   []segChunk // one per series, in canonical key order
 	points   int
 	meta     SegmentMeta // filled by the encoder
 	// prev, when set, is the committed predecessor segment for the same
@@ -243,130 +219,64 @@ func (db *DB) resetPersistenceLocked() {
 	db.snapGen = 0
 }
 
-// markDirtyLocked records that the shard's window containing t changed.
-// Callers must hold sh.mu.
-func (db *DB) markDirtyLocked(sh *shard, t time.Time) {
-	win := windowStartNanos(t, db.window)
+// markDirtyLocked records that the shard's window containing the
+// Unix-nanosecond timestamp ns changed. Callers must hold sh.mu.
+func (db *DB) markDirtyLocked(sh *shard, ns int64) {
 	if sh.dirty == nil {
 		sh.dirty = make(map[int64]struct{})
 	}
-	sh.dirty[win] = struct{}{}
+	sh.dirty[windowStartNanos(ns, db.window)] = struct{}{}
 }
 
-// markTrimmedLocked records that the shard's window containing t lost
-// points, disqualifying it from append-extend persistence until the
-// next snapshot (docs/REPLICATION.md §8). Callers must hold sh.mu.
-func (db *DB) markTrimmedLocked(sh *shard, t time.Time) {
-	win := windowStartNanos(t, db.window)
-	if sh.trimmed == nil {
-		sh.trimmed = make(map[int64]struct{})
+// markTrimmedLocked records that every window holding one of times
+// (ascending) lost points: dirty, and disqualified from append-extend
+// persistence until the next snapshot (docs/REPLICATION.md §8).
+// Callers must hold sh.mu.
+func (db *DB) markTrimmedLocked(sh *shard, times []int64) {
+	for len(times) > 0 {
+		win := windowStartNanos(times[0], db.window)
+		db.markDirtyLocked(sh, win)
+		if sh.trimmed == nil {
+			sh.trimmed = make(map[int64]struct{})
+		}
+		sh.trimmed[win] = struct{}{}
+		end := win + int64(db.window)
+		times = times[sort.Search(len(times), func(i int) bool { return times[i] >= end }):]
 	}
-	sh.trimmed[win] = struct{}{}
 }
 
-// planSegments splits every series' points by window and groups the
-// slices per (shard, window). The returned plans alias store memory;
-// the caller must hold the store lock until encoding finishes.
-func (db *DB) planSegments() []*segPlan {
-	w := db.window
-	plans := make(map[[2]int64]*segPlan)
-	var order [][2]int64
+// planSegments cuts every series' columns into segment spans and groups
+// the chunks per (shard, span). span maps a base window's start to the
+// [start, end) its segment must cover. The returned plans alias store
+// memory; the caller must hold the store lock until encoding finishes.
+func (db *DB) planSegments(span func(shard int, win int64) (start, end int64)) []*segPlan {
+	var out []*segPlan
 	for si := range db.shards {
 		keys := make([]string, 0, len(db.shards[si].series))
 		for k := range db.shards[si].series {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
+		byStart := make(map[int64]*segPlan)
 		for _, k := range keys {
 			s := db.shards[si].series[k]
-			pts := s.Points
-			for len(pts) > 0 {
-				win := windowStartNanos(pts[0].Time, w)
-				end := win + int64(w)
-				hi := sort.Search(len(pts), func(i int) bool { return pts[i].Time.UnixNano() >= end })
-				id := [2]int64{int64(si), win}
-				p, ok := plans[id]
+			ts, vs := s.times, s.values
+			for len(ts) > 0 {
+				start, end := span(si, windowStartNanos(ts[0], db.window))
+				hi := sort.Search(len(ts), func(i int) bool { return ts[i] >= end })
+				p, ok := byStart[start]
 				if !ok {
-					p = &segPlan{shard: si, winStart: win, winEnd: win + int64(w)}
-					plans[id] = p
-					order = append(order, id)
+					p = &segPlan{shard: si, winStart: start, winEnd: end}
+					byStart[start] = p
+					out = append(out, p)
 				}
-				p.series = append(p.series, &Series{Measurement: s.Measurement, Tags: s.Tags, Points: pts[:hi]})
+				p.series = append(p.series, segChunk{s.measurement, s.tags, ts[:hi], vs[:hi]})
 				p.points += hi
-				pts = pts[hi:]
+				ts, vs = ts[hi:], vs[hi:]
 			}
 		}
 	}
-	sort.Slice(order, func(i, j int) bool {
-		if order[i][0] != order[j][0] {
-			return order[i][0] < order[j][0]
-		}
-		return order[i][1] < order[j][1]
-	})
-	out := make([]*segPlan, len(order))
-	for i, id := range order {
-		out[i] = plans[id]
-	}
 	return out
-}
-
-// toBlockSeries converts store series slices into the canonical v2
-// payload form: one blockenc.Series per distinct key, points
-// concatenated in slice order (callers keep per-key slices
-// time-ascending), sorted by key so identical content encodes to
-// identical bytes.
-func toBlockSeries(list []*Series) []blockenc.Series {
-	type acc struct {
-		measurement string
-		tags        map[string]string
-		times       []int64
-		values      []float64
-	}
-	byKey := make(map[string]*acc)
-	var keys []string
-	for _, s := range list {
-		key := Key(s.Measurement, s.Tags)
-		a, ok := byKey[key]
-		if !ok {
-			a = &acc{measurement: s.Measurement, tags: s.Tags}
-			byKey[key] = a
-			keys = append(keys, key)
-		}
-		for _, pt := range s.Points {
-			a.times = append(a.times, pt.Time.UnixNano())
-			a.values = append(a.values, pt.Value)
-		}
-	}
-	sort.Strings(keys)
-	out := make([]blockenc.Series, 0, len(keys))
-	for _, key := range keys {
-		a := byKey[key]
-		out = append(out, blockenc.Series{
-			Measurement: a.measurement,
-			Tags:        a.tags,
-			Blocks:      blockenc.BuildBlocks(a.times, a.values),
-		})
-	}
-	return out
-}
-
-// encodeSegmentPayload produces the payload bytes for one segment in
-// the requested format version and reports how many series entries the
-// payload holds (distinct keys for v2, series slices for gob v1).
-func encodeSegmentPayload(version int, list []*Series) (payload []byte, seriesCount int, err error) {
-	switch version {
-	case SegmentVersionGob:
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(list); err != nil {
-			return nil, 0, fmt.Errorf("encode gob payload: %w", err)
-		}
-		return buf.Bytes(), len(list), nil
-	case SegmentVersionBlocks, SegmentVersion:
-		bs := toBlockSeries(list)
-		return blockenc.EncodePayload(bs, version == SegmentVersion), len(bs), nil
-	default:
-		return nil, 0, fmt.Errorf("unsupported segment format version %d", version)
-	}
 }
 
 // writeSegmentFile writes one segment file (docs/PERSISTENCE.md §2)
@@ -374,13 +284,13 @@ func encodeSegmentPayload(version int, list []*Series) (payload []byte, seriesCo
 // place, and returns its manifest entry. It never touches a previous
 // generation's file; until a manifest referencing the new name is
 // published, the file is an inert leftover (docs/PERSISTENCE.md §4).
-func writeSegmentFile(dir string, gen uint64, version, shard int, winStart, winEnd int64, seriesCount, points, level int, payload []byte) (SegmentMeta, error) {
+func writeSegmentFile(dir string, gen uint64, shard int, winStart, winEnd int64, seriesCount, points, level int, payload []byte) (SegmentMeta, error) {
 	name := segmentFileName(shard, winStart, gen)
 	crc := crc32.Checksum(payload, crcTable)
 
 	hdr := make([]byte, 0, segmentHeaderSize)
 	hdr = append(hdr, SegmentMagic...)
-	hdr = binary.BigEndian.AppendUint32(hdr, uint32(version))
+	hdr = binary.BigEndian.AppendUint32(hdr, SegmentVersion)
 	hdr = binary.BigEndian.AppendUint32(hdr, uint32(shard))
 	hdr = binary.BigEndian.AppendUint64(hdr, uint64(winStart))
 	hdr = binary.BigEndian.AppendUint64(hdr, uint64(winEnd))
@@ -430,7 +340,7 @@ func writeSegmentFile(dir string, gen uint64, version, shard int, winStart, winE
 // append-extended segment may accumulate per distinct series key before
 // the encoder forces a full re-encode. Every append-extend generation
 // adds up to one entry per appended key (duplicates merge on read,
-// docs/PERSISTENCE.md §8.1), so without a cap a hot window extended
+// docs/PERSISTENCE.md §2.2), so without a cap a hot window extended
 // every tick would make structural decodes linear in tick count.
 const appendExtendMaxFragmentation = 64
 
@@ -440,17 +350,17 @@ const appendExtendMaxFragmentation = 64
 // sub-segment checkpoint the delta-shipping protocol rides on
 // (docs/REPLICATION.md §8). It reports ok = false whenever the plan is
 // not a pure append of the predecessor (backfill, changed keys,
-// version mismatch, excessive fragmentation, or any read error), in
-// which case the caller falls back to the full encoder. On success the
-// returned meta carries the append cursor: the byte offset into the new
-// payload where the appended entries begin.
-func appendExtendSegment(dir string, gen uint64, version int, p *segPlan) (SegmentMeta, bool) {
+// excessive fragmentation, or any read error), in which case the caller
+// falls back to the full encoder. On success the returned meta carries
+// the append cursor: the byte offset into the new payload where the
+// appended entries begin.
+func appendExtendSegment(dir string, gen uint64, p *segPlan) (SegmentMeta, bool) {
 	prev := *p.prev
-	payload, prevVersion, err := loadSegmentPayload(dir, prev)
-	if err != nil || prevVersion != version {
+	payload, err := loadSegmentPayload(dir, prev)
+	if err != nil {
 		return SegmentMeta{}, false
 	}
-	oldList, err := decodeBlockPayload(payload, prev, version)
+	oldList, err := decodeBlockPayload(payload, prev)
 	if err != nil {
 		return SegmentMeta{}, false
 	}
@@ -486,65 +396,32 @@ func appendExtendSegment(dir string, gen uint64, version int, p *segPlan) (Segme
 		return SegmentMeta{}, false
 	}
 
-	// Group the plan's slices per key like toBlockSeries, keeping raw
-	// columns so each key's appended tail can be cut out.
-	type acc struct {
-		measurement string
-		tags        map[string]string
-		times       []int64
-		values      []float64
-	}
-	byKey := make(map[string]*acc)
-	var keys []string
-	points := 0
-	for _, s := range p.series {
-		key := Key(s.Measurement, s.Tags)
-		a, ok := byKey[key]
-		if !ok {
-			a = &acc{measurement: s.Measurement, tags: s.Tags}
-			byKey[key] = a
-			keys = append(keys, key)
-		}
-		for _, pt := range s.Points {
-			a.times = append(a.times, pt.Time.UnixNano())
-			a.values = append(a.values, pt.Value)
-		}
-		points += len(s.Points)
-	}
-	sort.Strings(keys)
-
 	// The pure-append proof: store writes are insert-only and no window
 	// of this span was trimmed since the previous snapshot (segPlan.prev
 	// is only set then), so a key's persisted prefix is unchanged exactly
 	// when the number of points at or before its old last timestamp still
 	// equals its old count — any insert at or before that timestamp moves
 	// the count past it.
-	appended := make([]blockenc.Series, 0, len(keys))
+	var appended []blockenc.Series
 	tail := 0
-	for _, key := range keys {
-		a := byKey[key]
-		o, ok := old[key]
-		if !ok {
-			// A key new to this window: its whole column is appended.
+	for _, c := range p.series {
+		key := Key(c.measurement, c.tags)
+		idx := 0
+		if o, ok := old[key]; ok {
+			idx = sort.Search(len(c.times), func(i int) bool { return c.times[i] > o.maxT })
+			if idx != o.count {
+				return SegmentMeta{}, false
+			}
+			delete(old, key)
+		}
+		// A key new to this window appends its whole column.
+		if idx < len(c.times) {
 			appended = append(appended, blockenc.Series{
-				Measurement: a.measurement, Tags: a.tags,
-				Blocks: blockenc.BuildBlocks(a.times, a.values),
+				Measurement: c.measurement, Tags: c.tags,
+				Blocks: blockenc.BuildBlocks(c.times[idx:], c.values[idx:]),
 			})
-			tail += len(a.times)
-			continue
+			tail += len(c.times) - idx
 		}
-		idx := sort.Search(len(a.times), func(i int) bool { return a.times[i] > o.maxT })
-		if idx != o.count {
-			return SegmentMeta{}, false
-		}
-		if idx < len(a.times) {
-			appended = append(appended, blockenc.Series{
-				Measurement: a.measurement, Tags: a.tags,
-				Blocks: blockenc.BuildBlocks(a.times[idx:], a.values[idx:]),
-			})
-			tail += len(a.times) - idx
-		}
-		delete(old, key)
 	}
 	if len(old) != 0 || tail == 0 {
 		// A key vanished from the window, or nothing was appended at
@@ -560,9 +437,9 @@ func appendExtendSegment(dir string, gen uint64, version int, p *segPlan) (Segme
 	cursor := int64(len(out) + len(oldEntries))
 	out = append(out, oldEntries...)
 	for _, s := range appended {
-		out = blockenc.AppendSeries(out, s, version == SegmentVersion)
+		out = blockenc.AppendSeries(out, s)
 	}
-	meta, err := writeSegmentFile(dir, gen, version, p.shard, p.winStart, p.winEnd, newCount, points, p.level, out)
+	meta, err := writeSegmentFile(dir, gen, p.shard, p.winStart, p.winEnd, newCount, p.points, p.level, out)
 	if err != nil {
 		return SegmentMeta{}, false
 	}
@@ -570,22 +447,24 @@ func appendExtendSegment(dir string, gen uint64, version int, p *segPlan) (Segme
 	return meta, true
 }
 
-// encodeSegment encodes a plan's payload in the requested format
-// version, writes the segment file, and fills p.meta. A plan carrying
-// an append-extend candidate (segPlan.prev) tries the cheap path first
-// and falls back to the full encoder whenever it does not apply.
-func encodeSegment(dir string, gen uint64, version int, p *segPlan) error {
-	if p.prev != nil && version != SegmentVersionGob {
-		if meta, ok := appendExtendSegment(dir, gen, version, p); ok {
+// encodeSegment encodes a plan's payload — one entry per series, its
+// columns cut into blocks, in canonical key order so identical content
+// encodes to identical bytes — writes the segment file, and fills
+// p.meta. A plan carrying an append-extend candidate (segPlan.prev)
+// tries the cheap path first and falls back to the full encoder
+// whenever it does not apply.
+func encodeSegment(dir string, gen uint64, p *segPlan) error {
+	if p.prev != nil {
+		if meta, ok := appendExtendSegment(dir, gen, p); ok {
 			p.meta = meta
 			return nil
 		}
 	}
-	payload, seriesCount, err := encodeSegmentPayload(version, p.series)
-	if err != nil {
-		return fmt.Errorf("tsdb: encode segment shard %d window %d: %w", p.shard, p.winStart, err)
+	list := make([]blockenc.Series, len(p.series))
+	for i, c := range p.series {
+		list[i] = blockenc.Series{Measurement: c.measurement, Tags: c.tags, Blocks: blockenc.BuildBlocks(c.times, c.values)}
 	}
-	meta, err := writeSegmentFile(dir, gen, version, p.shard, p.winStart, p.winEnd, seriesCount, p.points, p.level, payload)
+	meta, err := writeSegmentFile(dir, gen, p.shard, p.winStart, p.winEnd, len(list), p.points, p.level, blockenc.EncodePayload(list))
 	if err != nil {
 		return err
 	}
@@ -613,7 +492,7 @@ func (db *DB) SnapshotDir(dir string, opts DirOptions) (DirStats, error) {
 	unlock := db.lockAll(false)
 	defer unlock()
 
-	// Segment planning walks raw Points, so a lazily open store is
+	// Segment planning walks the columns, so a lazily open store is
 	// fully materialized first — snapshots must not depend on open mode
 	// (docs/PERSISTENCE.md §9).
 	db.materializeAllLocked()
@@ -657,91 +536,68 @@ func (db *DB) SnapshotDir(dir string, opts DirOptions) (DirStats, error) {
 	// generation (segment file names embed it, so it is fixed up front).
 	incremental := opts.Incremental && db.snapDir == dir && db.snapGen > 0 &&
 		prevErr == nil && prev.Generation == db.snapGen && prev.WindowNanos == int64(db.window)
-	version := opts.FormatVersion
-	if version == 0 {
-		version = SegmentVersion
-	}
-	if version < SegmentVersionGob || version > SegmentVersion {
-		return st, fmt.Errorf("tsdb: snapshotdir: unsupported segment format version %d", version)
-	}
 
 	// Committed segments may span several base windows after compaction
-	// (docs/PERSISTENCE.md §8.4), so incremental reuse works per span:
-	// map every base window a previous segment covers back to it, reuse
-	// the segment whole when none of its windows is dirty, and rewrite
-	// it as one merged plan over the same span otherwise — compaction
-	// stays sticky across snapshots.
-	var prevSegs []SegmentMeta
-	covered := make(map[[2]int64]int)
-	var spanDirty []bool
+	// (docs/PERSISTENCE.md §8), so incremental reuse works per span:
+	// map every base window a previous segment covers back to it, plan
+	// one segment per span, reuse the committed file whole when none of
+	// its windows is dirty, and rewrite it over the same span otherwise
+	// — compaction stays sticky across snapshots.
+	covered := make(map[[2]int64]SegmentMeta)
 	if incremental {
 		for _, sm := range prev.Segments {
 			if !onDisk[sm.File] {
 				continue
 			}
-			i := len(prevSegs)
-			prevSegs = append(prevSegs, sm)
-			dirty := false
 			for win := sm.WindowStart; win < sm.WindowEnd; win += prev.WindowNanos {
-				covered[[2]int64{int64(sm.Shard), win}] = i
-				if _, ok := db.shards[sm.Shard].dirty[win]; ok {
-					dirty = true
-				}
+				covered[[2]int64{int64(sm.Shard), win}] = sm
 			}
-			spanDirty = append(spanDirty, dirty)
 		}
+	}
+	// spanHas reports whether any base window of a committed span is in
+	// the shard's set.
+	spanHas := func(sm SegmentMeta, set map[int64]struct{}) bool {
+		for win := sm.WindowStart; win < sm.WindowEnd; win += prev.WindowNanos {
+			if _, ok := set[win]; ok {
+				return true
+			}
+		}
+		return false
 	}
 	gen := uint64(1)
 	if prevErr == nil {
 		gen = prev.Generation + 1
 	}
 
-	plans := db.planSegments()
+	plans := db.planSegments(func(shard int, win int64) (int64, int64) {
+		if sm, ok := covered[[2]int64{int64(shard), win}]; ok {
+			return sm.WindowStart, sm.WindowEnd
+		}
+		return win, win + int64(db.window)
+	})
 	var toWrite []*segPlan
-	usedPrev := make(map[int]bool)
-	rewrite := make(map[int]*segPlan)
 	next := &Manifest{Version: ManifestVersion, Generation: gen, WindowNanos: int64(db.window)}
 	for _, p := range plans {
-		i, ok := covered[[2]int64{int64(p.shard), p.winStart}]
-		if !ok {
-			toWrite = append(toWrite, p)
+		sm, ok := covered[[2]int64{int64(p.shard), p.winStart}]
+		switch {
+		case !ok:
+		case !spanHas(sm, db.shards[p.shard].dirty):
+			next.Segments = append(next.Segments, sm)
+			st.Reused++
+			st.Points += sm.Points
 			continue
-		}
-		sm := prevSegs[i]
-		if !spanDirty[i] {
-			if !usedPrev[i] {
-				usedPrev[i] = true
-				next.Segments = append(next.Segments, sm)
-				st.Reused++
-				st.Points += sm.Points
-			}
-			continue
-		}
-		// Dirty span: fold this base window's plan into the span's single
-		// rewrite plan. Plans arrive in ascending window order, so each
-		// key's points stay time-ordered across the merged span.
-		g, ok := rewrite[i]
-		if !ok {
-			g = &segPlan{shard: p.shard, winStart: sm.WindowStart, winEnd: sm.WindowEnd, level: sm.Level}
+		default:
+			p.level = sm.Level
 			// Insert-only dirt makes the span a candidate for an
 			// append-extend of its committed predecessor; any trimmed
 			// window in the span forces a full re-encode because the old
 			// payload stops being a prefix (docs/REPLICATION.md §8).
-			trimmedSpan := false
-			for win := sm.WindowStart; win < sm.WindowEnd; win += prev.WindowNanos {
-				if _, ok := db.shards[sm.Shard].trimmed[win]; ok {
-					trimmedSpan = true
-				}
-			}
-			if !trimmedSpan {
+			if !spanHas(sm, db.shards[p.shard].trimmed) {
 				smCopy := sm
-				g.prev = &smCopy
+				p.prev = &smCopy
 			}
-			rewrite[i] = g
-			toWrite = append(toWrite, g)
 		}
-		g.series = append(g.series, p.series...)
-		g.points += p.points
+		toWrite = append(toWrite, p)
 	}
 
 	// Encode the dirty segments concurrently; the plans alias store
@@ -754,7 +610,7 @@ func (db *DB) SnapshotDir(dir string, opts DirOptions) (DirStats, error) {
 	jobs := make([]func() error, len(toWrite))
 	for i, p := range toWrite {
 		p := p
-		jobs[i] = func() error { return encodeSegment(dir, gen, version, p) }
+		jobs[i] = func() error { return encodeSegment(dir, gen, p) }
 	}
 	if err := pool.DoErr(jobs...); err != nil {
 		return st, fmt.Errorf("tsdb: snapshotdir: %w", err)
@@ -808,20 +664,18 @@ func (db *DB) SnapshotDir(dir string, opts DirOptions) (DirStats, error) {
 // verifySegmentBytes checks a segment file's bytes against its
 // manifest entry — header length, magic, version, identity fields,
 // payload length, CRC-32C (docs/PERSISTENCE.md §2, reader
-// obligations) — and returns the payload plus the header's format
-// version. The payload decode and the decoded-count checks stay with
-// the caller; VerifySegmentFile and readSegment share everything up to
-// that point.
-func verifySegmentBytes(data []byte, sm SegmentMeta) ([]byte, int, error) {
+// obligations) — and returns the payload. The payload decode and the
+// decoded-count checks stay with the caller; VerifySegmentFile and
+// every reader share everything up to that point.
+func verifySegmentBytes(data []byte, sm SegmentMeta) ([]byte, error) {
 	if len(data) < segmentHeaderSize {
-		return nil, 0, fmt.Errorf("tsdb: segment %s: truncated header (%d bytes)", sm.File, len(data))
+		return nil, fmt.Errorf("tsdb: segment %s: truncated header (%d bytes)", sm.File, len(data))
 	}
 	if string(data[:8]) != SegmentMagic {
-		return nil, 0, fmt.Errorf("tsdb: segment %s: bad magic %q", sm.File, data[:8])
+		return nil, fmt.Errorf("tsdb: segment %s: bad magic %q", sm.File, data[:8])
 	}
-	version := binary.BigEndian.Uint32(data[8:12])
-	if version > SegmentVersion {
-		return nil, 0, fmt.Errorf("tsdb: segment %s: %w: format version %d, supported <= %d (see docs/PERSISTENCE.md)", sm.File, ErrSegmentVersion, version, SegmentVersion)
+	if version := binary.BigEndian.Uint32(data[8:12]); version != SegmentVersion {
+		return nil, fmt.Errorf("tsdb: segment %s: %w: format version %d, supported %d (see docs/PERSISTENCE.md)", sm.File, ErrSegmentVersion, version, SegmentVersion)
 	}
 	shard := int(binary.BigEndian.Uint32(data[12:16]))
 	winStart := int64(binary.BigEndian.Uint64(data[16:24]))
@@ -832,54 +686,37 @@ func verifySegmentBytes(data []byte, sm SegmentMeta) ([]byte, int, error) {
 	crc := binary.BigEndian.Uint32(data[52:56])
 	if shard != sm.Shard || winStart != sm.WindowStart || winEnd != sm.WindowEnd ||
 		series != sm.Series || points != sm.Points || crc != sm.CRC {
-		return nil, 0, fmt.Errorf("tsdb: segment %s: header disagrees with manifest entry", sm.File)
+		return nil, fmt.Errorf("tsdb: segment %s: header disagrees with manifest entry", sm.File)
 	}
 	payload := data[segmentHeaderSize:]
 	if len(payload) != payloadLen {
-		return nil, 0, fmt.Errorf("tsdb: segment %s: truncated payload (%d of %d bytes)", sm.File, len(payload), payloadLen)
+		return nil, fmt.Errorf("tsdb: segment %s: truncated payload (%d of %d bytes)", sm.File, len(payload), payloadLen)
 	}
 	if got := crc32.Checksum(payload, crcTable); got != crc {
-		return nil, 0, fmt.Errorf("tsdb: segment %s: checksum mismatch (got %08x, want %08x)", sm.File, got, crc)
+		return nil, fmt.Errorf("tsdb: segment %s: checksum mismatch (got %08x, want %08x)", sm.File, got, crc)
 	}
-	return payload, int(version), nil
+	return payload, nil
 }
 
 // loadSegmentPayload reads one segment file from disk and verifies it
-// against its manifest entry, returning the raw payload and its format
-// version without decoding it. readSegment, RetainDir's block-level
-// boundary trim and CompactDir's zero-decode merge all start here.
-func loadSegmentPayload(dir string, sm SegmentMeta) ([]byte, int, error) {
+// against its manifest entry, returning the raw payload without
+// decoding it. The eager restore, RetainDir's block-level boundary trim
+// and CompactDir's zero-decode merge all start here.
+func loadSegmentPayload(dir string, sm SegmentMeta) ([]byte, error) {
 	data, err := os.ReadFile(filepath.Join(dir, sm.File))
 	if err != nil {
-		return nil, 0, fmt.Errorf("tsdb: segment %s: %w", sm.File, err)
+		return nil, fmt.Errorf("tsdb: segment %s: %w", sm.File, err)
 	}
 	return verifySegmentBytes(data, sm)
 }
 
-// decodeGobPayload decodes a v1 (gob) payload into series slices and
-// cross-checks the decoded counts against the manifest entry.
-func decodeGobPayload(payload []byte, sm SegmentMeta) ([]*Series, error) {
-	var list []*Series
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&list); err != nil {
-		return nil, fmt.Errorf("tsdb: segment %s: decode: %w", sm.File, err)
-	}
-	n := 0
-	for _, s := range list {
-		n += len(s.Points)
-	}
-	if len(list) != sm.Series || n != sm.Points {
-		return nil, fmt.Errorf("tsdb: segment %s: payload holds %d series/%d points, header says %d/%d", sm.File, len(list), n, sm.Series, sm.Points)
-	}
-	return list, nil
-}
-
-// decodeBlockPayload structurally decodes a v2 or v3 payload (version
-// selects the layout) and cross-checks the series and (summary) point
-// counts against the manifest entry. Blocks stay encoded — callers
-// that only reorganize blocks (compaction, retention trim) never pay
-// for a point decode (docs/PERSISTENCE.md §8).
-func decodeBlockPayload(payload []byte, sm SegmentMeta, version int) ([]blockenc.Series, error) {
-	list, err := blockenc.DecodePayload(payload, version == SegmentVersion)
+// decodeBlockPayload structurally decodes a payload and cross-checks
+// the series and (summary) point counts against the manifest entry.
+// Blocks stay encoded — callers that only reorganize blocks
+// (compaction, retention trim) never pay for a point decode
+// (docs/PERSISTENCE.md §2).
+func decodeBlockPayload(payload []byte, sm SegmentMeta) ([]blockenc.Series, error) {
+	list, err := blockenc.DecodePayload(payload)
 	if err != nil {
 		return nil, fmt.Errorf("tsdb: segment %s: decode: %w", sm.File, err)
 	}
@@ -893,26 +730,6 @@ func decodeBlockPayload(payload []byte, sm SegmentMeta, version int) ([]blockenc
 		return nil, fmt.Errorf("tsdb: segment %s: payload holds %d series/%d points, header says %d/%d", sm.File, len(list), n, sm.Series, sm.Points)
 	}
 	return list, nil
-}
-
-// blockSeriesToSeries fully decodes v2 payload series into store form.
-func blockSeriesToSeries(list []blockenc.Series, sm SegmentMeta) ([]*Series, error) {
-	out := make([]*Series, 0, len(list))
-	for i := range list {
-		bs := &list[i]
-		var pts []Point
-		for _, b := range bs.Blocks {
-			ts, vs, err := b.Decode()
-			if err != nil {
-				return nil, fmt.Errorf("tsdb: segment %s: series %q: %w", sm.File, Key(bs.Measurement, bs.Tags), err)
-			}
-			for j := range ts {
-				pts = append(pts, Point{Time: time.Unix(0, ts[j]).UTC(), Value: vs[j]})
-			}
-		}
-		out = append(out, &Series{Measurement: bs.Measurement, Tags: bs.Tags, Points: pts})
-	}
-	return out, nil
 }
 
 // loadCommittedDir reads and validates a directory's committed state:
@@ -950,30 +767,97 @@ func loadCommittedDir(dir string) (*Manifest, error) {
 	return m, nil
 }
 
-// readSegment loads and fully validates one segment file against its
-// manifest entry: magic, version, identity fields, payload checksum
-// (docs/PERSISTENCE.md §2), then decodes the payload in whichever
-// format version the header declares. It returns the decoded series
-// slices.
-func readSegment(dir string, sm SegmentMeta) ([]*Series, error) {
-	payload, version, err := loadSegmentPayload(dir, sm)
+// readSegmentInto loads and fully validates one segment file against
+// its manifest entry — magic, version, identity fields, payload
+// checksum (docs/PERSISTENCE.md §2) — and decodes its blocks onto the
+// end of the shard's series columns. Callers feed a shard's segments in
+// ascending window order, so plain appends keep every series
+// time-ordered.
+func readSegmentInto(shardSeries map[string]*series, dir string, sm SegmentMeta) error {
+	payload, err := loadSegmentPayload(dir, sm)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	switch version {
-	case SegmentVersionGob:
-		return decodeGobPayload(payload, sm)
-	case SegmentVersionBlocks, SegmentVersion:
-		list, err := decodeBlockPayload(payload, sm, version)
-		if err != nil {
-			return nil, err
+	list, err := decodeBlockPayload(payload, sm)
+	if err != nil {
+		return err
+	}
+	for i := range list {
+		bs := &list[i]
+		key := Key(bs.Measurement, bs.Tags)
+		if shardFor(key) != uint32(sm.Shard) {
+			return fmt.Errorf("tsdb: segment %s: series %q does not belong to shard %d", sm.File, key, sm.Shard)
 		}
-		return blockSeriesToSeries(list, sm)
-	default:
-		// Unreachable: verifySegmentBytes rejects versions above
-		// SegmentVersion and no release wrote other versions.
-		return nil, fmt.Errorf("tsdb: segment %s: %w: format version %d", sm.File, ErrSegmentVersion, version)
+		s, ok := shardSeries[key]
+		if !ok {
+			s = &series{measurement: bs.Measurement, tags: bs.Tags}
+			shardSeries[key] = s
+		}
+		for _, b := range bs.Blocks {
+			ts, vs, err := b.Decode()
+			if err != nil {
+				return fmt.Errorf("tsdb: segment %s: series %q: %w", sm.File, key, err)
+			}
+			s.times = append(s.times, ts...)
+			s.values = append(s.values, vs...)
+		}
 	}
+	return nil
+}
+
+// segmentsByShard groups a manifest's entries per shard in ascending
+// window order, the order both restore modes rebuild series in
+// (windows partition time; order within a window is preserved by the
+// encoder).
+func segmentsByShard(m *Manifest) [][]SegmentMeta {
+	byShard := make([][]SegmentMeta, NumShards)
+	for _, sm := range m.Segments {
+		byShard[sm.Shard] = append(byShard[sm.Shard], sm)
+	}
+	for _, sms := range byShard {
+		sort.Slice(sms, func(i, j int) bool { return sms[i].WindowStart < sms[j].WindowStart })
+	}
+	return byShard
+}
+
+// installLocked cross-checks freshly rebuilt shard maps against the
+// manifest's totals and makes them the store's contents, adopting the
+// manifest's window and generation so a daemon restarting from its
+// data directory continues with incremental snapshots. The caller must
+// hold every lock (lockAll(true)); on error the store is untouched.
+func (db *DB) installLocked(dir string, m *Manifest, newShards []map[string]*series) error {
+	storeSeries, totalPoints := 0, 0
+	for _, shardSeries := range newShards {
+		storeSeries += len(shardSeries)
+		for _, s := range shardSeries {
+			totalPoints += s.points()
+		}
+	}
+	if totalPoints != m.TotalPoints {
+		return fmt.Errorf("tsdb: restoredir: segments hold %d points, manifest says %d", totalPoints, m.TotalPoints)
+	}
+	// StoreSeries == 0 means "unknown": RetainDir cannot recount series
+	// without decoding survivors, so after retention the per-segment
+	// checks carry the integrity guarantee alone.
+	if m.StoreSeries != 0 && storeSeries != m.StoreSeries {
+		return fmt.Errorf("tsdb: restoredir: segments hold %d series, manifest says %d", storeSeries, m.StoreSeries)
+	}
+	db.idx.reset()
+	for si := range db.shards {
+		db.shards[si].series = newShards[si]
+		db.shards[si].dirty = nil
+		db.shards[si].trimmed = nil
+		for key, s := range newShards[si] {
+			db.idx.add(s.measurement, s.tags, key)
+		}
+	}
+	db.window = time.Duration(m.WindowNanos)
+	db.snapDir = dir
+	db.snapGen = m.Generation
+	// The new series restart at version zero, so the epoch must move for
+	// ViewStamp to notice the replacement (docs/SERVING.md §2).
+	db.epoch++
+	return nil
 }
 
 // RestoreDir replaces the store contents with the segment directory's
@@ -993,92 +877,36 @@ func (db *DB) RestoreDir(dir string, opts DirOptions) error {
 		return db.restoreDirLazy(dir, m, opts)
 	}
 
-	// Group the manifest's entries per shard, ascending window order, so
-	// each shard rebuilds its series' points in time order by plain
-	// appends (windows partition time; order within a window is
-	// preserved by the encoder).
-	byShard := make([][]SegmentMeta, NumShards)
-	for _, sm := range m.Segments {
-		byShard[sm.Shard] = append(byShard[sm.Shard], sm)
-	}
-	for si := range byShard {
-		sms := byShard[si]
-		sort.Slice(sms, func(i, j int) bool { return sms[i].WindowStart < sms[j].WindowStart })
-	}
-
 	unlock := db.lockAll(true)
 	defer unlock()
 
-	newShards := make([]map[string]*Series, NumShards)
+	byShard := segmentsByShard(m)
+	newShards := make([]map[string]*series, NumShards)
 	pool := pipeline.NewPool(opts.Workers)
 	defer pool.Close()
 	jobs := make([]func() error, 0, NumShards)
 	for si := range byShard {
 		si := si
 		jobs = append(jobs, func() error {
-			series := make(map[string]*Series)
+			newShards[si] = make(map[string]*series)
 			for _, sm := range byShard[si] {
-				list, err := readSegment(dir, sm)
-				if err != nil {
+				if err := readSegmentInto(newShards[si], dir, sm); err != nil {
 					return err
 				}
-				for _, s := range list {
-					key := Key(s.Measurement, s.Tags)
-					if shardFor(key) != uint32(si) {
-						return fmt.Errorf("tsdb: segment %s: series %q does not belong to shard %d", sm.File, key, si)
-					}
-					if dst, ok := series[key]; ok {
-						dst.Points = append(dst.Points, s.Points...)
-					} else {
-						series[key] = s
-					}
-				}
 			}
-			newShards[si] = series
 			return nil
 		})
 	}
 	if err := pool.DoErr(jobs...); err != nil {
 		return fmt.Errorf("tsdb: restoredir: %w", err)
 	}
-
-	storeSeries, totalPoints := 0, 0
-	for _, series := range newShards {
-		storeSeries += len(series)
-		for _, s := range series {
-			totalPoints += len(s.Points)
-		}
+	if err := db.installLocked(dir, m, newShards); err != nil {
+		return err
 	}
-	if totalPoints != m.TotalPoints {
-		return fmt.Errorf("tsdb: restoredir: decoded %d points, manifest says %d", totalPoints, m.TotalPoints)
-	}
-	// StoreSeries == 0 means "unknown": RetainDir cannot recount series
-	// without decoding survivors, so after retention the per-segment
-	// checks in readSegment carry the integrity guarantee alone.
-	if m.StoreSeries != 0 && storeSeries != m.StoreSeries {
-		return fmt.Errorf("tsdb: restoredir: decoded %d series, manifest says %d", storeSeries, m.StoreSeries)
-	}
-
 	// An eager restore over a lazily open store retires the mappings:
-	// all shard maps are replaced while every shard lock is held, so no
+	// all shard maps were replaced while every shard lock is held, so no
 	// reader can still reach the old stubs.
 	db.dropLazyLocked()
-	db.idx.reset()
-	for si := range db.shards {
-		db.shards[si].series = newShards[si]
-		db.shards[si].dirty = nil
-		db.shards[si].trimmed = nil
-		for key, s := range newShards[si] {
-			db.idx.add(s.Measurement, s.Tags, key)
-		}
-	}
-	db.window = time.Duration(m.WindowNanos)
-	db.snapDir = dir
-	db.snapGen = m.Generation
-	// Like the stream Restore: the decoded series restart at version
-	// zero, so the epoch must move for ViewStamp to notice the
-	// replacement (docs/SERVING.md §2).
-	db.epoch++
 	return nil
 }
 
@@ -1131,10 +959,10 @@ func RetainDir(dir string, olderThan time.Time) (segmentsRemoved, pointsDropped 
 		case sm.WindowStart < cut:
 			// Boundary window: drop points before the cut and rewrite
 			// under this generation's name (the old file dies at commit).
-			// v2 segments trim at block granularity — whole blocks before
+			// The trim works at block granularity — whole blocks before
 			// the cut are dropped and whole blocks past it are carried
 			// over verbatim, so only the one straddling block per series
-			// is ever decoded (docs/PERSISTENCE.md §8.1).
+			// is ever decoded (docs/PERSISTENCE.md §2.2).
 			meta, trimmed, err := trimBoundarySegment(dir, sm, cut, gen)
 			if err != nil {
 				return 0, 0, fmt.Errorf("tsdb: retaindir: %w", err)
@@ -1179,44 +1007,15 @@ func RetainDir(dir string, olderThan time.Time) (segmentsRemoved, pointsDropped 
 
 // trimBoundarySegment rewrites the one segment whose window contains
 // the retention cut, dropping every point before cut. The rewritten
-// segment keeps the original format version, window span and level. A
-// zero-valued meta (File == "") means no point survived and the
-// segment is simply removed; trimmed reports the points dropped.
+// segment keeps the original window span and level. A zero-valued meta
+// (File == "") means no point survived and the segment is simply
+// removed; trimmed reports the points dropped.
 func trimBoundarySegment(dir string, sm SegmentMeta, cut int64, gen uint64) (meta SegmentMeta, trimmed int, err error) {
-	payload, version, err := loadSegmentPayload(dir, sm)
+	payload, err := loadSegmentPayload(dir, sm)
 	if err != nil {
 		return SegmentMeta{}, 0, err
 	}
-
-	if version == SegmentVersionGob {
-		list, err := decodeGobPayload(payload, sm)
-		if err != nil {
-			return SegmentMeta{}, 0, err
-		}
-		var kept []*Series
-		points := 0
-		for _, s := range list {
-			lo := sort.Search(len(s.Points), func(i int) bool { return s.Points[i].Time.UnixNano() >= cut })
-			trimmed += lo
-			if lo == len(s.Points) {
-				continue
-			}
-			s.Points = s.Points[lo:]
-			kept = append(kept, s)
-			points += len(s.Points)
-		}
-		if len(kept) == 0 {
-			return SegmentMeta{}, trimmed, nil
-		}
-		out, seriesCount, err := encodeSegmentPayload(version, kept)
-		if err != nil {
-			return SegmentMeta{}, 0, fmt.Errorf("tsdb: segment %s: %w", sm.File, err)
-		}
-		meta, err = writeSegmentFile(dir, gen, version, sm.Shard, sm.WindowStart, sm.WindowEnd, seriesCount, points, sm.Level, out)
-		return meta, trimmed, err
-	}
-
-	list, err := decodeBlockPayload(payload, sm, version)
+	list, err := decodeBlockPayload(payload, sm)
 	if err != nil {
 		return SegmentMeta{}, 0, err
 	}
@@ -1252,6 +1051,6 @@ func trimBoundarySegment(dir string, sm SegmentMeta, cut int64, gen uint64) (met
 	if len(kept) == 0 {
 		return SegmentMeta{}, trimmed, nil
 	}
-	meta, err = writeSegmentFile(dir, gen, version, sm.Shard, sm.WindowStart, sm.WindowEnd, len(kept), points, sm.Level, blockenc.EncodePayload(kept, version == SegmentVersion))
+	meta, err = writeSegmentFile(dir, gen, sm.Shard, sm.WindowStart, sm.WindowEnd, len(kept), points, sm.Level, blockenc.EncodePayload(kept))
 	return meta, trimmed, err
 }

@@ -6,7 +6,6 @@ package tsdb
 // holds the implementation to.
 
 import (
-	"bytes"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -59,8 +58,7 @@ func allSeries(db *DB) []Series {
 
 // TestSnapshotDirRoundTrip proves the equivalence oracle of
 // docs/PERSISTENCE.md §7: a directory snapshot restored at any worker
-// count yields a store with the same canonical digest — and the same
-// stream-snapshot behaviour — as the source.
+// count yields a store with the same canonical digest as the source.
 func TestSnapshotDirRoundTrip(t *testing.T) {
 	db := buildSegStore(time.Hour)
 	want := db.Digest()
@@ -89,20 +87,6 @@ func TestSnapshotDirRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(allSeries(got), wantSeries) {
 			t.Fatalf("workers=%d: restored series differ structurally", workers)
-		}
-
-		// The restored store must be indistinguishable from one restored
-		// off the single-stream compatibility path.
-		var stream bytes.Buffer
-		if err := db.Snapshot(&stream); err != nil {
-			t.Fatal(err)
-		}
-		viaStream := Open()
-		if err := viaStream.Restore(&stream); err != nil {
-			t.Fatal(err)
-		}
-		if viaStream.Digest() != got.Digest() {
-			t.Fatalf("workers=%d: segmented and stream restore disagree", workers)
 		}
 	}
 }
@@ -273,7 +257,7 @@ func segmentAt(t *testing.T, dir string, pick func(SegmentMeta) bool) string {
 	return ""
 }
 
-// corruptPayloadByte flips one byte of the segment's gob payload,
+// corruptPayloadByte flips one byte of the segment's payload,
 // leaving the header (and therefore the stored checksum) intact.
 func corruptPayloadByte(t *testing.T, path string) {
 	t.Helper()
@@ -340,7 +324,7 @@ func TestRestoreDirRejectsDamage(t *testing.T) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		expectErr(t, dir, seg, seg, "newer than supported")
+		expectErr(t, dir, seg, seg, "unsupported segment format version")
 	})
 	t.Run("bad magic", func(t *testing.T) {
 		dir, seg := newDir(t)
@@ -563,7 +547,7 @@ func TestSegmentWindowAlignment(t *testing.T) {
 		{time.Unix(-3600, 0), -int64(time.Hour)},
 	}
 	for _, c := range cases {
-		if got := windowStartNanos(c.at, w); got != c.want {
+		if got := windowStartNanos(c.at.UnixNano(), w); got != c.want {
 			t.Errorf("windowStartNanos(%v) = %d, want %d", c.at, got, c.want)
 		}
 	}

@@ -3,8 +3,8 @@
 // write latency/loss/throughput points tagged with vantage point, link and
 // probe kind; the analysis and visualization layers query ranges back out.
 //
-// The store is in-memory with binary snapshot/restore and safe for
-// concurrent use. Internally the series map is sharded by key hash with a
+// The store is in-memory, persists as a segment directory
+// (SnapshotDir/RestoreDir, segment.go) and is safe for concurrent use. Internally the series map is sharded by key hash with a
 // per-shard lock, and an inverted index (measurement and tag=value →
 // series keys) routes queries to only the matching series, so concurrent
 // probers and analyzers scale with cores instead of serializing on one
@@ -14,10 +14,8 @@
 package tsdb
 
 import (
-	"encoding/gob"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"math"
 	"sort"
 	"strings"
@@ -31,28 +29,42 @@ type Point struct {
 	Value float64
 }
 
-// Series is one measurement stream identified by a measurement name and a
-// tag set.
+// Series is one measurement stream's points as Query returns them: an
+// independent copy identified by a measurement name and a tag set.
 type Series struct {
 	Measurement string
 	Tags        map[string]string
 	Points      []Point
+}
 
-	// version counts mutations of Points since the series was created
-	// (or since the whole store was last replaced). It is the unit the
-	// versioned read path is built on: QueryView captures it into each
-	// view and ViewStamp folds it into the cache-invalidation stamp
-	// (docs/SERVING.md §2). Unexported so the gob snapshot formats are
-	// unchanged.
+// series is the store's in-memory form of one measurement stream:
+// either parallel append-only time/value columns, or (lazy non-nil) a
+// block-index stub of a lazily opened directory.
+//
+// The columns are what views alias (docs/SERVING.md §1), so a published
+// index is never written again: an in-order write appends past every
+// published length, an out-of-order insert builds fresh arrays, and a
+// Retain trim reslices with the capacity cut to the new length so the
+// next append reallocates instead of overwriting the dropped tail.
+type series struct {
+	measurement string
+	tags        map[string]string
+	// times holds Unix nanoseconds, ascending; values one value per
+	// entry of times.
+	times  []int64
+	values []float64
+
+	// version counts mutations of the columns since the series was
+	// created (or since the whole store was last replaced). It is the
+	// unit the versioned read path is built on: QueryView captures it
+	// into each view and ViewStamp folds it into the cache-invalidation
+	// stamp (docs/SERVING.md §2).
 	version uint64
-	// col is the lazily built columnar snapshot of Points at
-	// col.version; see view.go. Unexported for the same reason.
-	col *colSeries
 	// lazy, when non-nil, marks a block-index stub of a lazily opened
-	// directory: Points is empty and reads go through the stub's block
-	// refs instead (lazy.go, docs/PERSISTENCE.md §9). Mutators
-	// materialize the series — decode it fully into Points and clear
-	// lazy — before touching it.
+	// directory: the columns are empty and reads go through the stub's
+	// block refs instead (lazy.go, docs/PERSISTENCE.md §9). Mutators
+	// materialize the series — decode it fully into the columns and
+	// clear lazy — before touching it.
 	lazy *lazySeries
 }
 
@@ -82,7 +94,7 @@ const NumShards = 32
 // shard holds a slice of the keyspace behind its own lock.
 type shard struct {
 	mu     sync.RWMutex
-	series map[string]*Series
+	series map[string]*series
 	// dirty is the set of segment windows (window-start Unix
 	// nanoseconds) whose points changed since the store's last
 	// SnapshotDir; incremental snapshots rewrite exactly these. Guarded
@@ -104,7 +116,7 @@ type shard struct {
 type DB struct {
 	// global coordinates whole-store operations with per-point mutators:
 	// Write/WriteBatch/Retain share it (RLock) and proceed concurrently,
-	// serializing only on their target shards; Snapshot/Restore/
+	// serializing only on their target shards; SnapshotDir/RestoreDir/
 	// ExportLines take it exclusively, which both gives them a consistent
 	// point-in-time view and keeps the multi-shard lock acquisition free
 	// of reader/writer cycles (only one multi-shard holder can exist).
@@ -129,7 +141,7 @@ type DB struct {
 	// while the store is shared.
 	floor time.Time
 
-	// epoch counts whole-store replacements (Restore, RestoreDir).
+	// epoch counts whole-store replacements (RestoreDir).
 	// Per-series versions restart from zero after a restore, so the
 	// epoch is folded into every ViewStamp to keep stamps from before
 	// and after a replacement distinct (docs/SERVING.md §2). Guarded by
@@ -240,18 +252,6 @@ func (ix *tagIndex) candidates(measurement string, filter map[string]string) (ke
 	return keys, true
 }
 
-// measurementKeys returns all series keys of one measurement.
-func (ix *tagIndex) measurementKeys(measurement string) []string {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	set := ix.meas[measurement]
-	keys := make([]string, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
-	}
-	return keys
-}
-
 func (ix *tagIndex) measurements() []string {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -274,36 +274,57 @@ func (ix *tagIndex) reset() {
 func Open() *DB {
 	db := &DB{window: DefaultWindow}
 	for i := range db.shards {
-		db.shards[i].series = make(map[string]*Series)
+		db.shards[i].series = make(map[string]*series)
 	}
 	return db
 }
 
-// insertPoint appends or inserts one point keeping the series time-ordered.
-func insertPoint(s *Series, t time.Time, v float64) {
-	p := Point{Time: t, Value: v}
-	n := len(s.Points)
-	if n == 0 || !s.Points[n-1].Time.After(t) {
-		s.Points = append(s.Points, p)
+// insert appends or inserts one point keeping the series time-ordered.
+// The in-order case appends in place; an out-of-order write builds
+// fresh columns, because shifting in place would rewrite indexes that
+// published views still read (docs/SERVING.md §1).
+func (s *series) insert(t int64, v float64) {
+	n := len(s.times)
+	if n == 0 || s.times[n-1] <= t {
+		s.times = append(s.times, t)
+		s.values = append(s.values, v)
 		return
 	}
-	// Out-of-order write: insert at the right position.
-	idx := sort.Search(n, func(i int) bool { return s.Points[i].Time.After(t) })
-	s.Points = append(s.Points, Point{})
-	copy(s.Points[idx+1:], s.Points[idx:])
-	s.Points[idx] = p
+	idx := sort.Search(n, func(i int) bool { return s.times[i] > t })
+	times := make([]int64, n+1)
+	values := make([]float64, n+1)
+	copy(times, s.times[:idx])
+	copy(values, s.values[:idx])
+	times[idx], values[idx] = t, v
+	copy(times[idx+1:], s.times[idx:])
+	copy(values[idx+1:], s.values[idx:])
+	s.times, s.values = times, values
 }
 
 // getOrCreate returns the series for key, creating (and indexing) it on
 // first use. The caller must hold sh.mu.
-func (db *DB) getOrCreate(sh *shard, key, measurement string, tags map[string]string) *Series {
+func (db *DB) getOrCreate(sh *shard, key, measurement string, tags map[string]string) *series {
 	s, ok := sh.series[key]
 	if !ok {
-		s = &Series{Measurement: measurement, Tags: cloneTags(tags)}
+		s = &series{measurement: measurement, tags: cloneTags(tags)}
 		sh.series[key] = s
-		db.idx.add(measurement, s.Tags, key)
+		db.idx.add(measurement, s.tags, key)
 	}
 	return s
+}
+
+// writeLocked inserts one point into the series for key and moves the
+// versions and the dirty-window set. The caller must hold sh.mu.
+func (db *DB) writeLocked(sh *shard, key, measurement string, tags map[string]string, t time.Time, v float64) {
+	s := db.getOrCreate(sh, key, measurement, tags)
+	// A write into a lazy stub decodes it fully first; the mutable
+	// insert path never sees block refs (docs/PERSISTENCE.md §9).
+	s.materializeLocked()
+	ns := t.UnixNano()
+	s.insert(ns, v)
+	s.version++
+	sh.version++
+	db.markDirtyLocked(sh, ns)
 }
 
 // SetWriteFloor makes the store drop, in Write and WriteBatch, every
@@ -324,28 +345,36 @@ func (db *DB) SetWriteFloor(t time.Time) {
 func (db *DB) MaxTime() time.Time {
 	db.global.RLock()
 	defer db.global.RUnlock()
-	var max time.Time
+	var max int64
+	found := false
 	for i := range db.shards {
 		sh := &db.shards[i]
 		sh.mu.RLock()
 		for _, s := range sh.series {
-			if s.lazy != nil {
-				// Summaries carry the bound; no decode.
-				if _, maxT, ok := s.lazy.timeBounds(); ok {
-					if t := time.Unix(0, maxT).UTC(); t.After(max) {
-						max = t
-					}
-				}
-				continue
-			}
-			// Points are kept time-ordered, so the last one is the newest.
-			if n := len(s.Points); n > 0 && s.Points[n-1].Time.After(max) {
-				max = s.Points[n-1].Time
+			if _, maxT, ok := s.timeBounds(); ok && (!found || maxT > max) {
+				max, found = maxT, true
 			}
 		}
 		sh.mu.RUnlock()
 	}
-	return max
+	if !found {
+		return time.Time{}
+	}
+	return time.Unix(0, max).UTC()
+}
+
+// timeBounds returns the series' first and last timestamps, ok=false
+// when it holds no point. Lazy stubs answer from block summaries
+// without a decode.
+func (s *series) timeBounds() (minT, maxT int64, ok bool) {
+	if s.lazy != nil {
+		return s.lazy.timeBounds()
+	}
+	if len(s.times) == 0 {
+		return 0, 0, false
+	}
+	// Columns are time-ordered: first and last bound the series.
+	return s.times[0], s.times[len(s.times)-1], true
 }
 
 // belowFloor reports whether a point at t must be dropped (SetWriteFloor).
@@ -366,14 +395,7 @@ func (db *DB) Write(measurement string, tags map[string]string, t time.Time, v f
 	sh := &db.shards[shardFor(key)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	s := db.getOrCreate(sh, key, measurement, tags)
-	// A write into a lazy stub decodes it fully first; the mutable
-	// insert path never sees block refs (docs/PERSISTENCE.md §9).
-	s.materializeLocked()
-	insertPoint(s, t, v)
-	s.version++
-	sh.version++
-	db.markDirtyLocked(sh, t)
+	db.writeLocked(sh, key, measurement, tags, t, v)
 }
 
 // BatchPoint is one point of a WriteBatch.
@@ -414,12 +436,7 @@ func (db *DB) WriteBatch(points []BatchPoint) {
 		sh.mu.Lock()
 		for _, i := range byShard[si] {
 			p := points[i]
-			s := db.getOrCreate(sh, keys[i], p.Measurement, p.Tags)
-			s.materializeLocked()
-			insertPoint(s, p.Time, p.Value)
-			s.version++
-			sh.version++
-			db.markDirtyLocked(sh, p.Time)
+			db.writeLocked(sh, keys[i], p.Measurement, p.Tags, p.Time, p.Value)
 		}
 		sh.mu.Unlock()
 	}
@@ -444,89 +461,54 @@ func (db *DB) PointCount() int {
 		sh := &db.shards[i]
 		sh.mu.RLock()
 		for _, s := range sh.series {
-			if s.lazy != nil {
-				n += s.lazy.points
-				continue
-			}
-			n += len(s.Points)
+			n += s.points()
 		}
 		sh.mu.RUnlock()
 	}
 	return n
 }
 
+// points returns the number of points the series holds.
+func (s *series) points() int {
+	if s.lazy != nil {
+		return s.lazy.points
+	}
+	return len(s.times)
+}
+
 // matches reports whether the series' tags include all of filter.
-func (s *Series) matches(measurement string, filter map[string]string) bool {
-	if s.Measurement != measurement {
+func (s *series) matches(measurement string, filter map[string]string) bool {
+	if s.measurement != measurement {
 		return false
 	}
 	for k, v := range filter {
-		if s.Tags[k] != v {
+		if s.tags[k] != v {
 			return false
 		}
 	}
 	return true
 }
 
-// rangeCopy extracts the points of s within [from, to) as an independent
-// Series, or ok=false when the range is empty. Lazy stubs prune blocks
-// by summary and decode only survivors (lazy.go); both paths return
-// identical points.
-func (s *Series) rangeCopy(from, to time.Time) (Series, bool) {
-	if s.lazy != nil {
-		return s.lazyRangeCopy(from, to)
-	}
-	lo := sort.Search(len(s.Points), func(i int) bool { return !s.Points[i].Time.Before(from) })
-	hi := sort.Search(len(s.Points), func(i int) bool { return !s.Points[i].Time.Before(to) })
-	if lo >= hi {
-		return Series{}, false
-	}
-	cp := Series{Measurement: s.Measurement, Tags: cloneTags(s.Tags), Points: make([]Point, hi-lo)}
-	copy(cp.Points, s.Points[lo:hi])
-	return cp, true
+// Query returns, for every series of the measurement matching the tag
+// filter, the points within [from, to) in canonical key order. The
+// returned series share no memory with the store: Query is a copy-out
+// over QueryView.
+func (db *DB) Query(measurement string, filter map[string]string, from, to time.Time) []Series {
+	return copyViews(db.QueryView(measurement, filter, from, to))
 }
 
-// Query returns, for every series of the measurement matching the tag
-// filter, the points within [from, to). The returned series share no
-// memory with the store. Candidate series come from the inverted index,
-// so only keys that can match are visited.
-func (db *DB) Query(measurement string, filter map[string]string, from, to time.Time) []Series {
-	keys, ok := db.idx.candidates(measurement, filter)
-	if !ok {
+// copyViews turns views into independent row-shaped series.
+func copyViews(views []SeriesView) []Series {
+	if len(views) == 0 {
 		return nil
 	}
-	out := db.collect(keys, measurement, filter, from, to)
-	sort.Slice(out, func(i, j int) bool {
-		return Key(out[i].Measurement, out[i].Tags) < Key(out[j].Measurement, out[j].Tags)
-	})
-	return out
-}
-
-// collect visits the candidate keys shard by shard (one lock acquisition
-// per shard) and extracts the matching ranges.
-func (db *DB) collect(keys []string, measurement string, filter map[string]string, from, to time.Time) []Series {
-	var byShard [NumShards][]string
-	for _, k := range keys {
-		s := shardFor(k)
-		byShard[s] = append(byShard[s], k)
-	}
-	var out []Series
-	for si := range byShard {
-		if len(byShard[si]) == 0 {
-			continue
+	out := make([]Series, 0, len(views))
+	for _, v := range views {
+		cp := Series{Measurement: v.Measurement, Tags: cloneTags(v.Tags), Points: make([]Point, len(v.Times))}
+		for i, t := range v.Times {
+			cp.Points[i] = Point{Time: time.Unix(0, t).UTC(), Value: v.Values[i]}
 		}
-		sh := &db.shards[si]
-		sh.mu.RLock()
-		for _, k := range byShard[si] {
-			s, ok := sh.series[k]
-			if !ok || !s.matches(measurement, filter) {
-				continue
-			}
-			if cp, ok := s.rangeCopy(from, to); ok {
-				out = append(out, cp)
-			}
-		}
-		sh.mu.RUnlock()
+		out = append(out, cp)
 	}
 	return out
 }
@@ -535,52 +517,33 @@ func (db *DB) collect(keys []string, measurement string, filter map[string]strin
 // reference the indexed path is benchmarked and equivalence-tested
 // against.
 func (db *DB) queryScan(measurement string, filter map[string]string, from, to time.Time) []Series {
-	var out []Series
+	fromNs, toNs := from.UnixNano(), to.UnixNano()
+	var views []SeriesView
 	for i := range db.shards {
 		sh := &db.shards[i]
 		sh.mu.RLock()
 		for _, s := range sh.series {
-			if !s.matches(measurement, filter) {
-				continue
-			}
-			if cp, ok := s.rangeCopy(from, to); ok {
-				out = append(out, cp)
+			if s.matches(measurement, filter) {
+				views = s.appendView(views, fromNs, toNs, nil)
 			}
 		}
 		sh.mu.RUnlock()
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return Key(out[i].Measurement, out[i].Tags) < Key(out[j].Measurement, out[j].Tags)
-	})
-	return out
+	sortViews(views)
+	return copyViews(views)
 }
 
 // TagValues returns the sorted distinct values of a tag across a
 // measurement (e.g. all link ids with TSLP data). Only the measurement's
 // own series are visited.
 func (db *DB) TagValues(measurement, tag string) []string {
-	keys := db.idx.measurementKeys(measurement)
-	var byShard [NumShards][]string
-	for _, k := range keys {
-		s := shardFor(k)
-		byShard[s] = append(byShard[s], k)
-	}
+	keys, _ := db.idx.candidates(measurement, nil)
 	set := map[string]bool{}
-	for si := range byShard {
-		if len(byShard[si]) == 0 {
-			continue
+	db.readMatching(keys, measurement, nil, func(_ string, s *series) {
+		if v, ok := s.tags[tag]; ok {
+			set[v] = true
 		}
-		sh := &db.shards[si]
-		sh.mu.RLock()
-		for _, k := range byShard[si] {
-			if s, ok := sh.series[k]; ok {
-				if v, ok := s.Tags[tag]; ok {
-					set[v] = true
-				}
-			}
-		}
-		sh.mu.RUnlock()
-	}
+	})
 	out := make([]string, 0, len(set))
 	for v := range set {
 		out = append(out, v)
@@ -596,80 +559,6 @@ func (db *DB) Measurements() []string {
 	return out
 }
 
-// Agg selects the aggregation function for Downsample.
-type Agg int
-
-// The aggregation functions understood by Downsample.
-const (
-	// Min keeps the smallest value in each bin (the paper's choice for
-	// RTT level-shift analysis: minimum RTT tracks baseline latency).
-	Min Agg = iota
-	// Mean averages the bin's values.
-	Mean
-	// Max keeps the largest value in each bin.
-	Max
-	// Count reports how many points fell in the bin.
-	Count
-)
-
-// Downsample buckets points into fixed bins aligned to start and applies
-// the aggregate. Empty bins yield NaN (or 0 for Count). The result has
-// exactly n bins.
-func Downsample(points []Point, start time.Time, bin time.Duration, n int, agg Agg) []Point {
-	out := make([]Point, n)
-	type acc struct {
-		min, max, sum float64
-		n             int
-	}
-	accs := make([]acc, n)
-	for i := range accs {
-		accs[i].min = math.Inf(1)
-		accs[i].max = math.Inf(-1)
-	}
-	for _, p := range points {
-		idx := int(p.Time.Sub(start) / bin)
-		if idx < 0 || idx >= n {
-			continue
-		}
-		a := &accs[idx]
-		if p.Value < a.min {
-			a.min = p.Value
-		}
-		if p.Value > a.max {
-			a.max = p.Value
-		}
-		a.sum += p.Value
-		a.n++
-	}
-	for i := range out {
-		out[i].Time = start.Add(time.Duration(i) * bin)
-		a := accs[i]
-		switch agg {
-		case Count:
-			out[i].Value = float64(a.n)
-		case Min:
-			if a.n == 0 {
-				out[i].Value = math.NaN()
-			} else {
-				out[i].Value = a.min
-			}
-		case Max:
-			if a.n == 0 {
-				out[i].Value = math.NaN()
-			} else {
-				out[i].Value = a.max
-			}
-		case Mean:
-			if a.n == 0 {
-				out[i].Value = math.NaN()
-			} else {
-				out[i].Value = a.sum / float64(a.n)
-			}
-		}
-	}
-	return out
-}
-
 // Retain drops every point outside [from, to) and removes series left
 // empty. Long-running collection daemons call it to bound memory; the
 // deployed system similarly aged raw data out of InfluxDB. It returns the
@@ -677,6 +566,7 @@ func Downsample(points []Point, start time.Time, bin time.Duration, n int, agg A
 func (db *DB) Retain(from, to time.Time) int {
 	db.global.RLock()
 	defer db.global.RUnlock()
+	fromNs, toNs := from.UnixNano(), to.UnixNano()
 	dropped := 0
 	for i := range db.shards {
 		sh := &db.shards[i]
@@ -688,39 +578,35 @@ func (db *DB) Retain(from, to time.Time) int {
 				// retention horizon; only a series actually losing
 				// points pays for materialization.
 				if minT, maxT, ok := s.lazy.timeBounds(); ok &&
-					minT >= from.UnixNano() && maxT < to.UnixNano() {
+					minT >= fromNs && maxT < toNs {
 					continue
 				}
 				s.materializeLocked()
 			}
-			lo := sort.Search(len(s.Points), func(i int) bool { return !s.Points[i].Time.Before(from) })
-			hi := sort.Search(len(s.Points), func(i int) bool { return !s.Points[i].Time.Before(to) })
-			dropped += len(s.Points) - (hi - lo)
-			if hi-lo < len(s.Points) {
-				// The series loses points: its version must move so
-				// cached views over it invalidate (docs/SERVING.md §2).
-				s.version++
-				sh.version++
+			lo := sort.Search(len(s.times), func(i int) bool { return s.times[i] >= fromNs })
+			hi := sort.Search(len(s.times), func(i int) bool { return s.times[i] >= toNs })
+			if hi-lo == len(s.times) {
+				continue
 			}
+			dropped += len(s.times) - (hi - lo)
+			// The series loses points: its version must move so cached
+			// views over it invalidate (docs/SERVING.md §2).
+			s.version++
+			sh.version++
 			// Windows losing points must be rewritten (or deleted) by
 			// the next incremental snapshot — and never append-extended,
 			// since their on-disk payload stops being a prefix.
-			for _, p := range s.Points[:lo] {
-				db.markDirtyLocked(sh, p.Time)
-				db.markTrimmedLocked(sh, p.Time)
-			}
-			for _, p := range s.Points[hi:] {
-				db.markDirtyLocked(sh, p.Time)
-				db.markTrimmedLocked(sh, p.Time)
-			}
+			db.markTrimmedLocked(sh, s.times[:lo])
+			db.markTrimmedLocked(sh, s.times[hi:])
 			if hi <= lo {
 				delete(sh.series, key)
-				db.idx.remove(s.Measurement, s.Tags, key)
+				db.idx.remove(s.measurement, s.tags, key)
 				continue
 			}
-			kept := make([]Point, hi-lo)
-			copy(kept, s.Points[lo:hi])
-			s.Points = kept
+			// Capacity is cut to the kept length so the next append
+			// reallocates: views taken before the trim may still read
+			// the dropped tail.
+			s.times, s.values = s.times[lo:hi:hi], s.values[lo:hi:hi]
 		}
 		sh.mu.Unlock()
 	}
@@ -732,7 +618,7 @@ func (db *DB) Retain(from, to time.Time) int {
 // global read lock while working), so no per-shard locks are needed and
 // no multi-shard acquisition cycle can form. When write is true the
 // shard write locks are additionally taken, excluding concurrent readers
-// too — Restore needs that because it replaces the shard maps.
+// too — RestoreDir needs that because it replaces the shard maps.
 func (db *DB) lockAll(write bool) (unlock func()) {
 	db.global.Lock()
 	if write {
@@ -750,100 +636,50 @@ func (db *DB) lockAll(write bool) (unlock func()) {
 	}
 }
 
-// Snapshot serializes the whole store. The format — a gob []*Series in
-// canonical key order — is unchanged from the unsharded store, so old
-// snapshots restore and new ones load in old binaries.
-func (db *DB) Snapshot(w io.Writer) error {
-	unlock := db.lockAll(false)
-	defer unlock()
-	// The gob stream serializes raw Points; a lazily open store is
-	// materialized first so the snapshot cannot depend on open mode.
-	db.materializeAllLocked()
-	var keys []string
-	byKey := make(map[string]*Series)
-	for i := range db.shards {
-		for k, s := range db.shards[i].series {
-			keys = append(keys, k)
-			byKey[k] = s
-		}
-	}
-	sort.Strings(keys)
-	list := make([]*Series, 0, len(keys))
-	for _, k := range keys {
-		list = append(list, byKey[k])
-	}
-	return gob.NewEncoder(w).Encode(list)
-}
-
-// Restore replaces the store contents with a snapshot.
-func (db *DB) Restore(r io.Reader) error {
-	var list []*Series
-	if err := gob.NewDecoder(r).Decode(&list); err != nil {
-		return fmt.Errorf("tsdb: restore: %w", err)
-	}
-	unlock := db.lockAll(true)
-	defer unlock()
-	// Replacing every shard map under all shard locks retires any lazy
-	// mappings safely.
-	db.dropLazyLocked()
-	for i := range db.shards {
-		db.shards[i].series = make(map[string]*Series)
-	}
-	db.idx.reset()
-	for _, s := range list {
-		key := Key(s.Measurement, s.Tags)
-		db.shards[shardFor(key)].series[key] = s
-		db.idx.add(s.Measurement, s.Tags, key)
-	}
-	// The stream format carries no window/generation bookkeeping, so a
-	// later incremental SnapshotDir must start from a full snapshot.
-	db.resetPersistenceLocked()
-	// Restored series restart at version zero; bumping the epoch keeps
-	// ViewStamps from before the restore distinct from stamps after it.
-	db.epoch++
-	return nil
-}
-
 // Digest is the canonical whole-store fingerprint: FNV-64a over every
 // series in sorted key order, each point contributing its Unix-nanosecond
 // timestamp and bit-exact value. Two stores with equal digests hold the
-// same data in the same per-series order — the segmented and stream
-// persistence paths are proven equivalent against it (docs/PERSISTENCE.md
-// §7), and the campaign determinism tests rely on the same construction.
+// same data in the same per-series order — every persistence and
+// replication path is proven against it (docs/PERSISTENCE.md §7), and
+// the campaign determinism tests rely on the same construction.
 func (db *DB) Digest() uint64 {
 	unlock := db.lockAll(false)
 	defer unlock()
-	var keys []string
-	byKey := make(map[string]*Series)
-	for i := range db.shards {
-		for k, s := range db.shards[i].series {
-			keys = append(keys, k)
-			byKey[k] = s
+	h := fnv.New64a()
+	fold := func(times []int64, values []float64) {
+		for i := range times {
+			fmt.Fprintf(h, "%d %d\n", times[i], math.Float64bits(values[i]))
 		}
 	}
-	sort.Strings(keys)
-	h := fnv.New64a()
-	for _, k := range keys {
-		s := byKey[k]
+	for _, k := range db.sortedKeysLocked() {
+		s := db.shards[shardFor(k)].series[k]
 		fmt.Fprintf(h, "%s\n", k)
-		if s.lazy != nil {
-			// Transient decode through the block cache: the digest of a
-			// lazy store must equal its eager twin's (the §9 oracle)
-			// without permanently materializing anything.
-			l := s.lazy
-			for i := range l.blocks {
-				d := l.decodeRef(&l.blocks[i])
-				for j := range d.times {
-					fmt.Fprintf(h, "%d %d\n", d.times[j], math.Float64bits(d.values[j]))
-				}
-			}
+		if s.lazy == nil {
+			fold(s.times, s.values)
 			continue
 		}
-		for _, p := range s.Points {
-			fmt.Fprintf(h, "%d %d\n", p.Time.UnixNano(), math.Float64bits(p.Value))
+		// Transient decode through the block cache: the digest of a
+		// lazy store must equal its eager twin's (the §9 oracle)
+		// without permanently materializing anything.
+		for i := range s.lazy.blocks {
+			d := s.lazy.store.decode(&s.lazy.blocks[i])
+			fold(d.times, d.values)
 		}
 	}
 	return h.Sum64()
+}
+
+// sortedKeysLocked returns every series key in canonical order. The
+// caller must hold the exclusive global lock.
+func (db *DB) sortedKeysLocked() []string {
+	var keys []string
+	for i := range db.shards {
+		for k := range db.shards[i].series {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 func cloneTags(t map[string]string) map[string]string {

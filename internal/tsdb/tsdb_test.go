@@ -1,11 +1,10 @@
 package tsdb
 
 import (
-	"bytes"
-	"math"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -78,48 +77,18 @@ func TestKeyCanonical(t *testing.T) {
 	}
 }
 
-func TestDownsampleAggregates(t *testing.T) {
-	var pts []Point
-	for i := 0; i < 30; i++ {
-		pts = append(pts, Point{Time: t0.Add(time.Duration(i) * time.Minute), Value: float64(i % 10)})
-	}
-	bins := Downsample(pts, t0, 10*time.Minute, 3, Min)
-	for _, b := range bins {
-		if b.Value != 0 {
-			t.Fatalf("min downsample %v", bins)
-		}
-	}
-	bins = Downsample(pts, t0, 10*time.Minute, 3, Max)
-	if bins[0].Value != 9 {
-		t.Fatalf("max %v", bins[0])
-	}
-	bins = Downsample(pts, t0, 10*time.Minute, 3, Mean)
-	if math.Abs(bins[0].Value-4.5) > 1e-9 {
-		t.Fatalf("mean %v", bins[0])
-	}
-	bins = Downsample(pts, t0, 10*time.Minute, 3, Count)
-	if bins[0].Value != 10 {
-		t.Fatalf("count %v", bins[0])
-	}
-	// Empty bin -> NaN for value aggregates.
-	bins = Downsample(pts[:5], t0, 10*time.Minute, 3, Min)
-	if !math.IsNaN(bins[2].Value) {
-		t.Fatalf("empty bin value %v", bins[2])
-	}
-}
-
 func TestSnapshotRestore(t *testing.T) {
 	db := Open()
 	for i := 0; i < 100; i++ {
 		db.Write("tslp", map[string]string{"vp": "a"}, t0.Add(time.Duration(i)*time.Second), float64(i))
 		db.Write("loss", map[string]string{"vp": "b"}, t0.Add(time.Duration(i)*time.Second), float64(-i))
 	}
-	var buf bytes.Buffer
-	if err := db.Snapshot(&buf); err != nil {
+	dir := t.TempDir()
+	if _, err := db.SnapshotDir(dir, DirOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	db2 := Open()
-	if err := db2.Restore(&buf); err != nil {
+	if err := db2.RestoreDir(dir, DirOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if db2.PointCount() != db.PointCount() || db2.SeriesCount() != db.SeriesCount() {
@@ -134,8 +103,11 @@ func TestSnapshotRestore(t *testing.T) {
 }
 
 func TestRestoreRejectsGarbage(t *testing.T) {
-	db := Open()
-	if err := db.Restore(bytes.NewReader([]byte("not a snapshot"))); err == nil {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, ManifestName), []byte("not a snapshot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := Open().RestoreDir(dir, DirOptions{}); err == nil {
 		t.Fatal("expected error restoring garbage")
 	}
 }
@@ -194,21 +166,5 @@ func TestRetain(t *testing.T) {
 	// Retaining everything is a no-op.
 	if d := db.Retain(t0, t0.Add(2*time.Hour)); d != 0 {
 		t.Fatalf("no-op retain dropped %d", d)
-	}
-}
-
-func TestDownsampleBinCountProperty(t *testing.T) {
-	f := func(nRaw uint8, binsRaw uint8) bool {
-		n := int(nRaw%200) + 1
-		bins := int(binsRaw%20) + 1
-		var pts []Point
-		for i := 0; i < n; i++ {
-			pts = append(pts, Point{Time: t0.Add(time.Duration(i) * time.Second), Value: float64(i)})
-		}
-		out := Downsample(pts, t0, 10*time.Second, bins, Mean)
-		return len(out) == bins
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -1,12 +1,12 @@
 package tsdb
 
 // Versioned zero-copy read path (docs/SERVING.md §1-§2): QueryView
-// serves range reads as columnar views into per-series snapshots owned
-// by the store, instead of the Point-by-Point deep copies Query makes,
-// and ViewStamp condenses the versions of a filter's matching series
-// into one cache-invalidation stamp. Together they let the serving tier
-// (internal/readcache + internal/api) do O(changed-data) work per
-// request instead of O(full-detector).
+// serves range reads as columnar views aliasing the store's own
+// append-only columns, instead of the Point-by-Point deep copies Query
+// makes, and ViewStamp condenses the versions of a filter's matching
+// series into one cache-invalidation stamp. Together they let the
+// serving tier (internal/readcache + internal/api) do O(changed-data)
+// work per request instead of O(full-detector).
 
 import (
 	"hash/fnv"
@@ -14,57 +14,16 @@ import (
 	"time"
 )
 
-// colSeries is one series' columnar snapshot: Points transposed into
-// parallel time/value arrays at a specific series version. A snapshot
-// is immutable once published — a later write builds a fresh one rather
-// than mutating this one — which is what makes handing its subslices to
-// callers safe without copying (docs/SERVING.md §1, validity contract).
-type colSeries struct {
-	version uint64
-	times   []int64
-	values  []float64
-}
-
-// colLocked returns the series' columnar snapshot for its current
-// version, building it if the cached one is stale. The caller must hold
-// the shard's write lock.
-func (s *Series) colLocked() *colSeries {
-	if s.col != nil && s.col.version == s.version {
-		return s.col
-	}
-	c := &colSeries{
-		version: s.version,
-		times:   make([]int64, len(s.Points)),
-		values:  make([]float64, len(s.Points)),
-	}
-	for i, p := range s.Points {
-		c.times[i] = p.Time.UnixNano()
-		c.values[i] = p.Value
-	}
-	s.col = c
-	return c
-}
-
-// colFreshLocked reports whether the series' columnar snapshot is
-// already current. The caller must hold the shard lock (read suffices).
-// Lazy stubs are always fresh: they never transpose — views decode
-// straight from surviving blocks (lazy.go).
-func (s *Series) colFreshLocked() bool {
-	if s.lazy != nil {
-		return true
-	}
-	return len(s.Points) == 0 || (s.col != nil && s.col.version == s.version)
-}
-
 // SeriesView is a copy-free columnar range view of one series: Times
-// (Unix nanoseconds, ascending) and Values are parallel subslices of a
-// store-owned immutable snapshot taken at Version.
+// (Unix nanoseconds, ascending) and Values are parallel subslices of
+// the store-owned columns as they stood at Version.
 //
 // Validity contract (docs/SERVING.md §1):
 //
-//   - Times and Values are immutable. The store never writes into a
-//     published snapshot — a later Write/WriteBatch/Retain/Restore
-//     builds a new snapshot — so a view stays internally consistent for
+//   - Times and Values are immutable. The store never writes to an
+//     index a view can reach — a later Write/WriteBatch appends past
+//     it or builds fresh columns, a Retain reslices, a RestoreDir
+//     replaces the series — so a view stays internally consistent for
 //     as long as the caller holds it, surviving any concurrent writes.
 //   - A view is a snapshot, not a live cursor: points written after
 //     QueryView returned are not visible through it. Re-query (or
@@ -81,7 +40,7 @@ type SeriesView struct {
 	Times []int64
 	// Values holds one value per entry of Times.
 	Values []float64
-	// Version is the series' write-version the snapshot was taken at.
+	// Version is the series' write-version the view was taken at.
 	Version uint64
 }
 
@@ -91,10 +50,8 @@ func (v SeriesView) Len() int { return len(v.Times) }
 // QueryView returns, for every series of the measurement matching the
 // tag filter, a columnar view of the points within [from, to), in
 // canonical key order — the same series Query returns, without copying
-// any point data (see SeriesView for the validity contract). The first
-// view of a series after a write pays one O(points) transposition to
-// refresh that series' columnar snapshot; subsequent views of an
-// unchanged series only binary-search the range.
+// any point data (see SeriesView for the validity contract): a view of
+// an eager series only binary-searches the range.
 func (db *DB) QueryView(measurement string, filter map[string]string, from, to time.Time) []SeriesView {
 	return db.QueryViewWhere(measurement, filter, from, to, nil)
 }
@@ -132,100 +89,68 @@ func (db *DB) QueryViewWhere(measurement string, filter map[string]string, from,
 	if !ok {
 		return nil
 	}
+	fromNs, toNs := from.UnixNano(), to.UnixNano()
+	var out []SeriesView
+	db.readMatching(keys, measurement, filter, func(_ string, s *series) {
+		out = s.appendView(out, fromNs, toNs, vb)
+	})
+	sortViews(out)
+	return out
+}
+
+// readMatching calls fn for every series among the candidate keys that
+// matches (measurement, filter), visiting the keys shard by shard under
+// one read-lock acquisition per shard.
+func (db *DB) readMatching(keys []string, measurement string, filter map[string]string, fn func(key string, s *series)) {
 	var byShard [NumShards][]string
 	for _, k := range keys {
 		s := shardFor(k)
 		byShard[s] = append(byShard[s], k)
 	}
-	fromNs, toNs := from.UnixNano(), to.UnixNano()
-	var out []SeriesView
 	for si := range byShard {
 		if len(byShard[si]) == 0 {
 			continue
 		}
 		sh := &db.shards[si]
-		// Optimistic read-locked pass: if every matching series already
-		// has a fresh columnar snapshot (the steady state of a serving
-		// tier), views are built without ever taking the write lock.
 		sh.mu.RLock()
-		fresh := true
 		for _, k := range byShard[si] {
-			if s, ok := sh.series[k]; ok && s.matches(measurement, filter) && !s.colFreshLocked() {
-				fresh = false
-				break
+			if s, ok := sh.series[k]; ok && s.matches(measurement, filter) {
+				fn(k, s)
 			}
-		}
-		if fresh {
-			out = appendViews(out, sh, byShard[si], measurement, filter, fromNs, toNs, vb)
-			sh.mu.RUnlock()
-			continue
 		}
 		sh.mu.RUnlock()
-		// Some snapshot is stale: refresh under the write lock, then
-		// build the views in the same critical section. Lazy stubs are
-		// never stale (colFreshLocked) and must not be transposed here.
-		sh.mu.Lock()
-		for _, k := range byShard[si] {
-			if s, ok := sh.series[k]; ok && s.matches(measurement, filter) && len(s.Points) > 0 {
-				s.colLocked()
-			}
-		}
-		out = appendViews(out, sh, byShard[si], measurement, filter, fromNs, toNs, vb)
-		sh.mu.Unlock()
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return Key(out[i].Measurement, out[i].Tags) < Key(out[j].Measurement, out[j].Tags)
-	})
-	return out
 }
 
-// appendViews slices each matching series' fresh columnar snapshot to
-// [fromNs, toNs), applies the optional value bound, and appends the
-// non-empty views. Lazy stubs route through appendLazyView. The caller
-// must hold the shard lock and have ensured every matching non-empty
-// eager series has a fresh snapshot.
-func appendViews(out []SeriesView, sh *shard, keys []string, measurement string, filter map[string]string, fromNs, toNs int64, vb *ValueBound) []SeriesView {
-	for _, k := range keys {
-		s, ok := sh.series[k]
-		if !ok || !s.matches(measurement, filter) {
-			continue
-		}
-		if s.lazy != nil {
-			out = appendLazyView(out, s, fromNs, toNs, vb)
-			continue
-		}
-		if len(s.Points) == 0 {
-			continue
-		}
-		c := s.col
-		lo := sort.Search(len(c.times), func(i int) bool { return c.times[i] >= fromNs })
-		hi := sort.Search(len(c.times), func(i int) bool { return c.times[i] >= toNs })
-		if lo >= hi {
-			continue
-		}
-		if vb == nil {
-			out = append(out, SeriesView{
-				Measurement: s.Measurement,
-				Tags:        s.Tags,
-				Times:       c.times[lo:hi],
-				Values:      c.values[lo:hi],
-				Version:     s.version,
-			})
-			continue
-		}
-		ts, vs := filterBound(c.times[lo:hi], c.values[lo:hi], vb)
-		if len(ts) == 0 {
-			continue
-		}
-		out = append(out, SeriesView{
-			Measurement: s.Measurement,
-			Tags:        s.Tags,
-			Times:       ts,
-			Values:      vs,
-			Version:     s.version,
-		})
+// sortViews orders views by canonical series key.
+func sortViews(views []SeriesView) {
+	sort.Slice(views, func(i, j int) bool {
+		return Key(views[i].Measurement, views[i].Tags) < Key(views[j].Measurement, views[j].Tags)
+	})
+}
+
+// appendView slices the series to [fromNs, toNs), applies the optional
+// value bound, and appends the view unless it is empty. An eager view
+// without a bound aliases the columns; lazy stubs route through
+// appendLazyView. The caller must hold the shard lock (read suffices).
+func (s *series) appendView(out []SeriesView, fromNs, toNs int64, vb *ValueBound) []SeriesView {
+	if s.lazy != nil {
+		return s.appendLazyView(out, fromNs, toNs, vb)
 	}
-	return out
+	lo := sort.Search(len(s.times), func(i int) bool { return s.times[i] >= fromNs })
+	hi := sort.Search(len(s.times), func(i int) bool { return s.times[i] >= toNs })
+	if lo >= hi {
+		return out
+	}
+	// Capacity stops at the view's end, so a caller appending to a view
+	// cannot reach store memory.
+	ts, vs := s.times[lo:hi:hi], s.values[lo:hi:hi]
+	if vb != nil {
+		if ts, vs = filterBound(ts, vs, vb); len(ts) == 0 {
+			return out
+		}
+	}
+	return append(out, SeriesView{Measurement: s.measurement, Tags: s.tags, Times: ts, Values: vs, Version: s.version})
 }
 
 // appendLazyView builds one lazy series' view: prune blocks by
@@ -234,20 +159,17 @@ func appendViews(out []SeriesView, sh *shard, keys []string, measurement string,
 // bound aliases the cached decoded columns zero-copy; everything else
 // assembles fresh slices (decoded columns are immutable heap data, so
 // either form satisfies the SeriesView validity contract).
-func appendLazyView(out []SeriesView, s *Series, fromNs, toNs int64, vb *ValueBound) []SeriesView {
+func (s *series) appendLazyView(out []SeriesView, fromNs, toNs int64, vb *ValueBound) []SeriesView {
 	l := s.lazy
-	refs := l.selectRefs(fromNs, toNs, vb)
-	if len(refs) == 0 {
-		return out
-	}
 	type slice struct {
 		d      *decodedBlock
 		lo, hi int
 	}
+	refs := l.selectRefs(fromNs, toNs, vb)
 	slices := make([]slice, 0, len(refs))
 	total := 0
 	for _, r := range refs {
-		d := l.decodeRef(r)
+		d := l.store.decode(r)
 		lo := sort.Search(len(d.times), func(i int) bool { return d.times[i] >= fromNs })
 		hi := sort.Search(len(d.times), func(i int) bool { return d.times[i] >= toNs })
 		if lo >= hi {
@@ -259,7 +181,7 @@ func appendLazyView(out []SeriesView, s *Series, fromNs, toNs int64, vb *ValueBo
 	if total == 0 {
 		return out
 	}
-	v := SeriesView{Measurement: s.Measurement, Tags: s.Tags, Version: s.version}
+	v := SeriesView{Measurement: s.measurement, Tags: s.tags, Version: s.version}
 	if vb == nil && len(slices) == 1 {
 		sl := slices[0]
 		v.Times = sl.d.times[sl.lo:sl.hi]
@@ -309,7 +231,7 @@ func filterBound(times []int64, values []float64, vb *ValueBound) ([]int64, []fl
 // series set and each member's contents are unchanged in between: any
 // Write/WriteBatch/Staged-commit into a matching series, any Retain
 // that trims one, the creation or removal of a matching series, and any
-// whole-store Restore/RestoreDir all move the stamp. The serving tier
+// whole-store RestoreDir all move the stamp. The serving tier
 // keys its memoized analysis results on it (docs/SERVING.md §2), so a
 // moved stamp is what invalidates a cached result. The stamp reads only
 // index postings and per-series version counters, never point data.
@@ -331,45 +253,28 @@ func (db *DB) ViewStamp(measurement string, filter map[string]string) uint64 {
 	if !ok {
 		return h.Sum64()
 	}
-	var byShard [NumShards][]string
-	for _, k := range keys {
-		s := shardFor(k)
-		byShard[s] = append(byShard[s], k)
-	}
 	// Per-series contributions are combined by XOR so the stamp is
 	// independent of map-iteration order without sorting keys.
 	var acc uint64
 	n := 0
-	for si := range byShard {
-		if len(byShard[si]) == 0 {
-			continue
+	db.readMatching(keys, measurement, filter, func(k string, s *series) {
+		sub := fnv.New64a()
+		sub.Write([]byte(k))
+		var b [8]byte
+		for i := 0; i < 8; i++ {
+			b[i] = byte(s.version >> (56 - 8*i))
 		}
-		sh := &db.shards[si]
-		sh.mu.RLock()
-		for _, k := range byShard[si] {
-			s, ok := sh.series[k]
-			if !ok || !s.matches(measurement, filter) {
-				continue
-			}
-			sub := fnv.New64a()
-			sub.Write([]byte(k))
-			var b [8]byte
-			for i := 0; i < 8; i++ {
-				b[i] = byte(s.version >> (56 - 8*i))
-			}
-			sub.Write(b[:])
-			acc ^= sub.Sum64()
-			n++
-		}
-		sh.mu.RUnlock()
-	}
+		sub.Write(b[:])
+		acc ^= sub.Sum64()
+		n++
+	})
 	putUint64(acc)
 	putUint64(uint64(n))
 	return h.Sum64()
 }
 
 // Epoch returns the store's restore epoch: it increments on every
-// whole-store replacement (Restore, RestoreDir), under which per-series
+// whole-store replacement (RestoreDir), under which per-series
 // write-versions restart and nothing relates a new series snapshot to a
 // pre-restore one. The incremental detector accumulators
 // (analysis.Incremental, docs/DETECTION.md §4) compare it across
@@ -406,46 +311,22 @@ func (db *DB) TimeBounds(measurement string, filter map[string]string) (min, max
 	if !found {
 		return time.Time{}, time.Time{}, false
 	}
-	var byShard [NumShards][]string
-	for _, k := range keys {
-		s := shardFor(k)
-		byShard[s] = append(byShard[s], k)
-	}
-	for si := range byShard {
-		if len(byShard[si]) == 0 {
-			continue
+	var minNs, maxNs int64
+	db.readMatching(keys, measurement, filter, func(_ string, s *series) {
+		first, last, sok := s.timeBounds()
+		if !sok {
+			return
 		}
-		sh := &db.shards[si]
-		sh.mu.RLock()
-		for _, k := range byShard[si] {
-			s, sok := sh.series[k]
-			if !sok || !s.matches(measurement, filter) {
-				continue
-			}
-			var first, last time.Time
-			if s.lazy != nil {
-				// Block summaries bound the series without a decode.
-				minT, maxT, lok := s.lazy.timeBounds()
-				if !lok {
-					continue
-				}
-				first, last = time.Unix(0, minT).UTC(), time.Unix(0, maxT).UTC()
-			} else {
-				if len(s.Points) == 0 {
-					continue
-				}
-				// Points are time-ordered: first and last bound the series.
-				first, last = s.Points[0].Time, s.Points[len(s.Points)-1].Time
-			}
-			if !ok || first.Before(min) {
-				min = first
-			}
-			if !ok || last.After(max) {
-				max = last
-			}
-			ok = true
+		if !ok || first < minNs {
+			minNs = first
 		}
-		sh.mu.RUnlock()
+		if !ok || last > maxNs {
+			maxNs = last
+		}
+		ok = true
+	})
+	if !ok {
+		return time.Time{}, time.Time{}, false
 	}
-	return min, max, ok
+	return time.Unix(0, minNs).UTC(), time.Unix(0, maxNs).UTC(), true
 }
