@@ -55,13 +55,19 @@ func parseAggFns(s string) (tsdb.AggFns, []string, error) {
 			return 0, nil, fmt.Errorf("unknown aggregate function %q: want count, min, max, sum or mean", name)
 		}
 	}
+	return fns, aggNames(fns), nil
+}
+
+// aggNames lists the wire names of the functions in fns in canonical
+// order: the form responses echo and cache keys embed.
+func aggNames(fns tsdb.AggFns) []string {
 	var names []string
 	for _, f := range aggFnNames {
 		if fns&f.bit != 0 {
 			names = append(names, f.name)
 		}
 	}
-	return fns, names, nil
+	return names
 }
 
 // nullFloat is a float64 that marshals NaN (and the infinities, which
@@ -178,28 +184,9 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request, q url.V
 			}
 			return nil, err
 		}
-		total := len(series)
-		page := series
-		if offset >= total {
-			page = nil
-		} else {
-			page = series[offset:]
-		}
-		if len(page) > limit {
-			page = page[:limit]
-		}
-		out := make([]AggSeriesJSON, 0, len(page))
-		for _, as := range page {
-			out = append(out, aggSeriesJSON(as, fns))
-		}
-		return encodeBody(AggregateResponse{
-			Series:    out,
-			Agg:       names,
-			Step:      step.String(),
-			Total:     total,
-			Limit:     limit,
-			Offset:    offset,
-			Truncated: offset+len(out) < total,
+		page := pageOf(series, limit, offset)
+		return appendBody(func(dst []byte) ([]byte, error) {
+			return appendAggregateBody(dst, page, fns, names, step.String(), len(series), limit, offset)
 		})
 	})
 	if err != nil {
@@ -208,45 +195,4 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request, q url.V
 	}
 	w.Header().Set("ETag", etag)
 	writeJSONBody(w, v.([]byte))
-}
-
-// aggSeriesJSON projects one tsdb.AggSeries onto the wire shape,
-// emitting only the requested columns.
-func aggSeriesJSON(as tsdb.AggSeries, fns tsdb.AggFns) AggSeriesJSON {
-	n := len(as.Buckets)
-	js := AggSeriesJSON{Tags: as.Tags, Starts: make([]time.Time, n)}
-	if fns&tsdb.AggCount != 0 {
-		js.Count = make([]int, n)
-	}
-	if fns&tsdb.AggMin != 0 {
-		js.Min = make([]nullFloat, n)
-	}
-	if fns&tsdb.AggMax != 0 {
-		js.Max = make([]nullFloat, n)
-	}
-	if fns&tsdb.AggSum != 0 {
-		js.Sum = make([]nullFloat, n)
-	}
-	if fns&tsdb.AggMean != 0 {
-		js.Mean = make([]nullFloat, n)
-	}
-	for i, b := range as.Buckets {
-		js.Starts[i] = b.Start.UTC()
-		if js.Count != nil {
-			js.Count[i] = b.Count
-		}
-		if js.Min != nil {
-			js.Min[i] = nullFloat(b.Min)
-		}
-		if js.Max != nil {
-			js.Max[i] = nullFloat(b.Max)
-		}
-		if js.Sum != nil {
-			js.Sum[i] = nullFloat(b.Sum)
-		}
-		if js.Mean != nil {
-			js.Mean[i] = nullFloat(b.Mean)
-		}
-	}
-	return js
 }

@@ -273,7 +273,9 @@ func (s *Server) handleTags(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]interface{}{"values": s.DB.TagValues(m, tag)})
 }
 
-// QuerySeries is one series in a query response.
+// QuerySeries is one series in a query response. The handler writes
+// the document these types describe straight from the store's columns
+// (encode.go); clients decode into them.
 type QuerySeries struct {
 	Tags   map[string]string `json:"tags"`
 	Times  []time.Time       `json:"times"`
@@ -308,6 +310,19 @@ type QueryResponse struct {
 	// Truncated reports whether series beyond this page exist
 	// (offset+len(series) < total).
 	Truncated bool `json:"truncated"`
+}
+
+// pageOf returns the limit-bounded page of all starting at offset,
+// empty when offset is past the end.
+func pageOf[T any](all []T, limit, offset int) []T {
+	if offset >= len(all) {
+		return nil
+	}
+	page := all[offset:]
+	if len(page) > limit {
+		page = page[:limit]
+	}
+	return page
 }
 
 // parsePage extracts limit and offset from query parameters, applying
@@ -428,36 +443,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	v, _, err := s.cache.Do(key, func() (any, error) {
 		views := s.DB.QueryViewWhere(m, filter, from, to, vb)
-		total := len(views)
-		page := views
-		if offset >= total {
-			page = nil
-		} else {
-			page = views[offset:]
-		}
-		if len(page) > limit {
-			page = page[:limit]
-		}
-		out := make([]QuerySeries, 0, len(page))
-		for _, view := range page {
-			qs := QuerySeries{
-				Tags: view.Tags,
-				// Filled by index into exact-size slices; Values aliases
-				// the store's immutable columnar snapshot (zero-copy).
-				Times:  make([]time.Time, len(view.Times)),
-				Values: view.Values,
-			}
-			for i, ns := range view.Times {
-				qs.Times[i] = time.Unix(0, ns).UTC()
-			}
-			out = append(out, qs)
-		}
-		return encodeBody(QueryResponse{
-			Series:    out,
-			Total:     total,
-			Limit:     limit,
-			Offset:    offset,
-			Truncated: offset+len(out) < total,
+		page := pageOf(views, limit, offset)
+		return appendBody(func(dst []byte) ([]byte, error) {
+			return appendQueryBody(dst, page, len(views), limit, offset)
 		})
 	})
 	if err != nil {

@@ -461,7 +461,13 @@ func TestFollowerLazyHotSwapReusesSegments(t *testing.T) {
 	if fdb.Digest() != lf.db.Digest() {
 		t.Fatalf("follower digest %x != leader digest %x", fdb.Digest(), lf.db.Digest())
 	}
+	// A reader caches day 0's blocks; the digest walk above left none
+	// behind (docs/PERSISTENCE.md §9.5).
+	fdb.QueryView("tslp", nil, epoch, epoch.AddDate(0, 0, 1))
 	afterDigest, _ := fdb.LazyReadStats()
+	if afterDigest.CachedBlocks == 0 {
+		t.Fatalf("day-0 read cached nothing: %+v", afterDigest)
+	}
 
 	// Leader advances one generation; only the new day's segments move,
 	// and only those may be mapped by the swap.

@@ -175,7 +175,8 @@ func (db *DB) QueryAggregate(measurement string, filter map[string]string, from,
 	fromNs := from.UnixNano()
 	stepNs := int64(step)
 	var out []AggSeries
-	db.readMatching(keys, measurement, filter, func(_ string, s *series) {
+	var outKeys []string
+	db.readMatching(keys, measurement, filter, func(k string, s *series) {
 		accs := make([]aggAcc, n)
 		for i := range accs {
 			accs[i].min, accs[i].max = math.NaN(), math.NaN()
@@ -213,10 +214,9 @@ func (db *DB) QueryAggregate(measurement string, filter map[string]string, from,
 			buckets[i] = b
 		}
 		out = append(out, AggSeries{Measurement: s.measurement, Tags: s.tags, Buckets: buckets})
+		outKeys = append(outKeys, k)
 	})
-	sort.Slice(out, func(i, j int) bool {
-		return Key(out[i].Measurement, out[i].Tags) < Key(out[j].Measurement, out[j].Tags)
-	})
+	sortByKey(out, outKeys)
 	return out, nil
 }
 

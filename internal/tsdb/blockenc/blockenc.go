@@ -108,37 +108,56 @@ func AppendTimes(dst []byte, ts []int64) []byte {
 // DecodeTimes decodes exactly count timestamps from src, which must be
 // consumed completely; leftover or missing bytes are corruption.
 func DecodeTimes(src []byte, count int) ([]int64, error) {
+	out, _, err := decodeTimes(src, count)
+	return out, err
+}
+
+// decodeTimes is DecodeTimes plus the order check Block.Decode needs,
+// made in the same pass: disorder is the first index whose timestamp
+// precedes its predecessor, or 0 when the column is non-decreasing.
+func decodeTimes(src []byte, count int) (out []int64, disorder int, err error) {
 	if count == 0 {
 		if len(src) != 0 {
-			return nil, fmt.Errorf("%w: %d trailing bytes after empty time column", ErrCorrupt, len(src))
+			return nil, 0, fmt.Errorf("%w: %d trailing bytes after empty time column", ErrCorrupt, len(src))
 		}
-		return nil, nil
+		return nil, 0, nil
 	}
-	out := make([]int64, 0, allocHint(count))
-	v, n := binary.Varint(src)
+	out = make([]int64, 0, allocHint(count))
+	prev, n := binary.Varint(src)
 	if n <= 0 {
-		return nil, fmt.Errorf("%w: bad varint at time column start", ErrCorrupt)
+		return nil, 0, fmt.Errorf("%w: bad varint at time column start", ErrCorrupt)
 	}
 	src = src[n:]
-	out = append(out, v)
+	out = append(out, prev)
 	var prevDelta int64
 	for i := 1; i < count; i++ {
-		d, n := binary.Varint(src)
-		if n <= 0 {
-			return nil, fmt.Errorf("%w: bad varint at time column index %d", ErrCorrupt, i)
+		var d int64
+		if len(src) > 0 && src[0] < 0x80 {
+			// One-byte varint: every delta-of-delta of a fixed cadence.
+			d = int64(src[0]>>1) ^ -int64(src[0]&1)
+			src = src[1:]
+		} else {
+			if d, n = binary.Varint(src); n <= 0 {
+				return nil, 0, fmt.Errorf("%w: bad varint at time column index %d", ErrCorrupt, i)
+			}
+			src = src[n:]
 		}
-		src = src[n:]
 		if i == 1 {
 			prevDelta = d
 		} else {
 			prevDelta += d
 		}
-		out = append(out, out[len(out)-1]+prevDelta)
+		t := prev + prevDelta
+		if t < prev && disorder == 0 {
+			disorder = i
+		}
+		out = append(out, t)
+		prev = t
 	}
 	if len(src) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after time column", ErrCorrupt, len(src))
+		return nil, 0, fmt.Errorf("%w: %d trailing bytes after time column", ErrCorrupt, len(src))
 	}
-	return out, nil
+	return out, disorder, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -162,10 +181,9 @@ func AppendValues(dst []byte, vs []float64) []byte {
 		xor := prev ^ cur
 		prev = cur
 		if xor == 0 {
-			w.writeBit(0)
+			w.writeBits(0, 1)
 			continue
 		}
-		w.writeBit(1)
 		lead := uint(bits.LeadingZeros64(xor))
 		if lead > 31 {
 			lead = 31 // cap so the 5-bit-friendly window math of the paper holds; 6 bits stored
@@ -173,16 +191,14 @@ func AppendValues(dst []byte, vs []float64) []byte {
 		trail := uint(bits.TrailingZeros64(xor))
 		sig := 64 - lead - trail
 		if prevLead != 255 && lead >= prevLead && 64-prevLead-prevSig <= trail {
-			// Fits the previous window: control '0', reuse it.
-			w.writeBit(0)
+			// Fits the previous window: control '10', reuse it.
+			w.writeBits(0b10, 2)
 			w.writeBits(xor>>(64-prevLead-prevSig), prevSig)
 			continue
 		}
-		// New window: control '1', 6 bits of leading zeros, 6 bits of
+		// New window: control '11', 6 bits of leading zeros, 6 bits of
 		// significant-bit count minus one (1..64 -> 0..63).
-		w.writeBit(1)
-		w.writeBits(uint64(lead), 6)
-		w.writeBits(uint64(sig-1), 6)
+		w.writeBits(0b11<<12|uint64(lead)<<6|uint64(sig-1), 14)
 		w.writeBits(xor>>trail, sig)
 		prevLead, prevSig = lead, sig
 	}
@@ -193,77 +209,89 @@ func AppendValues(dst []byte, vs []float64) []byte {
 // must cover all of src except up to seven padding bits in the final
 // byte; anything else is corruption.
 func DecodeValues(src []byte, count int) ([]float64, error) {
+	out, _, err := decodeValues(src, count)
+	return out, err
+}
+
+// valueSummary is what summarize computes over a value column.
+type valueSummary struct{ min, max, sum float64 }
+
+// decodeValues is DecodeValues plus the summary Block.Decode verifies,
+// folded in the same pass exactly as summarize folds it: NaN-excluding
+// extrema and the sequential sum of every value in column order.
+func decodeValues(src []byte, count int) ([]float64, valueSummary, error) {
+	min, max, sum := math.NaN(), math.NaN(), 0.0
 	if count == 0 {
 		if len(src) != 0 {
-			return nil, fmt.Errorf("%w: %d trailing bytes after empty value column", ErrCorrupt, len(src))
+			return nil, valueSummary{}, fmt.Errorf("%w: %d trailing bytes after empty value column", ErrCorrupt, len(src))
 		}
-		return nil, nil
+		return nil, valueSummary{}, nil
 	}
 	r := bitReader{buf: src}
 	out := make([]float64, 0, allocHint(count))
-	first, err := r.readBits(64)
-	if err != nil {
-		return nil, err
+	prev, ok := r.readBits(64)
+	if !ok {
+		return nil, valueSummary{}, errShortValues
 	}
-	prev := first
-	out = append(out, math.Float64frombits(prev))
-	prevLead, prevSig := uint(0), uint(0)
+	var lead, sig uint
 	haveWindow := false
-	for i := 1; i < count; i++ {
-		b, err := r.readBit()
-		if err != nil {
-			return nil, err
+	for i := 0; ; {
+		v := math.Float64frombits(prev)
+		out = append(out, v)
+		sum += v
+		if v == v { // not NaN
+			if !(min <= v) { // min is NaN or above v
+				min = v
+			}
+			if !(max >= v) {
+				max = v
+			}
 		}
-		if b == 0 {
-			out = append(out, math.Float64frombits(prev))
+		if i++; i == count {
+			break
+		}
+		ctrl, ok := r.readBits(1)
+		if !ok {
+			return nil, valueSummary{}, errShortValues
+		}
+		if ctrl == 0 {
 			continue
 		}
-		ctrl, err := r.readBit()
-		if err != nil {
-			return nil, err
+		if ctrl, ok = r.readBits(1); !ok {
+			return nil, valueSummary{}, errShortValues
 		}
-		var xor uint64
 		if ctrl == 0 {
 			if !haveWindow {
-				return nil, fmt.Errorf("%w: window reuse before any window at value %d", ErrCorrupt, i)
+				return nil, valueSummary{}, fmt.Errorf("%w: window reuse before any window at value %d", ErrCorrupt, i)
 			}
-			m, err := r.readBits(prevSig)
-			if err != nil {
-				return nil, err
-			}
-			xor = m << (64 - prevLead - prevSig)
 		} else {
-			lead64, err := r.readBits(6)
-			if err != nil {
-				return nil, err
+			w, ok := r.readBits(12)
+			if !ok {
+				return nil, valueSummary{}, errShortValues
 			}
-			sig64, err := r.readBits(6)
-			if err != nil {
-				return nil, err
-			}
-			lead, sig := uint(lead64), uint(sig64)+1
+			lead, sig = uint(w>>6), uint(w&63)+1
 			if lead+sig > 64 {
-				return nil, fmt.Errorf("%w: impossible window (%d leading + %d significant bits) at value %d", ErrCorrupt, lead, sig, i)
+				return nil, valueSummary{}, fmt.Errorf("%w: impossible window (%d leading + %d significant bits) at value %d", ErrCorrupt, lead, sig, i)
 			}
-			m, err := r.readBits(sig)
-			if err != nil {
-				return nil, err
-			}
-			xor = m << (64 - lead - sig)
-			prevLead, prevSig = lead, sig
 			haveWindow = true
 		}
-		if xor == 0 {
-			return nil, fmt.Errorf("%w: explicit zero xor at value %d", ErrCorrupt, i)
+		m, ok := r.readBits(sig)
+		if !ok {
+			return nil, valueSummary{}, errShortValues
 		}
-		prev ^= xor
-		out = append(out, math.Float64frombits(prev))
+		if m == 0 {
+			return nil, valueSummary{}, fmt.Errorf("%w: explicit zero xor at value %d", ErrCorrupt, i)
+		}
+		prev ^= m << (64 - lead - sig)
 	}
 	if rest := r.remaining(); rest >= 8 {
-		return nil, fmt.Errorf("%w: %d trailing bits after value column", ErrCorrupt, rest)
+		return nil, valueSummary{}, fmt.Errorf("%w: %d trailing bits after value column", ErrCorrupt, rest)
 	}
-	return out, nil
+	return out, valueSummary{min, max, sum}, nil
 }
+
+// errShortValues reports a value bitstream that ends mid-value.
+var errShortValues = fmt.Errorf("%w: value bitstream ended early", ErrCorrupt)
 
 // ---------------------------------------------------------------------------
 // Blocks.
@@ -324,34 +352,31 @@ func summarize(vs []float64) (min, max, sum float64) {
 // disagrees with its block's contents is corruption and fails loud
 // here rather than silently mis-pruning.
 func (b Block) Decode() (times []int64, values []float64, err error) {
-	times, err = DecodeTimes(b.Times, b.Count)
+	times, disorder, err := decodeTimes(b.Times, b.Count)
 	if err != nil {
 		return nil, nil, err
 	}
-	values, err = DecodeValues(b.Values, b.Count)
+	values, got, err := decodeValues(b.Values, b.Count)
 	if err != nil {
 		return nil, nil, err
 	}
 	if len(times) == 0 {
 		return times, values, nil
 	}
-	for i := 1; i < len(times); i++ {
-		if times[i] < times[i-1] {
-			return nil, nil, fmt.Errorf("%w: timestamps out of order at index %d (%d after %d)", ErrCorrupt, i, times[i], times[i-1])
-		}
+	if i := disorder; i != 0 {
+		return nil, nil, fmt.Errorf("%w: timestamps out of order at index %d (%d after %d)", ErrCorrupt, i, times[i], times[i-1])
 	}
 	if times[0] != b.MinT || times[len(times)-1] != b.MaxT {
 		return nil, nil, fmt.Errorf("%w: summary time bounds [%d,%d] disagree with decoded [%d,%d]",
 			ErrCorrupt, b.MinT, b.MaxT, times[0], times[len(times)-1])
 	}
-	min, max, sum := summarize(values)
-	if !sameFloat(min, b.Min) || !sameFloat(max, b.Max) {
+	if !sameFloat(got.min, b.Min) || !sameFloat(got.max, b.Max) {
 		return nil, nil, fmt.Errorf("%w: summary value bounds [%v,%v] disagree with decoded [%v,%v]",
-			ErrCorrupt, b.Min, b.Max, min, max)
+			ErrCorrupt, b.Min, b.Max, got.min, got.max)
 	}
-	if !sameFloat(sum, b.Sum) {
+	if !sameFloat(got.sum, b.Sum) {
 		return nil, nil, fmt.Errorf("%w: summary sum %v disagrees with decoded %v",
-			ErrCorrupt, b.Sum, sum)
+			ErrCorrupt, b.Sum, got.sum)
 	}
 	return times, values, nil
 }
@@ -584,71 +609,95 @@ func (d *payloadReader) lengthPrefixed(what string) ([]byte, error) {
 // ---------------------------------------------------------------------------
 // Bit-level IO.
 
-// bitWriter accumulates bits most-significant first into a byte slice.
+// bitWriter packs bits most-significant first through a 64-bit
+// accumulator: acc holds the n pending bits right-aligned (n < 64) and
+// is flushed to buf a big-endian word at a time, so the bytes are
+// exactly those of writing bit by bit.
 type bitWriter struct {
-	buf  []byte
-	cur  byte
-	nCur uint // bits used in cur
+	buf []byte
+	acc uint64
+	n   uint
 }
 
-func (w *bitWriter) writeBit(b byte) {
-	w.cur = w.cur<<1 | (b & 1)
-	w.nCur++
-	if w.nCur == 8 {
-		w.buf = append(w.buf, w.cur)
-		w.cur, w.nCur = 0, 0
-	}
-}
-
+// writeBits appends the low n bits of v (n <= 64), high bit first.
 func (w *bitWriter) writeBits(v uint64, n uint) {
-	for i := n; i > 0; i-- {
-		w.writeBit(byte(v >> (i - 1)))
+	if n < 64 {
+		v &= 1<<n - 1
 	}
+	free := 64 - w.n
+	if n < free {
+		w.acc = w.acc<<n | v
+		w.n += n
+		return
+	}
+	// v's top free bits complete the word; the rest (< 64) stay pending.
+	rest := n - free
+	w.buf = binary.BigEndian.AppendUint64(w.buf, w.acc<<free|v>>rest)
+	w.acc = v & (1<<rest - 1)
+	w.n = rest
 }
 
 // finish pads the final partial byte with zero bits and returns the
 // buffer.
 func (w *bitWriter) finish() []byte {
-	if w.nCur > 0 {
-		w.buf = append(w.buf, w.cur<<(8-w.nCur))
-		w.cur, w.nCur = 0, 0
+	if w.n > 0 {
+		var word [8]byte
+		binary.BigEndian.PutUint64(word[:], w.acc<<(64-w.n))
+		w.buf = append(w.buf, word[:(w.n+7)/8]...)
+		w.acc, w.n = 0, 0
 	}
 	return w.buf
 }
 
-// bitReader consumes bits most-significant first, erroring (never
-// panicking) on overrun.
+// bitReader consumes bits most-significant first through a 64-bit
+// accumulator: acc holds the n unread bits of the current word
+// left-aligned, buf the bytes not yet loaded. Running out of input is
+// found only when a refill comes up short, and reported (never a
+// panic) as ok=false.
 type bitReader struct {
 	buf []byte
-	pos uint // bit position
+	acc uint64
+	n   uint
 }
 
-func (r *bitReader) readBit() (byte, error) {
-	if r.pos >= uint(len(r.buf))*8 {
-		return 0, fmt.Errorf("%w: value bitstream ended early", ErrCorrupt)
+// readBits returns the next n bits (n <= 64) right-aligned, or
+// ok=false when fewer than n remain.
+func (r *bitReader) readBits(n uint) (v uint64, ok bool) {
+	if n <= r.n {
+		v = r.acc >> (64 - n)
+		r.acc <<= n
+		r.n -= n
+		return v, true
 	}
-	b := r.buf[r.pos/8] >> (7 - r.pos%8) & 1
-	r.pos++
-	return b, nil
+	return r.readAcrossRefill(n)
 }
 
-func (r *bitReader) readBits(n uint) (uint64, error) {
-	var v uint64
-	for i := uint(0); i < n; i++ {
-		b, err := r.readBit()
-		if err != nil {
-			return 0, err
+// readAcrossRefill is readBits' slow path: drain the accumulator, load
+// the next word, and take the bits still owed from it.
+func (r *bitReader) readAcrossRefill(n uint) (uint64, bool) {
+	v := r.acc >> (64 - r.n)
+	need := n - r.n
+	if len(r.buf) >= 8 {
+		r.acc, r.n = binary.BigEndian.Uint64(r.buf), 64
+		r.buf = r.buf[8:]
+	} else {
+		// Final partial word.
+		r.acc, r.n = 0, 8*uint(len(r.buf))
+		for i, b := range r.buf {
+			r.acc |= uint64(b) << (56 - 8*uint(i))
 		}
-		v = v<<1 | uint64(b)
+		r.buf = nil
+		if need > r.n {
+			return 0, false
+		}
 	}
-	return v, nil
+	v = v<<need | r.acc>>(64-need)
+	r.acc <<= need
+	r.n -= need
+	return v, true
 }
 
 // remaining reports the unread bits left in the stream.
 func (r *bitReader) remaining() uint {
-	total := uint(len(r.buf)) * 8
-	if r.pos >= total {
-		return 0
-	}
-	return total - r.pos
+	return r.n + 8*uint(len(r.buf))
 }

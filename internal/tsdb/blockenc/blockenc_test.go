@@ -11,7 +11,9 @@ package blockenc
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -439,4 +441,253 @@ func TestDecodeRejectsDisorderedTimes(t *testing.T) {
 	if _, _, err := b.Decode(); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("disordered timestamps accepted (err=%v)", err)
 	}
+}
+
+// ---------------------------------------------------------------------------
+// Reference codec. The bit-at-a-time reader and writer, the value and
+// time column loops built on them, and the two-pass Block.Decode, as
+// they stood before the word-wise rewrite (docs/PERSISTENCE.md §2.4).
+// They define the format: the fuzz and golden tests in fuzz_test.go
+// hold the production codec to these byte for byte.
+
+type refBitWriter struct {
+	buf  []byte
+	cur  byte
+	nCur uint // bits used in cur
+}
+
+func (w *refBitWriter) writeBit(b byte) {
+	w.cur = w.cur<<1 | (b & 1)
+	w.nCur++
+	if w.nCur == 8 {
+		w.buf = append(w.buf, w.cur)
+		w.cur, w.nCur = 0, 0
+	}
+}
+
+func (w *refBitWriter) writeBits(v uint64, n uint) {
+	for i := n; i > 0; i-- {
+		w.writeBit(byte(v >> (i - 1)))
+	}
+}
+
+func (w *refBitWriter) finish() []byte {
+	if w.nCur > 0 {
+		w.buf = append(w.buf, w.cur<<(8-w.nCur))
+		w.cur, w.nCur = 0, 0
+	}
+	return w.buf
+}
+
+type refBitReader struct {
+	buf []byte
+	pos uint // bit position
+}
+
+func (r *refBitReader) readBit() (byte, error) {
+	if r.pos >= uint(len(r.buf))*8 {
+		return 0, fmt.Errorf("%w: value bitstream ended early", ErrCorrupt)
+	}
+	b := r.buf[r.pos/8] >> (7 - r.pos%8) & 1
+	r.pos++
+	return b, nil
+}
+
+func (r *refBitReader) readBits(n uint) (uint64, error) {
+	var v uint64
+	for i := uint(0); i < n; i++ {
+		b, err := r.readBit()
+		if err != nil {
+			return 0, err
+		}
+		v = v<<1 | uint64(b)
+	}
+	return v, nil
+}
+
+func (r *refBitReader) remaining() uint {
+	total := uint(len(r.buf)) * 8
+	if r.pos >= total {
+		return 0
+	}
+	return total - r.pos
+}
+
+func refAppendValues(dst []byte, vs []float64) []byte {
+	if len(vs) == 0 {
+		return dst
+	}
+	w := refBitWriter{buf: dst}
+	prev := math.Float64bits(vs[0])
+	w.writeBits(prev, 64)
+	prevLead, prevSig := uint(255), uint(0)
+	for _, v := range vs[1:] {
+		cur := math.Float64bits(v)
+		xor := prev ^ cur
+		prev = cur
+		if xor == 0 {
+			w.writeBit(0)
+			continue
+		}
+		w.writeBit(1)
+		lead := uint(bits.LeadingZeros64(xor))
+		if lead > 31 {
+			lead = 31
+		}
+		trail := uint(bits.TrailingZeros64(xor))
+		sig := 64 - lead - trail
+		if prevLead != 255 && lead >= prevLead && 64-prevLead-prevSig <= trail {
+			w.writeBit(0)
+			w.writeBits(xor>>(64-prevLead-prevSig), prevSig)
+			continue
+		}
+		w.writeBit(1)
+		w.writeBits(uint64(lead), 6)
+		w.writeBits(uint64(sig-1), 6)
+		w.writeBits(xor>>trail, sig)
+		prevLead, prevSig = lead, sig
+	}
+	return w.finish()
+}
+
+func refDecodeValues(src []byte, count int) ([]float64, error) {
+	if count == 0 {
+		if len(src) != 0 {
+			return nil, fmt.Errorf("%w: %d trailing bytes after empty value column", ErrCorrupt, len(src))
+		}
+		return nil, nil
+	}
+	r := refBitReader{buf: src}
+	out := make([]float64, 0, allocHint(count))
+	prev, err := r.readBits(64)
+	if err != nil {
+		return nil, err
+	}
+	out = append(out, math.Float64frombits(prev))
+	prevLead, prevSig := uint(0), uint(0)
+	haveWindow := false
+	for i := 1; i < count; i++ {
+		b, err := r.readBit()
+		if err != nil {
+			return nil, err
+		}
+		if b == 0 {
+			out = append(out, math.Float64frombits(prev))
+			continue
+		}
+		ctrl, err := r.readBit()
+		if err != nil {
+			return nil, err
+		}
+		var xor uint64
+		if ctrl == 0 {
+			if !haveWindow {
+				return nil, fmt.Errorf("%w: window reuse before any window at value %d", ErrCorrupt, i)
+			}
+			m, err := r.readBits(prevSig)
+			if err != nil {
+				return nil, err
+			}
+			xor = m << (64 - prevLead - prevSig)
+		} else {
+			lead64, err := r.readBits(6)
+			if err != nil {
+				return nil, err
+			}
+			sig64, err := r.readBits(6)
+			if err != nil {
+				return nil, err
+			}
+			lead, sig := uint(lead64), uint(sig64)+1
+			if lead+sig > 64 {
+				return nil, fmt.Errorf("%w: impossible window (%d leading + %d significant bits) at value %d", ErrCorrupt, lead, sig, i)
+			}
+			m, err := r.readBits(sig)
+			if err != nil {
+				return nil, err
+			}
+			xor = m << (64 - lead - sig)
+			prevLead, prevSig = lead, sig
+			haveWindow = true
+		}
+		if xor == 0 {
+			return nil, fmt.Errorf("%w: explicit zero xor at value %d", ErrCorrupt, i)
+		}
+		prev ^= xor
+		out = append(out, math.Float64frombits(prev))
+	}
+	if rest := r.remaining(); rest >= 8 {
+		return nil, fmt.Errorf("%w: %d trailing bits after value column", ErrCorrupt, rest)
+	}
+	return out, nil
+}
+
+func refDecodeTimes(src []byte, count int) ([]int64, error) {
+	if count == 0 {
+		if len(src) != 0 {
+			return nil, fmt.Errorf("%w: %d trailing bytes after empty time column", ErrCorrupt, len(src))
+		}
+		return nil, nil
+	}
+	out := make([]int64, 0, allocHint(count))
+	v, n := binary.Varint(src)
+	if n <= 0 {
+		return nil, fmt.Errorf("%w: bad varint at time column start", ErrCorrupt)
+	}
+	src = src[n:]
+	out = append(out, v)
+	var prevDelta int64
+	for i := 1; i < count; i++ {
+		d, n := binary.Varint(src)
+		if n <= 0 {
+			return nil, fmt.Errorf("%w: bad varint at time column index %d", ErrCorrupt, i)
+		}
+		src = src[n:]
+		if i == 1 {
+			prevDelta = d
+		} else {
+			prevDelta += d
+		}
+		out = append(out, out[len(out)-1]+prevDelta)
+	}
+	if len(src) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes after time column", ErrCorrupt, len(src))
+	}
+	return out, nil
+}
+
+// refBlockDecode decodes both columns and then re-walks them for time
+// order, bounds and summary — the checks Block.Decode now makes inside
+// its decode loops.
+func refBlockDecode(b Block) ([]int64, []float64, error) {
+	times, err := refDecodeTimes(b.Times, b.Count)
+	if err != nil {
+		return nil, nil, err
+	}
+	values, err := refDecodeValues(b.Values, b.Count)
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(times) == 0 {
+		return times, values, nil
+	}
+	for i := 1; i < len(times); i++ {
+		if times[i] < times[i-1] {
+			return nil, nil, fmt.Errorf("%w: timestamps out of order at index %d (%d after %d)", ErrCorrupt, i, times[i], times[i-1])
+		}
+	}
+	if times[0] != b.MinT || times[len(times)-1] != b.MaxT {
+		return nil, nil, fmt.Errorf("%w: summary time bounds [%d,%d] disagree with decoded [%d,%d]",
+			ErrCorrupt, b.MinT, b.MaxT, times[0], times[len(times)-1])
+	}
+	min, max, sum := summarize(values)
+	if !sameFloat(min, b.Min) || !sameFloat(max, b.Max) {
+		return nil, nil, fmt.Errorf("%w: summary value bounds [%v,%v] disagree with decoded [%v,%v]",
+			ErrCorrupt, b.Min, b.Max, min, max)
+	}
+	if !sameFloat(sum, b.Sum) {
+		return nil, nil, fmt.Errorf("%w: summary sum %v disagrees with decoded %v",
+			ErrCorrupt, b.Sum, sum)
+	}
+	return times, values, nil
 }

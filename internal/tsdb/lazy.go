@@ -197,15 +197,30 @@ func (ls *lazyStore) stats() LazyStats {
 	}
 }
 
-// decode returns the decoded columns for an encoded ref, through the
-// cache. Decode failure after open-time CRC verification means the
+// decode returns the decoded columns for an encoded ref through the
+// cache, inserting on a miss: the entry point of the query paths, whose
+// blocks are likely to be asked for again.
+func (ls *lazyStore) decode(r *lazyBlockRef) *decodedBlock {
+	d, cached := ls.decodeOnce(r)
+	if !cached {
+		ls.cache.put(r.key, d)
+	}
+	return d
+}
+
+// decodeOnce returns the decoded columns for an encoded ref, from the
+// cache when they are there, and reports whether they were; it never
+// inserts. Whole-store walks (Digest, materialization) call it
+// directly: they visit every block exactly once, so caching what they
+// decode would only evict the serving hot set (docs/PERSISTENCE.md
+// §9.5). Decode failure after open-time CRC verification means the
 // summary lies about the block's contents (corruption encoded before
 // the checksum) or the bytes changed underneath the mapping; the
 // query paths have no error channel, so it fails loud (docs/
 // PERSISTENCE.md §9) rather than silently serving or dropping data.
-func (ls *lazyStore) decode(r *lazyBlockRef) *decodedBlock {
+func (ls *lazyStore) decodeOnce(r *lazyBlockRef) (d *decodedBlock, cached bool) {
 	if d, ok := ls.cache.get(r.key); ok {
-		return d
+		return d, true
 	}
 	ts, vs, err := r.enc.Decode()
 	if err != nil {
@@ -214,9 +229,7 @@ func (ls *lazyStore) decode(r *lazyBlockRef) *decodedBlock {
 	}
 	ls.blocksDecoded.Add(1)
 	ls.decodedBytes.Add(uint64(len(ts)) * decodedBlockBytes)
-	d := &decodedBlock{times: ts, values: vs}
-	ls.cache.put(r.key, d)
-	return d
+	return &decodedBlock{times: ts, values: vs}, false
 }
 
 // lazySeries is a series stub's view of its data: time-ordered block
@@ -293,7 +306,7 @@ func (s *series) materializeLocked() {
 	s.times = make([]int64, 0, l.points)
 	s.values = make([]float64, 0, l.points)
 	for i := range l.blocks {
-		d := l.store.decode(&l.blocks[i])
+		d, _ := l.store.decodeOnce(&l.blocks[i])
 		s.times = append(s.times, d.times...)
 		s.values = append(s.values, d.values...)
 	}

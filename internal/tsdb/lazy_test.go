@@ -498,6 +498,57 @@ func TestLazyBlockCacheLRU(t *testing.T) {
 	}
 }
 
+// TestLazyWalksLeaveBlockCacheAlone pins the cache rule for
+// whole-store walks (docs/PERSISTENCE.md §9.5): Digest and
+// materialization read cache hits but insert nothing, so a digest
+// check on a serving store cannot evict its hot set — and the digest
+// itself still equals the eager twin's.
+func TestLazyWalksLeaveBlockCacheAlone(t *testing.T) {
+	src := buildSegStore(time.Hour)
+	dir := snapToDir(t, src, DirOptions{})
+	lz := lazyOpen(t, dir, DirOptions{})
+	eg := eagerOpen(t, dir)
+
+	// Warm one series' first hour: the serving hot set.
+	hot := map[string]string{"link": "l1", "vp": "vp-a", "side": "near"}
+	if len(lz.QueryView("tslp", hot, t0, t0.Add(time.Hour))) == 0 {
+		t.Fatal("hot query matched nothing")
+	}
+	before := lazyStats(t, lz)
+	if before.CachedBlocks == 0 {
+		t.Fatalf("hot query cached nothing: %+v", before)
+	}
+
+	if lz.Digest() != eg.Digest() {
+		t.Fatal("lazy digest differs from eager twin")
+	}
+	after := lazyStats(t, lz)
+	if after.CachedBlocks != before.CachedBlocks || after.CacheBytes != before.CacheBytes || after.CacheEvictions != before.CacheEvictions {
+		t.Fatalf("Digest changed the block cache: %+v then %+v", before, after)
+	}
+	if after.BlocksDecoded <= before.BlocksDecoded {
+		t.Fatalf("Digest of a lazy store decoded nothing: %+v then %+v", before, after)
+	}
+	if after.CacheHits <= before.CacheHits {
+		t.Fatalf("Digest did not read the cached block as a hit: %+v then %+v", before, after)
+	}
+
+	// The hot block survived the walk: asking again decodes nothing.
+	lz.QueryView("tslp", hot, t0, t0.Add(time.Hour))
+	again := lazyStats(t, lz)
+	if again.BlocksDecoded != after.BlocksDecoded || again.CacheHits <= after.CacheHits {
+		t.Fatalf("hot block was not a hit after Digest: %+v then %+v", after, again)
+	}
+
+	// A write materializes its series — every block once — without
+	// inserting any of them.
+	lz.Write("tslp", map[string]string{"link": "l2", "vp": "vp-b", "side": "far"}, t0.Add(45*time.Minute), 1)
+	wrote := lazyStats(t, lz)
+	if wrote.CachedBlocks != again.CachedBlocks || wrote.CacheBytes != again.CacheBytes {
+		t.Fatalf("materialization changed the block cache: %+v then %+v", again, wrote)
+	}
+}
+
 // TestLazyHotSwapReusesSegments is the O(changed segments) regression
 // guard: re-restoring a lazily open store from the same directory
 // after an incremental snapshot maps only the rewritten segment files

@@ -73,15 +73,22 @@ func Key(measurement string, tags map[string]string) string {
 	if len(tags) == 0 {
 		return measurement
 	}
-	keys := make([]string, 0, len(tags))
-	for k := range tags {
+	var few [8]string // tag sets this small sort without leaving the stack
+	keys := few[:0]
+	size := len(measurement)
+	for k, v := range tags {
 		keys = append(keys, k)
+		size += len(",=") + len(k) + len(v)
 	}
 	sort.Strings(keys)
 	var b strings.Builder
+	b.Grow(size)
 	b.WriteString(measurement)
 	for _, k := range keys {
-		fmt.Fprintf(&b, ",%s=%s", k, tags[k])
+		b.WriteByte(',')
+		b.WriteString(k)
+		b.WriteByte('=')
+		b.WriteString(tags[k])
 	}
 	return b.String()
 }
@@ -519,17 +526,21 @@ func copyViews(views []SeriesView) []Series {
 func (db *DB) queryScan(measurement string, filter map[string]string, from, to time.Time) []Series {
 	fromNs, toNs := from.UnixNano(), to.UnixNano()
 	var views []SeriesView
+	var keys []string
 	for i := range db.shards {
 		sh := &db.shards[i]
 		sh.mu.RLock()
-		for _, s := range sh.series {
+		for k, s := range sh.series {
 			if s.matches(measurement, filter) {
-				views = s.appendView(views, fromNs, toNs, nil)
+				// As in QueryViewWhere: a key per view actually appended.
+				if views = s.appendView(views, fromNs, toNs, nil); len(views) > len(keys) {
+					keys = append(keys, k)
+				}
 			}
 		}
 		sh.mu.RUnlock()
 	}
-	sortViews(views)
+	sortByKey(views, keys)
 	return copyViews(views)
 }
 
@@ -658,11 +669,11 @@ func (db *DB) Digest() uint64 {
 			fold(s.times, s.values)
 			continue
 		}
-		// Transient decode through the block cache: the digest of a
-		// lazy store must equal its eager twin's (the §9 oracle)
-		// without permanently materializing anything.
+		// Transient decode: the digest of a lazy store must equal its
+		// eager twin's (the §9 oracle) without materializing anything
+		// or leaving the walk's blocks in the cache.
 		for i := range s.lazy.blocks {
-			d := s.lazy.store.decode(&s.lazy.blocks[i])
+			d, _ := s.lazy.store.decodeOnce(&s.lazy.blocks[i])
 			fold(d.times, d.values)
 		}
 	}

@@ -1,8 +1,10 @@
 package tsdb
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -74,6 +76,52 @@ func TestKeyCanonical(t *testing.T) {
 	}
 	if a != "m,a=1,b=2" {
 		t.Fatalf("key format %q", a)
+	}
+}
+
+// TestKeyMatchesFormattedForm holds Key to the ",%s=%s" form it was
+// first written in — series maps, shard routing, cache identities and
+// every digest are keyed on these exact strings — over the inputs a
+// hand-rolled writer could get wrong: empty tag sets, empty names and
+// values, separators inside names and values, more tags than the
+// stack array holds.
+func TestKeyMatchesFormattedForm(t *testing.T) {
+	formatted := func(measurement string, tags map[string]string) string {
+		keys := make([]string, 0, len(tags))
+		for k := range tags {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		out := measurement
+		for _, k := range keys {
+			out += fmt.Sprintf(",%s=%s", k, tags[k])
+		}
+		return out
+	}
+	many := map[string]string{}
+	for i := 0; i < 11; i++ {
+		many[fmt.Sprintf("t%02d", 10-i)] = fmt.Sprint(i)
+	}
+	for _, tc := range []struct {
+		measurement string
+		tags        map[string]string
+	}{
+		{"m", nil},
+		{"m", map[string]string{}},
+		{"", nil},
+		{"", map[string]string{"a": "1"}},
+		{"tslp", map[string]string{"link": "L00", "side": "far", "vp": "vp-a"}},
+		{"m", map[string]string{"a": ""}},
+		{"m", map[string]string{"": "v"}},
+		{"m", map[string]string{"": ""}},
+		{"m", map[string]string{"a,b": "1", "a": "b=1"}},
+		{"m", map[string]string{"k=": ",v,", "=": "="}},
+		{"m,x=y", map[string]string{"z": "é\x00"}},
+		{"m", many},
+	} {
+		if got, want := Key(tc.measurement, tc.tags), formatted(tc.measurement, tc.tags); got != want {
+			t.Errorf("Key(%q, %v) = %q, want %q", tc.measurement, tc.tags, got, want)
+		}
 	}
 }
 

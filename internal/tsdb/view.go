@@ -91,10 +91,15 @@ func (db *DB) QueryViewWhere(measurement string, filter map[string]string, from,
 	}
 	fromNs, toNs := from.UnixNano(), to.UnixNano()
 	var out []SeriesView
-	db.readMatching(keys, measurement, filter, func(_ string, s *series) {
-		out = s.appendView(out, fromNs, toNs, vb)
+	var outKeys []string
+	db.readMatching(keys, measurement, filter, func(k string, s *series) {
+		// appendView skips a series with nothing in range; keep the
+		// key only of one it kept.
+		if out = s.appendView(out, fromNs, toNs, vb); len(out) > len(outKeys) {
+			outKeys = append(outKeys, k)
+		}
 	})
-	sortViews(out)
+	sortByKey(out, outKeys)
 	return out
 }
 
@@ -122,11 +127,24 @@ func (db *DB) readMatching(keys []string, measurement string, filter map[string]
 	}
 }
 
-// sortViews orders views by canonical series key.
-func sortViews(views []SeriesView) {
-	sort.Slice(views, func(i, j int) bool {
-		return Key(views[i].Measurement, views[i].Tags) < Key(views[j].Measurement, views[j].Tags)
-	})
+// sortByKey orders items by their canonical series keys: keys[i] is
+// the key of items[i], as the store's maps and readMatching already
+// hold it, so no comparison rebuilds one.
+func sortByKey[T any](items []T, keys []string) {
+	sort.Sort(keyed[T]{items, keys})
+}
+
+// keyed is the sort.Interface over parallel item and key slices.
+type keyed[T any] struct {
+	items []T
+	keys  []string
+}
+
+func (s keyed[T]) Len() int           { return len(s.keys) }
+func (s keyed[T]) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
+func (s keyed[T]) Swap(i, j int) {
+	s.items[i], s.items[j] = s.items[j], s.items[i]
+	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
 }
 
 // appendView slices the series to [fromNs, toNs), applies the optional
