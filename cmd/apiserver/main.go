@@ -56,6 +56,12 @@
 // /api/v1/stats gains a "front" block of routing counters. -in is not
 // used in front mode.
 //
+// The public listener of every mode bounds how long a connection may
+// take to send its request header and its request, to read its
+// response, and to sit idle (newServer). The limits are constants,
+// chosen to sit outside what the front's and the followers' clients
+// wait for, not flags.
+//
 // -debug-addr starts a second listener (loopback by default) exposing
 // net/http/pprof under /debug/pprof/ for CPU/heap/mutex profiling of
 // the serving tier; see docs/SERVING.md §5 for a profiling walkthrough.
@@ -90,6 +96,34 @@ import (
 // shutdownGrace bounds how long in-flight requests may run after a
 // termination signal before the listener is torn down.
 const shutdownGrace = 5 * time.Second
+
+// Connection limits of the public listener in every mode. A client
+// that dribbles its request line, stalls mid-request or never reads its
+// response gives its connection back instead of holding a goroutine
+// and a file descriptor for ever. Every endpoint is a body-less GET;
+// the write limit sits above the 30 s after which the front and the
+// followers' clients give up on a response, the idle limit above the
+// 90 s after which their transport drops an idle connection itself, so
+// the server is never the side that closes a connection in use.
+const (
+	readHeaderTimeout = 3 * time.Second
+	readTimeout       = 10 * time.Second
+	writeTimeout      = 60 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+// newServer is the http.Server both the serving modes and the front
+// listen with.
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
 
 func main() {
 	inPath := flag.String("in", "", "segment directory (required; the replica directory with -follow)")
@@ -191,7 +225,7 @@ func main() {
 		fmt.Printf("apiserver: exporting %s to followers on %s\n", *inPath, *replicaAddr)
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: api.New(db, opts...)}
+	srv := newServer(*addr, api.New(db, opts...))
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
 
@@ -262,7 +296,7 @@ func runFront(replicas, addr, debugAddr, pidfile string, healthEvery time.Durati
 		fmt.Printf("apiserver: pprof on http://%s/debug/pprof/\n", debugAddr)
 	}
 
-	srv := &http.Server{Addr: addr, Handler: f}
+	srv := newServer(addr, f)
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
 	fmt.Printf("apiserver: fronting %d replica(s) on %s (health every %s, staleness %d)\n",

@@ -5,6 +5,9 @@ package main
 // internal/api's and internal/replication's suites.
 
 import (
+	"errors"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -12,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"interdomain/internal/api"
 	"interdomain/internal/replication"
 	"interdomain/internal/tsdb"
 )
@@ -103,5 +107,65 @@ func TestDebugMux(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("pprof cmdline answered %d", resp.StatusCode)
+	}
+}
+
+// TestServerTimeouts: the listener both modes share hangs up on a
+// client that sends half a request line once the header timeout has
+// run, and goes on answering a well-behaved keep-alive client.
+func TestServerTimeouts(t *testing.T) {
+	t.Parallel() // the stalled client costs the header timeout in wall time
+	srv := newServer("", api.New(tsdb.Open()))
+	if srv.ReadHeaderTimeout <= 0 || srv.ReadTimeout < srv.ReadHeaderTimeout || srv.WriteTimeout <= 0 || srv.IdleTimeout <= 0 {
+		t.Fatalf("timeouts not set: %+v", srv)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	defer func() {
+		srv.Close()
+		if err := <-served; !errors.Is(err, http.ErrServerClosed) {
+			t.Errorf("Serve returned %v", err)
+		}
+	}()
+
+	slow, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer slow.Close()
+	sent := time.Now()
+	if _, err := slow.Write([]byte("GET /api/v1/meas")); err != nil {
+		t.Fatal(err)
+	}
+
+	// While that connection stalls, two requests over one kept-alive
+	// connection succeed.
+	client := &http.Client{Transport: &http.Transport{MaxConnsPerHost: 1}}
+	defer client.CloseIdleConnections()
+	for i := 0; i < 2; i++ {
+		resp, err := client.Get("http://" + ln.Addr().String() + "/api/v1/measurements")
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d answered %d", i, resp.StatusCode)
+		}
+	}
+
+	// The stalled client is told, at most, that its request was bad,
+	// and the connection is closed.
+	slow.SetReadDeadline(sent.Add(readHeaderTimeout + 2*time.Second))
+	reply, err := io.ReadAll(slow)
+	if err != nil || (len(reply) > 0 && !strings.HasPrefix(string(reply), "HTTP/1.1 400 ")) {
+		t.Fatalf("half a request line after %v: read %q, err %v; want the connection closed", time.Since(sent), reply, err)
+	}
+	if waited := time.Since(sent); waited < readHeaderTimeout {
+		t.Fatalf("disconnected after %v, before the %v header timeout", waited, readHeaderTimeout)
 	}
 }

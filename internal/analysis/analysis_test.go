@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"interdomain/internal/netsim"
+	"interdomain/internal/tsdb"
 )
 
 var start = time.Date(2016, 3, 1, 0, 0, 0, 0, time.UTC)
@@ -313,5 +314,40 @@ func TestWindowHelpers(t *testing.T) {
 	}
 	if !InAnyWindow([]Window{w}, start.Add(30*time.Minute)) {
 		t.Fatal("InAnyWindow false negative")
+	}
+}
+
+// TestFoldSideBinsLikeObserveNanos: the bin-edge walk of
+// Incremental.foldSide puts every point where BinSeries.ObserveNanos's
+// truncating division puts it — points before Start (less than one
+// interval before it lands in bin 0, earlier ones nowhere), runs inside
+// one bin, steps to the next bin, gaps of many bins, the last bin's
+// edge and points past the window.
+func TestFoldSideBinsLikeObserveNanos(t *testing.T) {
+	cfg := incTestConfig()
+	inc := NewIncremental(start, cfg)
+	want := NewBinSeries(start, inc.far.Interval, inc.far.Len())
+	bin := int64(inc.far.Interval)
+	end := int64(inc.far.Len()) * bin
+	offsets := []int64{
+		-3 * bin, -bin - 1, -bin, -bin + 1, -1, 0, 1, bin / 2, bin - 1, // around Start
+		bin, bin + 1, 2*bin - 1, 2 * bin, 3 * bin, 3*bin + 7, // same bin, next bin
+		10 * bin, 10*bin + 5, 12*bin - 1, 40*bin + 3, // gaps
+		end - bin - 1, end - bin, end - 1, end, end + 1, end + 5*bin, // around the window's end
+	}
+	view := tsdb.SeriesView{Measurement: "tslp", Tags: map[string]string{"side": "far"}}
+	r := netsim.NewRNG(24)
+	for _, off := range offsets {
+		ns, v := start.UnixNano()+off, 10+r.Float64()
+		view.Times, view.Values = append(view.Times, ns), append(view.Values, v)
+		want.ObserveNanos(ns, v)
+	}
+	if n := inc.foldSide([]tsdb.SeriesView{view}, inc.far, inc.farCur, true); n != len(offsets) {
+		t.Fatalf("folded %d of %d points", n, len(offsets))
+	}
+	for i := range want.Values {
+		if got, w := inc.far.Values[i], want.Values[i]; got != w && !(math.IsNaN(got) && math.IsNaN(w)) {
+			t.Errorf("bin %d: folded %v, ObserveNanos %v", i, got, w)
+		}
 	}
 }

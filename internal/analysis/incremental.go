@@ -210,8 +210,16 @@ func countLE(times []int64, t int64) int {
 // foldSide folds every unfolded view point of one side into its bins
 // and refreshes the cursors. On the incremental path the cursor checks
 // have already proven that Times[folded:] holds exactly the new points.
+//
+// A point's bin is its offset from bins.Start over the interval,
+// truncated — the division BinSeries.ObserveNanos does, so both paths
+// bin every sample identically, a point less than one interval before
+// Start landing in bin 0 with it. A view's times ascend, so the edges
+// [lo, hi) of the last bin are kept: a point inside them, or in the bin
+// after, costs no division.
 func (inc *Incremental) foldSide(views []tsdb.SeriesView, bins *BinSeries, cur map[string]*foldCursor, isFar bool) int {
 	folded := 0
+	startNs, interval := bins.Start.UnixNano(), int64(bins.Interval)
 	for vi := range views {
 		v := &views[vi]
 		key := tsdb.Key(v.Measurement, v.Tags)
@@ -220,23 +228,36 @@ func (inc *Incremental) foldSide(views []tsdb.SeriesView, bins *BinSeries, cur m
 			c = &foldCursor{}
 			cur[key] = c
 		}
-		for i := c.folded; i < v.Len(); i++ {
-			inc.fold(bins, v.Times[i], v.Values[i], isFar)
-			folded++
+		var idx int
+		var lo, hi int64 // no bin yet: every offset is outside [0, 0)
+		times, values := v.Times[c.folded:], v.Values[c.folded:]
+		for i, ns := range times {
+			switch off := ns - startNs; {
+			case lo <= off && off < hi:
+			case 0 < hi && hi <= off && off < hi+interval:
+				idx, lo, hi = idx+1, hi, hi+interval
+			default:
+				idx = int(off / interval)
+				lo, hi = 0, 0
+				if off >= 0 {
+					lo = int64(idx) * interval
+					hi = lo + interval
+				}
+			}
+			inc.fold(bins, idx, values[i], isFar)
 		}
+		folded += len(times)
 		c.version = v.Version
-		c.folded = v.Len()
-		c.maxTime = v.Times[v.Len()-1]
+		c.folded = len(v.Times)
+		c.maxTime = v.Times[len(v.Times)-1]
 	}
 	return folded
 }
 
-// fold min-folds one point into its bin, tracking dirty bins, per-day
-// far presence, and the running window minima. The bin index uses the
-// same truncating division as BinSeries.ObserveNanos so both paths bin
-// every sample identically.
-func (inc *Incremental) fold(bins *BinSeries, ns int64, val float64, isFar bool) {
-	idx := int((ns - bins.Start.UnixNano()) / int64(bins.Interval))
+// fold min-folds one point into bin idx — skipped when that is outside
+// the window — tracking dirty bins, per-day far presence, and the
+// running window minima.
+func (inc *Incremental) fold(bins *BinSeries, idx int, val float64, isFar bool) {
 	if idx < 0 || idx >= len(bins.Values) {
 		return
 	}

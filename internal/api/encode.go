@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -44,6 +45,13 @@ func appendBody(encode func(dst []byte) ([]byte, error)) ([]byte, error) {
 // views, newline included.
 func appendQueryBody(dst []byte, page []tsdb.SeriesView, total, limit, offset int) ([]byte, error) {
 	var err error
+	var run timeRun
+	// The previous series' time column and where its rendering sits in
+	// dst. Far and near of one link are probed in the same round and
+	// share every timestamp unless a probe was lost; an equal column is
+	// appended as a copy of those bytes.
+	var prevTimes []int64
+	var prevFrom, prevTo int
 	dst = append(dst, `{"series":[`...)
 	for i, v := range page {
 		if i > 0 {
@@ -52,13 +60,19 @@ func appendQueryBody(dst []byte, page []tsdb.SeriesView, total, limit, offset in
 		dst = append(dst, `{"tags":`...)
 		dst = appendTags(dst, v.Tags)
 		dst = append(dst, `,"times":[`...)
-		for j, ns := range v.Times {
-			if j > 0 {
-				dst = append(dst, ',')
+		if i > 0 && slices.Equal(v.Times, prevTimes) {
+			dst = append(dst, dst[prevFrom:prevTo]...)
+		} else {
+			from := len(dst)
+			for j, ns := range v.Times {
+				if j > 0 {
+					dst = append(dst, ',')
+				}
+				if dst, err = run.append(dst, ns/1e9, ns%1e9); err != nil {
+					return dst, err
+				}
 			}
-			if dst, err = appendTime(dst, time.Unix(0, ns).UTC()); err != nil {
-				return dst, err
-			}
+			prevTimes, prevFrom, prevTo = v.Times, from, len(dst)
 		}
 		dst = append(dst, `],"values":`...)
 		if v.Values == nil {
@@ -87,6 +101,7 @@ func appendQueryBody(dst []byte, page []tsdb.SeriesView, total, limit, offset in
 // without buckets.
 func appendAggregateBody(dst []byte, page []tsdb.AggSeries, fns tsdb.AggFns, names []string, step string, total, limit, offset int) ([]byte, error) {
 	var err error
+	var run timeRun
 	dst = append(dst, `{"series":[`...)
 	for i, as := range page {
 		if i > 0 {
@@ -99,7 +114,8 @@ func appendAggregateBody(dst []byte, page []tsdb.AggSeries, fns tsdb.AggFns, nam
 			if j > 0 {
 				dst = append(dst, ',')
 			}
-			if dst, err = appendTime(dst, as.Buckets[j].Start.UTC()); err != nil {
+			start := &as.Buckets[j].Start
+			if dst, err = run.append(dst, start.Unix(), int64(start.Nanosecond())); err != nil {
 				return dst, err
 			}
 		}
@@ -232,18 +248,7 @@ func appendFloat(dst []byte, f float64) ([]byte, error) {
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		return dst, &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
 	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-			dst[n-2] = dst[n-1]
-			dst = dst[:n-1]
-		}
-	}
-	return dst, nil
+	return appendShortest(dst, f, -6, 21, false), nil
 }
 
 // appendNullFloat appends an aggregate bucket value in nullFloat's
@@ -252,5 +257,5 @@ func appendNullFloat(dst []byte, f float64) []byte {
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		return append(dst, "null"...)
 	}
-	return strconv.AppendFloat(dst, f, 'g', -1, 64)
+	return appendShortest(dst, f, -4, 6, true)
 }

@@ -99,15 +99,13 @@ func TestLRUEviction(t *testing.T) {
 // TestCoalescing proves the singleflight contract under -race: N
 // concurrent lookups of one key run exactly one compute, every caller
 // receives its result, and the joiners are counted as coalesced. The
-// compute function blocks until every goroutine has issued its lookup,
-// so the overlap is guaranteed, not scheduling luck.
+// compute function blocks until every other goroutine has joined its
+// flight, so the overlap is guaranteed, not scheduling luck.
 func TestCoalescing(t *testing.T) {
 	c := New(8)
 	const n = 16
 	var computes atomic.Int64
 	started := make(chan struct{}) // closed when compute is running
-	release := make(chan struct{}) // closed when all goroutines are in flight
-	var inFlight atomic.Int64
 
 	results := make([]any, n)
 	errs := make([]error, n)
@@ -116,13 +114,16 @@ func TestCoalescing(t *testing.T) {
 	for i := 0; i < n; i++ {
 		go func(i int) {
 			defer wg.Done()
-			if inFlight.Add(1) == n {
-				close(release)
-			}
 			results[i], _, errs[i] = c.Do(k("shared", 7), func() (any, error) {
 				computes.Add(1)
 				close(started)
-				<-release // hold the flight open until all callers joined
+				// Hold the flight open until every other caller has joined
+				// it. Coalesced counts a join as it happens, under the
+				// cache lock; a caller that had merely started could still
+				// arrive after the flight and read the stored entry.
+				for deadline := time.Now().Add(10 * time.Second); c.Stats().Coalesced < n-1 && time.Now().Before(deadline); {
+					time.Sleep(100 * time.Microsecond)
+				}
 				return "shared-result", nil
 			})
 		}(i)
