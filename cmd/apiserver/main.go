@@ -69,8 +69,8 @@
 // with — or is reachable through — the public API.
 //
 // Endpoints: /api/v1/measurements, /api/v1/tags, /api/v1/query,
-// /api/v1/congestion, /api/v1/stats, /api/v1/health, /healthz. See
-// package interdomain/internal/api.
+// /api/v1/congestion, /api/v1/stats, /api/v1/health, /dashboard,
+// /healthz. See package interdomain/internal/api.
 package main
 
 import (

@@ -1,8 +1,8 @@
 package main
 
 // The fleet section is self-checking — digest equality at every hop,
-// the 5x delta-ratio floor, zero 5xx through the front — so invoking
-// it IS the test (the same pattern CI's bench-smoke job uses for the
+// the 5x delta-ratio floor, generation agreement along the relay chain
+// — so invoking it IS the test (the same pattern CI's bench-smoke job uses for the
 // self-checking benchmarks). The bench-gate plumbing is tested against
 // temp files: a passing baseline, a regressed metric, and a metric
 // missing from the run.

@@ -26,7 +26,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -41,7 +40,7 @@ import (
 func main() {
 	seed := flag.Uint64("seed", 1, "determinism seed")
 	days := flag.Int("days", experiments.StudyDays, "longitudinal study length in days")
-	only := flag.String("only", "", "comma-separated subset (table1..4, figure3..9, operator, ablations, asymmetry, mapit, campaign, persist, serve, storage, readpath, aggregate, detect, fleet)")
+	only := flag.String("only", "", "comma-separated subset (table1..4, figure3..9, operator, ablations, asymmetry, mapit, campaign, persist, storage, readpath, aggregate, detect, fleet)")
 	report := flag.String("report", "", "also write a full Markdown measurement report here")
 	jsonOut := flag.String("json", "", "write the machine-independent benchmark ratios as JSON here (needs the storage and readpath sections)")
 	baseline := flag.String("baseline", "", "compare the ratios against this baseline JSON and fail on >20% regression")
@@ -198,13 +197,6 @@ func main() {
 			fatal(err)
 		}
 	}
-	if sel("serve") {
-		section("Serving tier — cold vs cached vs concurrent congestion queries",
-			"versioned read path (docs/SERVING.md): zero-copy views, epoch-keyed cache, coalescing")
-		if err := runServeSection(); err != nil {
-			fatal(err)
-		}
-	}
 	if sel("detect") {
 		section("Detection — batch recompute vs incremental warm update (docs/DETECTION.md §3-§4)",
 			"persistent accumulators fold only new points; stale-while-revalidate serves the superseded body meanwhile")
@@ -213,8 +205,8 @@ func main() {
 		}
 	}
 	if sel("fleet") {
-		section("Follower fleet — delta shipping, relay sync, scatter front (docs/REPLICATION.md §8, docs/SERVING.md §9)",
-			"append generations ship as spliced tails; reads scatter across health-checked replicas")
+		section("Follower fleet — delta shipping and relay sync (docs/REPLICATION.md §8)",
+			"append generations ship as spliced tails; a relay's leaf converges on the leader's digest")
 		if err := runFleetSection(); err != nil {
 			fatal(err)
 		}
@@ -877,105 +869,6 @@ func aggBitsEqual(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
 }
 
-// runServeSection exercises the serving tier's versioned read path on a
-// synthetic 8-link, 50-day store: one cold /api/v1/congestion analysis
-// per link, the same requests again against the warm cache, then a
-// concurrent load of GOMAXPROCS clients rotating across the links. The
-// final line proves the detector ran exactly once per link no matter
-// how many requests were served.
-func runServeSection() error {
-	db := tsdb.Open()
-	rng := netsim.NewRNG(9)
-	links := []string{"l-0", "l-1", "l-2", "l-3", "l-4", "l-5", "l-6", "l-7"}
-	batch := make([]tsdb.BatchPoint, 0, 4096)
-	for _, link := range links {
-		farTags := map[string]string{"vp": "v", "link": link, "side": "far"}
-		nearTags := map[string]string{"vp": "v", "link": link, "side": "near"}
-		for d := 0; d < 50; d++ {
-			for b := 0; b < 96; b++ {
-				at := netsim.Day(d).Add(time.Duration(b) * 15 * time.Minute)
-				far := 20 + rng.Float64()
-				if b >= 80 && b < 90 {
-					far += 30
-				}
-				batch = append(batch,
-					tsdb.BatchPoint{Measurement: "tslp", Tags: farTags, Time: at, Value: far},
-					tsdb.BatchPoint{Measurement: "tslp", Tags: nearTags, Time: at, Value: 5 + rng.Float64()})
-				if len(batch) >= cap(batch)-2 {
-					db.WriteBatch(batch)
-					batch = batch[:0]
-				}
-			}
-		}
-	}
-	db.WriteBatch(batch)
-
-	srv := api.New(db)
-	defer srv.Close()
-	get := func(link string) error {
-		w := httptest.NewRecorder()
-		req := httptest.NewRequest("GET",
-			"/api/v1/congestion?link="+link+"&vp=v&from="+netsim.Epoch.Format(time.RFC3339)+"&days=50", nil)
-		srv.ServeHTTP(w, req)
-		if w.Code != 200 {
-			return fmt.Errorf("congestion %s: status %d: %s", link, w.Code, w.Body.String())
-		}
-		return nil
-	}
-
-	t0 := time.Now()
-	for _, l := range links {
-		if err := get(l); err != nil {
-			return err
-		}
-	}
-	cold := time.Since(t0)
-
-	t0 = time.Now()
-	for _, l := range links {
-		if err := get(l); err != nil {
-			return err
-		}
-	}
-	warm := time.Since(t0)
-
-	clients := runtime.GOMAXPROCS(0)
-	const perClient = 500
-	var wg sync.WaitGroup
-	t0 = time.Now()
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := 0; i < perClient; i++ {
-				if err := get(links[(c+i)%len(links)]); err != nil {
-					fmt.Fprintln(os.Stderr, "benchtables:", err)
-					return
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	loadWall := time.Since(t0)
-	total := clients * perClient
-
-	st := srv.CacheStats()
-	fmt.Printf("%d links, 50 days each (%d points), cache %d entries\n",
-		len(links), db.PointCount(), st.Entries)
-	fmt.Printf("cold:  %8.2fms for %d analyses (%.2fms each)\n",
-		cold.Seconds()*1e3, len(links), cold.Seconds()*1e3/float64(len(links)))
-	fmt.Printf("warm:  %8.2fms for %d cached responses (%.0fx faster)\n",
-		warm.Seconds()*1e3, len(links), cold.Seconds()/warm.Seconds())
-	fmt.Printf("load:  %d clients x %d requests in %.2fs -> %.0f req/s\n",
-		clients, perClient, loadWall.Seconds(), float64(total)/loadWall.Seconds())
-	fmt.Printf("cache: %d hits, %d misses, %d coalesced; detector runs: %d (want %d)\n",
-		st.Hits, st.Misses, st.Coalesced, srv.CongestionComputes(), len(links))
-	if n := srv.CongestionComputes(); n != uint64(len(links)) {
-		return fmt.Errorf("detector ran %d times, want %d", n, len(links))
-	}
-	return nil
-}
-
 // runDetectSection measures the incremental detector against the batch
 // path on an 8-VP, 50-day fixture (docs/DETECTION.md §3-§4): one full
 // fold into a cold accumulator versus warm advances that fold a single
@@ -1150,13 +1043,12 @@ func runDetectSection() error {
 	return nil
 }
 
-// runFleetSection measures the follower fleet (docs/REPLICATION.md §8,
-// docs/SERVING.md §9): delta shipping's transfer saving on an
-// append-shaped generation against a whole-segment control (a follower
-// whose leader 404s the delta endpoint, so every splice falls back), relay
-// convergence through a middle tier, and the scatter front's read
-// throughput as replicas are added. The delta bytes ratio feeds the
-// bench gate as delta_bytes_ratio.
+// runFleetSection measures the follower fleet (docs/REPLICATION.md §8):
+// delta shipping's transfer saving on an append-shaped generation
+// against a whole-segment control (a follower whose leader 404s the
+// delta endpoint, so every splice falls back) and relay convergence
+// through a middle tier. The delta bytes ratio feeds the bench gate as
+// delta_bytes_ratio.
 func runFleetSection() error {
 	ctx := context.Background()
 
@@ -1286,65 +1178,6 @@ func runFleetSection() error {
 	}
 	fmt.Printf("relay chain leader -> follower -> leaf converged at generation %d, digest %016x\n",
 		leaf.Status().AppliedGeneration, want)
-
-	// Scatter front throughput vs replica count: the same store behind
-	// 1, 2 and 4 replicas, a fixed request mix through the front.
-	const workers, reqs = 8, 240
-	q := fmt.Sprintf("/api/v1/query?m=tslp&from=%s&to=%s",
-		netsim.Epoch.Format(time.RFC3339), netsim.Epoch.Add(13*time.Hour).Format(time.RFC3339))
-	for _, n := range []int{1, 2, 4} {
-		urls := make([]string, n)
-		var closers []func()
-		for i := range urls {
-			srv := api.New(ldb)
-			rs := httptest.NewServer(srv)
-			urls[i] = rs.URL
-			closers = append(closers, rs.Close, srv.Close)
-		}
-		front, err := api.NewFront(urls, api.FrontOptions{HedgeAfter: time.Second})
-		if err != nil {
-			return err
-		}
-		front.PollNow(ctx)
-		fs := httptest.NewServer(front)
-		if _, err := fs.Client().Get(fs.URL + q); err != nil { // warm replica caches
-			return err
-		}
-		t0 := time.Now()
-		var wg sync.WaitGroup
-		errCh := make(chan error, workers)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < reqs/workers; i++ {
-					resp, err := fs.Client().Get(fs.URL + q)
-					if err != nil {
-						errCh <- err
-						return
-					}
-					resp.Body.Close()
-					if resp.StatusCode != 200 {
-						errCh <- fmt.Errorf("front answered %d", resp.StatusCode)
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		wall := time.Since(t0)
-		fs.Close()
-		for _, c := range closers {
-			c()
-		}
-		select {
-		case err := <-errCh:
-			return fmt.Errorf("fleet: front with %d replicas: %w", n, err)
-		default:
-		}
-		fmt.Printf("front qps: %d replica(s) %8.0f req/s (%d requests, %d workers)\n",
-			n, float64(reqs)/wall.Seconds(), reqs, workers)
-	}
 	return nil
 }
 

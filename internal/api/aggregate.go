@@ -15,11 +15,9 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"net/url"
 	"strings"
 	"time"
 
-	"interdomain/internal/readcache"
 	"interdomain/internal/tsdb"
 )
 
@@ -124,75 +122,55 @@ type AggregateResponse struct {
 	Truncated bool `json:"truncated"`
 }
 
-// handleAggregate serves the aggregate mode of /api/v1/query. The
-// caller has parsed m, from, to, limit and offset; this handler owns
-// agg and step, the cache identity, and the tsdb.ErrAggArgs → 400
-// mapping.
-func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request, q url.Values, m string, from, to time.Time, limit, offset int) {
-	aggParam, stepParam := q.Get("agg"), q.Get("step")
-	if aggParam == "" {
-		writeError(w, http.StatusBadRequest, "step requires agg: name aggregate functions to compute")
-		return
-	}
-	if stepParam == "" {
-		writeError(w, http.StatusBadRequest, "agg requires step: name a bucket width like 15m or 1h")
-		return
-	}
-	fns, names, err := parseAggFns(aggParam)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad agg: %v", err)
-		return
-	}
-	step, err := time.ParseDuration(stepParam)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad step %q: %v", stepParam, err)
-		return
-	}
+// aggSpec is a validated agg/step pair: the function mask, its
+// canonical names, and the bucket width.
+type aggSpec struct {
+	fns   tsdb.AggFns
+	names []string
+	step  time.Duration
+}
 
-	filter := map[string]string{}
-	for k, vs := range q {
-		switch k {
-		case "m", "from", "to", "limit", "offset", "vmin", "vmax", "agg", "step":
-			continue
-		}
-		if len(vs) > 0 {
-			filter[k] = vs[0]
-		}
+// Agg returns the aggregate mode's agg and step parameters, or nil when
+// neither is present (raw mode). Value bounds would change what the
+// summary pushdown may answer, so the two modes don't compose and
+// vmin/vmax are rejected here. Step values the store refuses
+// (non-positive, or not dividing the range) surface from
+// computeAggregate as tsdb.ErrAggArgs.
+func (p *reqParams) Agg() *aggSpec {
+	aggS, stepS := p.q.Get("agg"), p.q.Get("step")
+	switch {
+	case aggS == "" && stepS == "":
+		return nil
+	case p.q.Get("vmin") != "" || p.q.Get("vmax") != "":
+		p.fail("vmin/vmax are not supported with agg")
+	case aggS == "":
+		p.fail("step requires agg: name aggregate functions to compute")
+	case stepS == "":
+		p.fail("agg requires step: name a bucket width like 15m or 1h")
 	}
-	// The function set and step join the cache identity through the ID
-	// suffix, like value bounds do for raw queries; the ViewStamp over
-	// the filter invalidates on any contributing write.
-	key := readcache.Key{
-		Kind:   "agg",
-		ID:     tsdb.Key(m, filter) + "|agg=" + strings.Join(names, ",") + "|step=" + step.String(),
-		From:   from.UnixNano(),
-		To:     to.UnixNano(),
-		Stamp:  s.DB.ViewStamp(m, filter),
-		Limit:  limit,
-		Offset: offset,
+	spec := &aggSpec{}
+	var err error
+	if spec.fns, spec.names, err = parseAggFns(aggS); err != nil {
+		p.fail("bad agg: %v", err)
 	}
-	etag := etagFor(key)
-	if clientHasCurrent(r, etag) {
-		writeNotModified(w, etag)
-		return
+	if spec.step, err = time.ParseDuration(stepS); err != nil {
+		p.fail("bad step %q: %v", stepS, err)
 	}
-	v, _, err := s.cache.Do(key, func() (any, error) {
-		series, err := s.DB.QueryAggregate(m, filter, from, to, step, fns)
-		if err != nil {
-			if errors.Is(err, tsdb.ErrAggArgs) {
-				return nil, statusError{http.StatusBadRequest, err.Error()}
-			}
-			return nil, err
-		}
-		page := pageOf(series, limit, offset)
-		return appendBody(func(dst []byte) ([]byte, error) {
-			return appendAggregateBody(dst, page, fns, names, step.String(), len(series), limit, offset)
-		})
-	})
+	return spec
+}
+
+// computeAggregate encodes one page of the aggregate mode of
+// /api/v1/query, mapping tsdb.ErrAggArgs to a 400.
+func (s *Server) computeAggregate(m string, filter map[string]string, from, to time.Time, agg *aggSpec, limit, offset int) ([]byte, error) {
+	series, err := s.DB.QueryAggregate(m, filter, from, to, agg.step, agg.fns)
+	if errors.Is(err, tsdb.ErrAggArgs) {
+		return nil, statusError{http.StatusBadRequest, err.Error()}
+	}
 	if err != nil {
-		writeComputeError(w, err)
-		return
+		return nil, err
 	}
-	w.Header().Set("ETag", etag)
-	writeJSONBody(w, v.([]byte))
+	page := pageOf(series, limit, offset)
+	return appendBody(func(dst []byte) ([]byte, error) {
+		return appendAggregateBody(dst, page, agg.fns, agg.names, agg.step.String(), len(series), limit, offset)
+	})
 }

@@ -12,33 +12,35 @@
 //	     possible (docs/PERSISTENCE.md §10)
 //	GET /api/v1/congestion?m=tslp&link=...&vp=...&from=...&days=N
 //	     run the autocorrelation pipeline over stored TSLP data
+//	     (1 <= N <= 730, default 50)
 //	GET /api/v1/stats                        cache + endpoint metrics
 //	GET /api/v1/health                       readiness + replication lag
+//	GET /dashboard[?link=...&vp=...&from=...&days=N]
+//	     HTML link index, or one link's latency chart (dashboard.go)
 //	GET /healthz
 //
-// The read path is versioned (docs/SERVING.md): query and congestion
-// responses are computed from zero-copy tsdb views, memoized in an
-// internal/readcache keyed by the contributing series' write-versions,
-// and concurrent identical requests coalesce onto one computation — so
-// repeat traffic against an unchanged store serves cached bytes and a
-// write to any contributing series invalidates exactly the affected
-// results.
+// The read path is versioned (docs/SERVING.md): query, congestion and
+// dashboard responses are computed from zero-copy tsdb views, memoized
+// in an internal/readcache keyed by the contributing series'
+// write-versions, and concurrent identical requests coalesce onto one
+// computation — so repeat traffic against an unchanged store serves
+// cached bytes and a write to any contributing series invalidates
+// exactly the affected results.
 //
 // The HTTP contract (docs/SERVING.md §7) is uniform: every error is
 // the {"error":{"code","message"}} envelope with a stable code;
 // cacheable responses carry a strong ETag derived from their cache key
-// and honor If-None-Match with 304; /api/v1/query responses are
-// bounded by limit/offset with total/truncated metadata.
+// and honor If-None-Match with 304 — all of them through serveCached;
+// /api/v1/query responses are bounded by limit/offset with
+// total/truncated metadata.
 package api
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
-	"net/url"
-	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -58,32 +60,19 @@ type Server struct {
 	cache *readcache.Cache
 	pool  *pipeline.Pool
 	met   *metrics
-	// replication, when set (WithReplication), reports the follower's
-	// position for /api/v1/health and /api/v1/stats.
-	replication func() ReplicationHealth
-	// storageDir, when set (WithStorageDir), is summarized into the
-	// Storage field of /api/v1/health and /api/v1/stats responses.
-	storageDir string
-	// computes counts actual detector runs behind /api/v1/congestion;
-	// with coalescing and caching it grows strictly slower than the
-	// request count, and the stats endpoint exposes it so tests (and
-	// operators) can verify that.
-	computes atomic.Uint64
+	cfg   serverConfig
 
 	// det holds the persistent incremental detector accumulators behind
 	// /api/v1/congestion (docs/DETECTION.md §3), with the
 	// detector_incremental counters of /api/v1/stats alongside
-	// (docs/DETECTION.md §6).
+	// (docs/DETECTION.md §6). Every detector run is exactly one advance,
+	// so detFolds is also the congestion_computes count: with coalescing
+	// and caching it grows strictly slower than the request count.
 	det               *detRegistry
 	detFolds          atomic.Uint64
 	detPointsFolded   atomic.Uint64
 	detFullRecomputes atomic.Uint64
 	detUnchanged      atomic.Uint64
-
-	// swr reports that stale-while-revalidate serving is enabled
-	// (WithStaleWhileRevalidate): congestion requests go through the
-	// cache's DoStale path (docs/DETECTION.md §7).
-	swr bool
 
 	// started is the construction time, reported as the stats payload's
 	// "since" field so counter rates have a denominator
@@ -97,24 +86,14 @@ type Server struct {
 type Option func(*serverConfig)
 
 type serverConfig struct {
-	cacheSize   int
-	workers     int
+	// replication, when set (WithReplication), reports the follower's
+	// position for /api/v1/health and /api/v1/stats.
 	replication func() ReplicationHealth
-	storageDir  string
-	swr         bool
-	swrBudget   time.Duration
-}
-
-// WithCacheSize bounds the read cache to n entries (<= 0 keeps the
-// readcache default).
-func WithCacheSize(n int) Option {
-	return func(c *serverConfig) { c.cacheSize = n }
-}
-
-// WithWorkers sets the worker count of the pool the dashboard's
-// per-link index analyses fan out on (<= 0 means one per CPU).
-func WithWorkers(n int) Option {
-	return func(c *serverConfig) { c.workers = n }
+	// storageDir, when set (WithStorageDir), is summarized into the
+	// Storage field of /api/v1/health and /api/v1/stats responses.
+	storageDir string
+	swr        bool
+	swrBudget  time.Duration
 }
 
 // WithReplication marks the server as a replication follower: fn is
@@ -128,10 +107,9 @@ func WithReplication(fn func() ReplicationHealth) Option {
 // WithStorageDir names the segment directory the serving store was
 // restored from (or a follower replicates into). /api/v1/stats and
 // /api/v1/health then report what is on disk — bytes, segment count,
-// format versions, compaction depth — next to the generation they
-// already expose. The directory is summarized per request, so a
-// snapshot, retention or compaction pass landing between requests is
-// visible immediately.
+// compaction depth — next to the generation they already expose. The
+// directory is summarized per request, so a snapshot, retention or
+// compaction pass landing between requests is visible immediately.
 func WithStorageDir(dir string) Option {
 	return func(c *serverConfig) { c.storageDir = dir }
 }
@@ -160,16 +138,14 @@ func New(db *tsdb.DB, opts ...Option) *Server {
 	s := &Server{
 		DB:      db,
 		mux:     http.NewServeMux(),
-		cache:   readcache.New(cfg.cacheSize),
-		pool:    pipeline.NewPool(cfg.workers),
+		cache:   readcache.New(0),
+		pool:    pipeline.NewPool(0),
 		met:     newMetrics(),
-		det:     newDetRegistry(0),
+		cfg:     cfg,
+		det:     newDetRegistry(),
 		started: time.Now(),
 	}
-	s.replication = cfg.replication
-	s.storageDir = cfg.storageDir
 	if cfg.swr {
-		s.swr = true
 		s.cache.EnableSWR(s.pool.Go, cfg.swrBudget)
 	}
 	s.handle("/api/v1/measurements", "measurements", s.handleMeasurements)
@@ -218,28 +194,13 @@ func (s *Server) PurgeCache() { s.cache.Purge() }
 // CongestionComputes reports how many detector runs the congestion
 // endpoint has actually executed (as opposed to served from cache or a
 // coalesced flight).
-func (s *Server) CongestionComputes() uint64 { return s.computes.Load() }
+func (s *Server) CongestionComputes() uint64 { return s.detFolds.Load() }
 
 // bufPool recycles encode buffers across requests so steady-state
 // serving does not grow a fresh buffer per response.
 var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// writeJSON encodes v into a pooled buffer first and only then touches
-// the ResponseWriter: an encoding failure yields a clean 500 instead of
-// an error body trailing a 200 header and half-written JSON.
-func writeJSON(w http.ResponseWriter, v interface{}) {
-	buf := bufPool.Get().(*bytes.Buffer)
-	defer bufPool.Put(buf)
-	buf.Reset()
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(buf.Bytes())
-}
-
-// encodeBody marshals v exactly like writeJSON (trailing newline
+// encodeBody marshals v with encoding/json's Encoder (trailing newline
 // included) into a standalone byte slice the cache can hold.
 func encodeBody(v interface{}) ([]byte, error) {
 	buf := bufPool.Get().(*bytes.Buffer)
@@ -253,14 +214,59 @@ func encodeBody(v interface{}) ([]byte, error) {
 	return out, nil
 }
 
-// writeJSONBody writes an already-encoded JSON body.
-func writeJSONBody(w http.ResponseWriter, body []byte) {
+// writeJSON encodes v first and only then touches the ResponseWriter:
+// an encoding failure yields a clean 500 instead of an error body
+// trailing a status header and half-written JSON.
+func writeJSON(w http.ResponseWriter, status int, v interface{}) {
+	body, err := encodeBody(v)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "%v", err)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
 	_, _ = w.Write(body)
 }
 
+// serveCached answers one cacheable request (docs/SERVING.md §3, §7),
+// the only place the chain exists: the strong ETag from key; 304 when
+// If-None-Match already names it, before any cache lookup or store
+// read; otherwise the body from the read cache, compute (which returns
+// the encoded body as a []byte) running on a miss. With stale set, a
+// stamp-change miss may be answered with the superseded body
+// (docs/DETECTION.md §7), sent under its own ETag and marked with
+// Warning and X-Stale. A compute error is the §7 envelope.
+func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key readcache.Key, contentType string, stale bool, compute func() (any, error)) {
+	etag := etagFor(key)
+	if clientHasCurrent(r, etag) {
+		w.Header().Set("ETag", etag)
+		w.WriteHeader(http.StatusNotModified)
+		return
+	}
+	var v any
+	var res readcache.Result
+	var err error
+	if stale {
+		v, res, err = s.cache.DoStale(key, compute)
+	} else {
+		v, _, err = s.cache.Do(key, compute)
+	}
+	if err != nil {
+		writeComputeError(w, err)
+		return
+	}
+	if res.Stale {
+		etag = etagFor(res.ServedKey)
+		w.Header().Set("Warning", `110 - "stale-while-revalidate"`)
+		w.Header().Set("X-Stale", "true")
+	}
+	w.Header().Set("ETag", etag)
+	w.Header().Set("Content-Type", contentType)
+	_, _ = w.Write(v.([]byte))
+}
+
 func (s *Server) handleMeasurements(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, map[string]interface{}{"measurements": s.DB.Measurements()})
+	writeJSON(w, http.StatusOK, map[string]interface{}{"measurements": s.DB.Measurements()})
 }
 
 func (s *Server) handleTags(w http.ResponseWriter, r *http.Request) {
@@ -270,7 +276,7 @@ func (s *Server) handleTags(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "need m and tag parameters")
 		return
 	}
-	writeJSON(w, map[string]interface{}{"values": s.DB.TagValues(m, tag)})
+	writeJSON(w, http.StatusOK, map[string]interface{}{"values": s.DB.TagValues(m, tag)})
 }
 
 // QuerySeries is one series in a query response. The handler writes
@@ -325,135 +331,51 @@ func pageOf[T any](all []T, limit, offset int) []T {
 	return page
 }
 
-// parsePage extracts limit and offset from query parameters, applying
-// the default and the clamp. limit=0 is valid — a metadata-only
-// response; negative or non-integer values are rejected.
-func parsePage(q map[string][]string) (limit, offset int, err error) {
-	limit = DefaultQueryLimit
-	if vs := q["limit"]; len(vs) > 0 {
-		limit, err = strconv.Atoi(vs[0])
-		if err != nil || limit < 0 {
-			return 0, 0, fmt.Errorf("bad limit %q: need a non-negative integer", vs[0])
-		}
-		if limit > MaxQueryLimit {
-			limit = MaxQueryLimit
-		}
-	}
-	if vs := q["offset"]; len(vs) > 0 {
-		offset, err = strconv.Atoi(vs[0])
-		if err != nil || offset < 0 {
-			return 0, 0, fmt.Errorf("bad offset %q: need a non-negative integer", vs[0])
-		}
-	}
-	return limit, offset, nil
-}
-
-// parseValueBound reads the optional vmin/vmax query parameters into a
-// tsdb.ValueBound (docs/SERVING.md §3). Either end may be given alone;
-// the missing end defaults to the matching infinity. Nil means no bound
-// — the query behaves exactly as before the parameters existed. On a
-// lazily opened store the bound prunes whole blocks by their value
-// summaries before any decode (docs/PERSISTENCE.md §9).
-func parseValueBound(q url.Values) (*tsdb.ValueBound, error) {
-	vminS, vmaxS := q.Get("vmin"), q.Get("vmax")
-	if vminS == "" && vmaxS == "" {
-		return nil, nil
-	}
-	vb := &tsdb.ValueBound{Min: math.Inf(-1), Max: math.Inf(1)}
-	if vminS != "" {
-		v, err := strconv.ParseFloat(vminS, 64)
-		if err != nil || math.IsNaN(v) {
-			return nil, fmt.Errorf("bad vmin %q: need a number", vminS)
-		}
-		vb.Min = v
-	}
-	if vmaxS != "" {
-		v, err := strconv.ParseFloat(vmaxS, 64)
-		if err != nil || math.IsNaN(v) {
-			return nil, fmt.Errorf("bad vmax %q: need a number", vmaxS)
-		}
-		vb.Max = v
-	}
-	if vb.Min > vb.Max {
-		return nil, fmt.Errorf("vmin %g exceeds vmax %g", vb.Min, vb.Max)
-	}
-	return vb, nil
-}
-
+// handleQuery serves /api/v1/query: raw series pages, or — when agg or
+// step is present — per-bucket aggregates (aggregate.go), both keyed by
+// the ViewStamp over the tag filter.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
 	p := parseParams(r)
 	m := p.Required("m")
-	from := p.Time("from")
-	to := p.Time("to")
-	limit, offset, err := parsePage(q)
-	if err != nil {
-		p.fail("%v", err)
-	}
+	from, to := p.Time("from"), p.Time("to")
+	limit, offset := p.Page()
+	agg, vb := p.Agg(), p.ValueBound()
 	if p.Check(w) {
 		return
 	}
-	if q.Get("agg") != "" || q.Get("step") != "" {
-		// Aggregate mode (docs/SERVING.md §7): per-bucket summaries
-		// instead of raw pages. Value bounds would change what the
-		// summary pushdown may answer, so the two modes don't compose.
-		if q.Get("vmin") != "" || q.Get("vmax") != "" {
-			writeError(w, http.StatusBadRequest, "vmin/vmax are not supported with agg")
-			return
-		}
-		s.handleAggregate(w, r, q, m, from, to, limit, offset)
-		return
-	}
-	vb, err := parseValueBound(q)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	filter := map[string]string{}
-	for k, vs := range q {
-		switch k {
-		case "m", "from", "to", "limit", "offset", "vmin", "vmax", "agg", "step":
-			continue
-		}
-		if len(vs) > 0 {
-			filter[k] = vs[0]
-		}
-	}
-	// A value bound participates in the cache identity but not in the
-	// tag filter; an unbounded query keeps its pre-bound key bytes.
-	id := tsdb.Key(m, filter)
-	if vb != nil {
-		id += fmt.Sprintf("|v[%g,%g]", vb.Min, vb.Max)
-	}
+	filter := p.TagFilter()
 	key := readcache.Key{
 		Kind:   "query",
-		ID:     id,
+		ID:     tsdb.Key(m, filter),
 		From:   from.UnixNano(),
 		To:     to.UnixNano(),
 		Stamp:  s.DB.ViewStamp(m, filter),
 		Limit:  limit,
 		Offset: offset,
 	}
-	// The ETag is derived from the key alone, so an If-None-Match hit
-	// costs neither a cache lookup nor a store read (docs/SERVING.md §7).
-	etag := etagFor(key)
-	if clientHasCurrent(r, etag) {
-		writeNotModified(w, etag)
+	if agg != nil {
+		// The function set and step join the identity through the ID
+		// suffix, under their own kind so raw and aggregate responses
+		// never share bytes.
+		key.Kind = "agg"
+		key.ID += "|agg=" + strings.Join(agg.names, ",") + "|step=" + agg.step.String()
+		s.serveCached(w, r, key, "application/json", false, func() (any, error) {
+			return s.computeAggregate(m, filter, from, to, agg, limit, offset)
+		})
 		return
 	}
-	v, _, err := s.cache.Do(key, func() (any, error) {
+	// A value bound participates in the cache identity but not in the
+	// tag filter; an unbounded query keeps its pre-bound key bytes.
+	if vb != nil {
+		key.ID += fmt.Sprintf("|v[%g,%g]", vb.Min, vb.Max)
+	}
+	s.serveCached(w, r, key, "application/json", false, func() (any, error) {
 		views := s.DB.QueryViewWhere(m, filter, from, to, vb)
 		page := pageOf(views, limit, offset)
 		return appendBody(func(dst []byte) ([]byte, error) {
 			return appendQueryBody(dst, page, len(views), limit, offset)
 		})
 	})
-	if err != nil {
-		writeComputeError(w, err)
-		return
-	}
-	w.Header().Set("ETag", etag)
-	writeJSONBody(w, v.([]byte))
 }
 
 // CongestionResponse reports the autocorrelation analysis over stored TSLP
@@ -471,22 +393,32 @@ type DayJSON struct {
 	Fraction  float64 `json:"fraction"`
 }
 
-// congestionFilter is the tag filter selecting every series that
-// contributes to a congestion analysis of (link, vp): both sides, one
-// vp or all of them. Its ViewStamp is the cache-invalidation handle.
-func congestionFilter(link, vp string) map[string]string {
+// maxCongestionDays caps the congestion window. The detector registry
+// allocates an accumulator sized by the window before it reads any
+// data, so an unbounded days parameter would let one request pin
+// arbitrary memory; two years covers the paper's 650-day study.
+const maxCongestionDays = 730
+
+// linkFilter is the tag filter selecting a link's TSLP series: one side
+// or both (side ""), one vantage point or all of them (vp "").
+func linkFilter(link, side, vp string) map[string]string {
 	f := map[string]string{"link": link}
+	if side != "" {
+		f["side"] = side
+	}
 	if vp != "" {
 		f["vp"] = vp
 	}
 	return f
 }
 
+// handleCongestion serves /api/v1/congestion: a miss is one detector
+// run (advanceDetector), the only response stale service applies to.
 func (s *Server) handleCongestion(w http.ResponseWriter, r *http.Request) {
 	p := parseParams(r)
 	link, vp := p.Required("link"), p.Get("vp")
 	from := p.Time("from")
-	days := p.PositiveInt("days", 50)
+	days := p.IntInRange("days", 50, 1, maxCongestionDays)
 	if p.Check(w) {
 		return
 	}
@@ -499,51 +431,11 @@ func (s *Server) handleCongestion(w http.ResponseWriter, r *http.Request) {
 		From:    from.UnixNano(),
 		Days:    days,
 		CfgHash: cfg.Hash(),
-		Stamp:   s.DB.ViewStamp("tslp", congestionFilter(link, vp)),
+		Stamp:   s.DB.ViewStamp("tslp", linkFilter(link, "", vp)),
 	}
-	// Checked before cache.Do: an If-None-Match hit never runs the
-	// detector, never touches the cache (docs/SERVING.md §7).
-	etag := etagFor(key)
-	if clientHasCurrent(r, etag) {
-		writeNotModified(w, etag)
-		return
-	}
-	compute := func() (any, error) { return s.computeCongestion(link, vp, from, cfg) }
-	var v any
-	var err error
-	var res readcache.Result
-	if s.swr {
-		v, res, err = s.cache.DoStale(key, compute)
-	} else {
-		v, _, err = s.cache.Do(key, compute)
-		res = readcache.Result{ServedKey: key}
-	}
-	if err != nil {
-		writeComputeError(w, err)
-		return
-	}
-	if res.Stale {
-		// A superseded body: advertise the predecessor's ETag (so a
-		// client revalidating against it still matches what it holds)
-		// and mark the response stale (docs/DETECTION.md §7).
-		w.Header().Set("ETag", etagFor(res.ServedKey))
-		w.Header().Set("Warning", `110 - "stale-while-revalidate"`)
-		w.Header().Set("X-Stale", "true")
-	} else {
-		w.Header().Set("ETag", etag)
-	}
-	writeJSONBody(w, v.([]byte))
-}
-
-// computeCongestion produces the response body for one (link, vp, from,
-// cfg) request by advancing the persistent incremental accumulator for
-// that shape (docs/DETECTION.md §3): only points written since the
-// accumulator's last advance are folded, and an advance that changes
-// nothing reuses the previous encoded body verbatim. Exactly the work
-// the cache and coalescing exist to avoid repeating.
-func (s *Server) computeCongestion(link, vp string, from time.Time, cfg analysis.AutocorrConfig) ([]byte, error) {
-	s.computes.Add(1)
-	return s.advanceDetector(link, vp, from, cfg)
+	s.serveCached(w, r, key, "application/json", true, func() (any, error) {
+		return s.advanceDetector(link, vp, from, cfg)
+	})
 }
 
 // StatsResponse is the /api/v1/stats payload: read-cache counters,
@@ -573,9 +465,8 @@ type StatsResponse struct {
 	// on a leader or standalone server.
 	Replication *ReplicationHealth `json:"replication,omitempty"`
 	// Storage summarizes the on-disk segment directory (bytes, segment
-	// count, format versions, compaction depth); absent when the server
-	// was not given one (WithStorageDir) or the directory holds no
-	// committed manifest yet.
+	// count, compaction depth); absent when the server was not given one
+	// (WithStorageDir) or the directory holds no committed manifest yet.
 	Storage *tsdb.DirInfo `json:"storage,omitempty"`
 	// LazyRead reports the lazy read path's block-prune and cache
 	// counters (blocks scanned vs skipped, decodes, segment reuse across
@@ -592,10 +483,10 @@ type StatsResponse struct {
 // into nil: stats and health must answer even when the disk state is
 // mid-commit.
 func (s *Server) storageInfo() *tsdb.DirInfo {
-	if s.storageDir == "" {
+	if s.cfg.storageDir == "" {
 		return nil
 	}
-	info, err := tsdb.ReadDirInfo(s.storageDir)
+	info, err := tsdb.ReadDirInfo(s.cfg.storageDir)
 	if err != nil {
 		return nil
 	}
@@ -606,7 +497,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp := StatsResponse{
 		Since:              s.started.UTC(),
 		Cache:              s.cache.Stats(),
-		CongestionComputes: s.computes.Load(),
+		CongestionComputes: s.detFolds.Load(),
 		Detector:           s.detectorStats(),
 		StoreVersion:       s.DB.StoreVersion(),
 		Generation:         s.DB.SnapshotGeneration(),
@@ -616,11 +507,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if ls, ok := s.DB.LazyReadStats(); ok {
 		resp.LazyRead = &ls
 	}
-	if s.replication != nil {
-		rh := s.replication()
+	if s.cfg.replication != nil {
+		rh := s.cfg.replication()
 		resp.Replication = &rh
 	}
-	writeJSON(w, resp)
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // PeerHealth describes one replication peer — the leader a follower
@@ -735,20 +626,18 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		Points:       s.DB.PointCount(),
 		Storage:      s.storageInfo(),
 	}
-	if s.replication != nil {
-		rh := s.replication()
+	status := http.StatusOK
+	if s.cfg.replication != nil {
+		rh := s.cfg.replication()
 		resp.Replication = &rh
 		if rh.AppliedGeneration == 0 {
+			status = http.StatusServiceUnavailable
 			resp.Status = "starting"
 			resp.Error = &ErrorDetail{
 				Code:    CodeUnavailable,
 				Message: "follower has not applied a leader snapshot yet",
 			}
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusServiceUnavailable)
-			_ = json.NewEncoder(w).Encode(resp)
-			return
 		}
 	}
-	writeJSON(w, resp)
+	writeJSON(w, status, resp)
 }

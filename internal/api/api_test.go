@@ -23,7 +23,7 @@ func newServer(t *testing.T) (*httptest.Server, *tsdb.DB) {
 func newServerAPI(t *testing.T) (*httptest.Server, *tsdb.DB, *api.Server) {
 	t.Helper()
 	db := tsdb.Open()
-	srv := api.New(db, api.WithCacheSize(128), api.WithWorkers(2))
+	srv := api.New(db)
 	t.Cleanup(srv.Close)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)

@@ -74,6 +74,7 @@ func TestErrorEnvelope(t *testing.T) {
 		{"congestion missing link", "/api/v1/congestion?from=" + from, 400, "bad_request"},
 		{"congestion bad from", "/api/v1/congestion?link=L&from=never", 400, "bad_request"},
 		{"congestion bad days", "/api/v1/congestion?link=L&from=" + from + "&days=-3", 400, "bad_request"},
+		{"congestion days over ceiling", "/api/v1/congestion?link=ghost&from=" + from + "&days=200000", 400, "bad_request"},
 		{"dashboard bad from", "/dashboard?link=L&from=huh", 400, "bad_request"},
 		{"dashboard bad days", "/dashboard?link=L&from=" + from + "&days=900", 400, "bad_request"},
 		{"dashboard no data", "/dashboard?link=ghost&from=" + from, 404, "not_found"},
@@ -91,6 +92,16 @@ func TestErrorEnvelope(t *testing.T) {
 				t.Fatal("empty error message")
 			}
 		})
+	}
+
+	// A rejected request never reaches the detector registry: an
+	// oversized window must not allocate an accumulator.
+	var st api.StatsResponse
+	if code := getJSON(t, ts.URL+"/api/v1/stats", &st); code != 200 {
+		t.Fatalf("stats status %d", code)
+	}
+	if st.Detector.Accumulators != 0 {
+		t.Fatalf("detector_incremental.accumulators = %d after rejected requests, want 0", st.Detector.Accumulators)
 	}
 }
 

@@ -22,11 +22,14 @@ import (
 // per-link status analyses out on the server's worker pool
 // (docs/SERVING.md §3).
 
-const dashboardPath = "/dashboard"
+const (
+	dashboardPath = "/dashboard"
+	htmlType      = "text/html; charset=utf-8"
+)
 
 func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	link := q.Get("link")
+	p := parseParams(r)
+	link := p.Get("link")
 	if link == "" {
 		// The index depends on every tslp series, so its ViewStamp over
 		// the unfiltered measurement is the invalidation (and ETag)
@@ -35,25 +38,12 @@ func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
 			Kind:  "dashindex",
 			Stamp: s.DB.ViewStamp("tslp", nil),
 		}
-		etag := etagFor(key)
-		if clientHasCurrent(r, etag) {
-			writeNotModified(w, etag)
-			return
-		}
-		v, _, err := s.cache.Do(key, func() (any, error) {
+		s.serveCached(w, r, key, htmlType, false, func() (any, error) {
 			return s.renderLinkIndex(), nil
 		})
-		if err != nil {
-			writeComputeError(w, err)
-			return
-		}
-		w.Header().Set("ETag", etag)
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		_, _ = w.Write(v.([]byte))
 		return
 	}
-	vp := q.Get("vp")
-	p := parseParams(r)
+	vp := p.Get("vp")
 	from := p.Time("from")
 	days := p.IntInRange("days", 1, 1, 60)
 	if p.Check(w) {
@@ -65,23 +55,11 @@ func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
 		ID:    link + "\x00" + vp,
 		From:  from.UnixNano(),
 		Days:  days,
-		Stamp: s.DB.ViewStamp("tslp", congestionFilter(link, vp)),
+		Stamp: s.DB.ViewStamp("tslp", linkFilter(link, "", vp)),
 	}
-	etag := etagFor(key)
-	if clientHasCurrent(r, etag) {
-		writeNotModified(w, etag)
-		return
-	}
-	v, _, err := s.cache.Do(key, func() (any, error) {
+	s.serveCached(w, r, key, htmlType, false, func() (any, error) {
 		return s.renderLinkPage(link, vp, from, days)
 	})
-	if err != nil {
-		writeComputeError(w, err)
-		return
-	}
-	w.Header().Set("ETag", etag)
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	_, _ = w.Write(v.([]byte))
 }
 
 // renderLinkPage builds one link's dashboard HTML: far/near series from
@@ -92,11 +70,7 @@ func (s *Server) renderLinkPage(link, vp string, from time.Time, days int) ([]by
 	to := from.Add(time.Duration(n) * bin)
 	build := func(side string) *analysis.BinSeries {
 		series := analysis.NewBinSeries(from, bin, n)
-		filter := map[string]string{"link": link, "side": side}
-		if vp != "" {
-			filter["vp"] = vp
-		}
-		for _, view := range s.DB.QueryView("tslp", filter, from, to) {
+		for _, view := range s.DB.QueryView("tslp", linkFilter(link, side, vp), from, to) {
 			for i, ns := range view.Times {
 				series.ObserveNanos(ns, view.Values[i])
 			}
@@ -153,7 +127,6 @@ func (s *Server) renderLinkIndex() []byte {
 	statuses := make([]linkStatus, len(links))
 	jobs := make([]func(), len(links))
 	for i, l := range links {
-		i, l := i, l
 		jobs[i] = func() { statuses[i] = s.linkStatusCached(l) }
 	}
 	s.pool.Do(jobs...)
@@ -176,11 +149,10 @@ func (s *Server) renderLinkIndex() []byte {
 // linkStatusCached computes (or serves from cache) one link's index
 // status.
 func (s *Server) linkStatusCached(link string) linkStatus {
-	filter := map[string]string{"link": link}
 	key := readcache.Key{
 		Kind:  "linkstatus",
 		ID:    link,
-		Stamp: s.DB.ViewStamp("tslp", filter),
+		Stamp: s.DB.ViewStamp("tslp", linkFilter(link, "", "")),
 	}
 	v, _, err := s.cache.Do(key, func() (any, error) {
 		return s.computeLinkStatus(link), nil
@@ -200,7 +172,7 @@ func (s *Server) linkStatusCached(link string) linkStatus {
 // never decoding a point (docs/PERSISTENCE.md §10).
 func (s *Server) computeLinkStatus(link string) linkStatus {
 	st := linkStatus{Link: link}
-	_, max, ok := s.DB.TimeBounds("tslp", map[string]string{"link": link})
+	_, max, ok := s.DB.TimeBounds("tslp", linkFilter(link, "", ""))
 	if !ok {
 		return st
 	}
@@ -211,8 +183,7 @@ func (s *Server) computeLinkStatus(link string) linkStatus {
 	end := max.Truncate(bin).Add(bin)
 	start := end.Add(-24 * time.Hour)
 	series := analysis.NewBinSeries(start, bin, 96)
-	aggs, err := s.DB.QueryAggregate("tslp", map[string]string{"link": link, "side": "far"},
-		start, end, bin, tsdb.AggCount|tsdb.AggMin)
+	aggs, err := s.DB.QueryAggregate("tslp", linkFilter(link, "far", ""), start, end, bin, tsdb.AggCount|tsdb.AggMin)
 	if err != nil {
 		// Unreachable for this fixed step/range shape; fail closed to
 		// "no data" rather than render a wrong badge.

@@ -18,10 +18,10 @@ import (
 // newly written points and re-encodes (or, when nothing changed,
 // reuses) the response body.
 
-// DefaultDetectorCapacity bounds the registry when the server is not
-// given a size. An accumulator for the default 50-day window holds two
-// 4800-bin series plus elevation state — tens of KB — so the default
-// keeps the registry well under the read cache's footprint.
+// DefaultDetectorCapacity bounds the registry. An accumulator for the
+// default 50-day window holds two 4800-bin series plus elevation state
+// — tens of KB — so the bound keeps the registry well under the read
+// cache's footprint.
 const DefaultDetectorCapacity = 128
 
 // detKey identifies one accumulator: the congestion request shape minus
@@ -51,7 +51,6 @@ type detState struct {
 // shape starts a fresh accumulator with a full recompute.
 type detRegistry struct {
 	mu      sync.Mutex
-	max     int
 	ll      *list.List // front = most recently used; values are *detEntry
 	entries map[detKey]*list.Element
 }
@@ -61,11 +60,8 @@ type detEntry struct {
 	st  *detState
 }
 
-func newDetRegistry(max int) *detRegistry {
-	if max <= 0 {
-		max = DefaultDetectorCapacity
-	}
-	return &detRegistry{max: max, ll: list.New(), entries: make(map[detKey]*list.Element)}
+func newDetRegistry() *detRegistry {
+	return &detRegistry{ll: list.New(), entries: make(map[detKey]*list.Element)}
 }
 
 // get returns the accumulator slot for key, creating it with mk on
@@ -80,7 +76,7 @@ func (r *detRegistry) get(key detKey, mk func() *analysis.Incremental) *detState
 	}
 	st := &detState{inc: mk()}
 	r.entries[key] = r.ll.PushFront(&detEntry{key: key, st: st})
-	for r.ll.Len() > r.max {
+	for r.ll.Len() > DefaultDetectorCapacity {
 		tail := r.ll.Back()
 		r.ll.Remove(tail)
 		delete(r.entries, tail.Value.(*detEntry).key)
@@ -121,11 +117,11 @@ type DetectorStats struct {
 	BackgroundRefreshes uint64 `json:"background_refreshes"`
 }
 
-// advanceDetector runs one congestion analysis through the registry:
-// it fetches (or creates) the accumulator for the request shape,
-// queries the contributing views under a stable restore epoch, advances,
-// and returns the encoded response body — the previous body verbatim
-// when the advance proves nothing changed.
+// advanceDetector runs one congestion analysis — one detector run —
+// through the registry: it fetches (or creates) the accumulator for the
+// request shape, queries the contributing views under a stable restore
+// epoch, advances, and returns the encoded response body — the previous
+// body verbatim when the advance proves nothing changed.
 func (s *Server) advanceDetector(link, vp string, from time.Time, cfg analysis.AutocorrConfig) ([]byte, error) {
 	key := detKey{link: link, vp: vp, from: from.UnixNano(), days: cfg.WindowDays, cfgHash: cfg.Hash()}
 	st := s.det.get(key, func() *analysis.Incremental { return analysis.NewIncremental(from, cfg) })
@@ -134,13 +130,6 @@ func (s *Server) advanceDetector(link, vp string, from time.Time, cfg analysis.A
 
 	bin := 24 * time.Hour / time.Duration(cfg.BinsPerDay)
 	to := from.Add(time.Duration(cfg.WindowDays*cfg.BinsPerDay) * bin)
-	side := func(name string) map[string]string {
-		f := map[string]string{"link": link, "side": name}
-		if vp != "" {
-			f["vp"] = vp
-		}
-		return f
-	}
 	// The epoch must describe the store the views were taken from: a
 	// restore landing mid-query would pair old cursors with new
 	// versions, exactly the coincidental-match hazard the epoch check
@@ -151,8 +140,8 @@ func (s *Server) advanceDetector(link, vp string, from time.Time, cfg analysis.A
 	var farViews, nearViews []tsdb.SeriesView
 	for {
 		epoch = s.DB.Epoch()
-		farViews = s.DB.QueryView("tslp", side("far"), from, to)
-		nearViews = s.DB.QueryView("tslp", side("near"), from, to)
+		farViews = s.DB.QueryView("tslp", linkFilter(link, "far", vp), from, to)
+		nearViews = s.DB.QueryView("tslp", linkFilter(link, "near", vp), from, to)
 		if s.DB.Epoch() == epoch {
 			break
 		}

@@ -11,7 +11,6 @@ package api
 // clients can branch on it; the message is human prose and may change.
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -80,16 +79,15 @@ type ErrorEnvelope struct {
 // stable code. It is the single exit for every error response in the
 // package (docs/SERVING.md §7).
 func writeError(w http.ResponseWriter, status int, format string, args ...interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(ErrorEnvelope{Error: ErrorDetail{
+	// An envelope always encodes, so writeJSON never calls back here.
+	writeJSON(w, status, ErrorEnvelope{Error: ErrorDetail{
 		Code:    codeForStatus(status),
 		Message: fmt.Sprintf(format, args...),
 	}})
 }
 
 // statusError carries an HTTP status code out of a cached computation;
-// the handler unwraps it into writeError. Never cached (readcache
+// serveCached unwraps it into writeError. Never cached (readcache
 // drops errored computations), so an error response is recomputed —
 // and may succeed — on the next request.
 type statusError struct {
@@ -126,7 +124,7 @@ func etagFor(key readcache.Key) string {
 
 // clientHasCurrent reports whether the request's If-None-Match header
 // matches the response's strong etag ("*" or any listed tag; weak
-// tags compared by their opaque part). A match means the handler can
+// tags compared by their opaque part). A match means serveCached can
 // answer 304 Not Modified without computing — or even looking up —
 // the body.
 func clientHasCurrent(r *http.Request, etag string) bool {
@@ -142,10 +140,4 @@ func clientHasCurrent(r *http.Request, etag string) bool {
 		}
 	}
 	return false
-}
-
-// writeNotModified answers 304 with the current ETag and no body.
-func writeNotModified(w http.ResponseWriter, etag string) {
-	w.Header().Set("ETag", etag)
-	w.WriteHeader(http.StatusNotModified)
 }

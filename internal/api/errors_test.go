@@ -3,13 +3,16 @@ package api
 // White-box tests for the error envelope machinery (errors.go): the
 // status→code mapping, the envelope writers, and the conditional-
 // request helpers — including the 422/unprocessable path, which the
-// HTTP handlers only reach defensively.
+// HTTP handlers only reach defensively — plus the request metrics'
+// overflow latency bucket (metrics.go).
 
 import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
+	"time"
 
 	"interdomain/internal/readcache"
 )
@@ -103,5 +106,24 @@ func TestClientHasCurrent(t *testing.T) {
 		if got := clientHasCurrent(r, etag); got != c.want {
 			t.Errorf("clientHasCurrent(%q) = %v, want %v", c.header, got, c.want)
 		}
+	}
+}
+
+// TestLatencyOverflowBucket pins the wire form docs/SERVING.md §4
+// specifies for a request slower than the last bucket bound: one
+// bucket with le_ms -1.
+func TestLatencyOverflowBucket(t *testing.T) {
+	m := newMetrics()
+	m.endpoint("congestion").observe(3*time.Second, http.StatusOK)
+	st := m.snapshot()["congestion"]
+	if len(st.LatencyMs) != 1 || st.LatencyMs[0].LeMs != -1 || st.LatencyMs[0].Count != 1 {
+		t.Fatalf("3s request: latency buckets %+v, want one overflow bucket {LeMs:-1 Count:1}", st.LatencyMs)
+	}
+	body, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(body), `"latency_ms":[{"le_ms":-1,"count":1}]`) {
+		t.Fatalf("overflow bucket JSON %s", body)
 	}
 }

@@ -174,7 +174,6 @@ func (f *Front) Run(ctx context.Context) {
 func (f *Front) PollNow(ctx context.Context) {
 	var wg sync.WaitGroup
 	for _, rep := range f.replicas {
-		rep := rep
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -563,10 +562,9 @@ func (f *Front) serveStats(w http.ResponseWriter, res *upstream) {
 		return
 	}
 	doc["front"] = f.frontStats()
-	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set(ServedByHeader, res.snap.rep.shown)
 	w.Header().Set(ReplicaLagHeader, strconv.FormatUint(res.snap.lag, 10))
-	_ = json.NewEncoder(w).Encode(doc)
+	writeJSON(w, http.StatusOK, doc)
 }
 
 // serveHealth reports the front's own readiness: ok while at least one
@@ -605,16 +603,14 @@ func (f *Front) serveHealth(w http.ResponseWriter) {
 		Generation:  maxGen,
 		Replication: rh,
 	}
+	status := http.StatusOK
 	if healthy == 0 {
+		status = http.StatusServiceUnavailable
 		resp.Status = "unavailable"
 		resp.Error = &ErrorDetail{
 			Code:    CodeUnavailable,
 			Message: "no healthy replica behind the front",
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		_ = json.NewEncoder(w).Encode(resp)
-		return
 	}
-	writeJSON(w, resp)
+	writeJSON(w, status, resp)
 }

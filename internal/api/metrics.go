@@ -51,14 +51,11 @@ func newMetrics() *metrics {
 	return &metrics{endpoints: make(map[string]*endpointMetrics)}
 }
 
-// endpoint registers (or returns) the named endpoint's counters. Only
-// called during Server construction, before any request runs.
+// endpoint registers the named endpoint's counters. Only called during
+// Server construction, once per name, before any request runs.
 func (m *metrics) endpoint(name string) *endpointMetrics {
-	em, ok := m.endpoints[name]
-	if !ok {
-		em = &endpointMetrics{}
-		m.endpoints[name] = em
-	}
+	em := &endpointMetrics{}
+	m.endpoints[name] = em
 	return em
 }
 

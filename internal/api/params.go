@@ -11,10 +11,13 @@ package api
 
 import (
 	"fmt"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
 	"time"
+
+	"interdomain/internal/tsdb"
 )
 
 // reqParams is one request's query parameters with accumulated
@@ -82,19 +85,81 @@ func (p *reqParams) IntInRange(name string, def, min, max int) int {
 	return n
 }
 
-// PositiveInt returns an optional integer parameter defaulting to def
-// and required to be positive.
-func (p *reqParams) PositiveInt(name string, def int) int {
-	v := p.q.Get(name)
-	if v == "" {
-		return def
+// Page returns /api/v1/query's limit and offset (docs/SERVING.md §7),
+// applying the default and the clamp. limit=0 is valid — a
+// metadata-only response; negative or non-integer values are rejected.
+func (p *reqParams) Page() (limit, offset int) {
+	var err error
+	limit = DefaultQueryLimit
+	if vs := p.q["limit"]; len(vs) > 0 {
+		limit, err = strconv.Atoi(vs[0])
+		if err != nil || limit < 0 {
+			p.fail("bad limit %q: need a non-negative integer", vs[0])
+			return 0, 0
+		}
+		if limit > MaxQueryLimit {
+			limit = MaxQueryLimit
+		}
 	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n <= 0 {
-		p.fail("bad %s %q: need a positive integer", name, v)
-		return def
+	if vs := p.q["offset"]; len(vs) > 0 {
+		offset, err = strconv.Atoi(vs[0])
+		if err != nil || offset < 0 {
+			p.fail("bad offset %q: need a non-negative integer", vs[0])
+			return 0, 0
+		}
 	}
-	return n
+	return limit, offset
+}
+
+// ValueBound reads the optional vmin/vmax parameters into a
+// tsdb.ValueBound (docs/SERVING.md §7). Either end may be given alone;
+// the missing end defaults to the matching infinity. Nil means no bound
+// — the query behaves exactly as before the parameters existed. On a
+// lazily opened store the bound prunes whole blocks by their value
+// summaries before any decode (docs/PERSISTENCE.md §9).
+func (p *reqParams) ValueBound() *tsdb.ValueBound {
+	vminS, vmaxS := p.q.Get("vmin"), p.q.Get("vmax")
+	if vminS == "" && vmaxS == "" {
+		return nil
+	}
+	vb := &tsdb.ValueBound{Min: math.Inf(-1), Max: math.Inf(1)}
+	if vminS != "" {
+		v, err := strconv.ParseFloat(vminS, 64)
+		if err != nil || math.IsNaN(v) {
+			p.fail("bad vmin %q: need a number", vminS)
+			return nil
+		}
+		vb.Min = v
+	}
+	if vmaxS != "" {
+		v, err := strconv.ParseFloat(vmaxS, 64)
+		if err != nil || math.IsNaN(v) {
+			p.fail("bad vmax %q: need a number", vmaxS)
+			return nil
+		}
+		vb.Max = v
+	}
+	if vb.Min > vb.Max {
+		p.fail("vmin %g exceeds vmax %g", vb.Min, vb.Max)
+		return nil
+	}
+	return vb
+}
+
+// TagFilter returns /api/v1/query's tag filter: the first value of
+// every parameter the endpoint does not itself define.
+func (p *reqParams) TagFilter() map[string]string {
+	filter := map[string]string{}
+	for k, vs := range p.q {
+		switch k {
+		case "m", "from", "to", "limit", "offset", "vmin", "vmax", "agg", "step":
+			continue
+		}
+		if len(vs) > 0 {
+			filter[k] = vs[0]
+		}
+	}
+	return filter
 }
 
 // Check writes the accumulated violation, if any, as a bad_request

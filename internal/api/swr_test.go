@@ -54,7 +54,7 @@ func TestCongestionIncrementalMatchesBatch(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			db := tsdb.Open()
-			live := api.New(db, api.WithWorkers(1))
+			live := api.New(db)
 			defer live.Close()
 			rng := netsim.NewRNG(seed)
 			write := func(side string, at time.Time, v float64) {
@@ -100,7 +100,7 @@ func TestCongestionIncrementalMatchesBatch(t *testing.T) {
 				if code != http.StatusOK {
 					t.Fatalf("step %d: live server status %d: %s", step, code, liveBody)
 				}
-				batch := api.New(db, api.WithWorkers(1))
+				batch := api.New(db)
 				code, batchBody, _ := doGet(t, batch, congPath)
 				batch.Close()
 				if code != http.StatusOK {
@@ -123,7 +123,7 @@ func TestCongestionIncrementalMatchesBatch(t *testing.T) {
 // body without stale markers.
 func TestCongestionStaleWhileRevalidate(t *testing.T) {
 	db := tsdb.Open()
-	srv := api.New(db, api.WithWorkers(2), api.WithStaleWhileRevalidate(time.Hour))
+	srv := api.New(db, api.WithStaleWhileRevalidate(time.Hour))
 	defer srv.Close()
 	seedCongestion(db, 50)
 	path := fmt.Sprintf("/api/v1/congestion?link=L&vp=v&from=%s&days=50",

@@ -177,29 +177,8 @@ func (c *Cache) EnableSWR(runner func(func()), budget time.Duration) {
 // compute runs without the cache lock held, so unrelated keys never
 // serialize on one slow computation.
 func (c *Cache) Do(key Key, compute func() (any, error)) (val any, hit bool, err error) {
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.ll.MoveToFront(el)
-		c.hits++
-		val = el.Value.(*entry).val
-		c.mu.Unlock()
-		return val, true, nil
-	}
-	if f, ok := c.inFly[key]; ok {
-		c.coalesced++
-		c.mu.Unlock()
-		f.wg.Wait()
-		return f.val, true, f.err
-	}
-	f := &flight{}
-	f.wg.Add(1)
-	c.inFly[key] = f
-	c.misses++
-	gen := c.gen
-	c.mu.Unlock()
-
-	val, err = c.runFlight(key, f, gen, compute)
-	return val, false, err
+	val, hit, _, err = c.lookup(key, false, compute)
+	return val, hit, err
 }
 
 // Result describes how a DoStale lookup was served.
@@ -223,22 +202,37 @@ type Result struct {
 // current key on the runner. Without SWR, a usable predecessor, or when
 // the predecessor is over budget, it degrades to Do semantics.
 func (c *Cache) DoStale(key Key, compute func() (any, error)) (any, Result, error) {
+	val, hit, stale, err := c.lookup(key, true, compute)
+	if stale != nil {
+		return val, Result{Hit: true, Stale: true, ServedKey: *stale}, nil
+	}
+	return val, Result{Hit: hit, ServedKey: key}, err
+}
+
+// lookup is the one body behind Do and DoStale: an exact hit, then —
+// only when stale service is allowed and enabled — a superseded
+// predecessor within budget, returned with stale set to the key it was
+// stored under, then a join onto an in-flight computation, and finally
+// a miss that runs compute in the foreground.
+func (c *Cache) lookup(key Key, allowStale bool, compute func() (any, error)) (val any, hit bool, stale *Key, err error) {
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
 		c.ll.MoveToFront(el)
 		c.hits++
-		val := el.Value.(*entry).val
+		val = el.Value.(*entry).val
 		c.mu.Unlock()
-		return val, Result{Hit: true, ServedKey: key}, nil
+		return val, true, nil, nil
 	}
-	if c.runner != nil {
+	if allowStale && c.runner != nil {
 		if el, ok := c.base[key.base()]; ok {
 			e := el.Value.(*entry)
 			if c.budget <= 0 || c.now().Sub(e.at) <= c.budget {
 				// Capture the stale value and its key under the lock:
 				// storeLocked's refresh path mutates e.val, and eviction
 				// can drop the entry the moment we release the mutex.
-				val, served := e.val, e.key
+				val = e.val
+				served := e.key
+				c.staleServes++
 				if _, inFlight := c.inFly[key]; !inFlight {
 					f := &flight{}
 					f.wg.Add(1)
@@ -246,14 +240,12 @@ func (c *Cache) DoStale(key Key, compute func() (any, error)) (any, Result, erro
 					c.misses++
 					c.backgroundRefreshes++
 					gen := c.gen
-					c.staleServes++
 					c.mu.Unlock()
-					c.runner(func() { c.backgroundFlight(key, f, gen, compute) })
+					c.runner(func() { c.runFlight(key, f, gen, compute, false) })
 				} else {
-					c.staleServes++
 					c.mu.Unlock()
 				}
-				return val, Result{Hit: true, Stale: true, ServedKey: served}, nil
+				return val, true, &served, nil
 			}
 		}
 	}
@@ -261,7 +253,7 @@ func (c *Cache) DoStale(key Key, compute func() (any, error)) (any, Result, erro
 		c.coalesced++
 		c.mu.Unlock()
 		f.wg.Wait()
-		return f.val, Result{Hit: true, ServedKey: key}, f.err
+		return f.val, true, nil, f.err
 	}
 	f := &flight{}
 	f.wg.Add(1)
@@ -270,40 +262,26 @@ func (c *Cache) DoStale(key Key, compute func() (any, error)) (any, Result, erro
 	gen := c.gen
 	c.mu.Unlock()
 
-	val, err := c.runFlight(key, f, gen, compute)
-	return val, Result{ServedKey: key}, err
+	c.runFlight(key, f, gen, compute, true)
+	return f.val, false, nil, f.err
 }
 
-// runFlight executes a foreground computation whose flight is already
-// registered, settling the flight even if compute panics, so a
-// panicking handler cannot deadlock every coalesced request behind it;
-// the panic itself propagates on this caller after the flight is torn
-// down.
-func (c *Cache) runFlight(key Key, f *flight, gen uint64, compute func() (any, error)) (val any, err error) {
+// runFlight executes a computation whose flight is already registered,
+// settling the flight even if compute panics, so a panicking compute
+// cannot deadlock every coalesced request behind it: waiters see
+// errPanicked. A foreground caller (repanic) re-raises the panic after
+// the flight is torn down; a background refresh on the SWR runner
+// swallows it, since nobody is on its call stack to re-panic on.
+func (c *Cache) runFlight(key Key, f *flight, gen uint64, compute func() (any, error), repanic bool) {
 	defer func() {
 		r := recover()
 		if r != nil {
 			f.err = errPanicked
 		}
 		c.settleFlight(key, f, gen)
-		if r != nil {
+		if r != nil && repanic {
 			panic(r)
 		}
-	}()
-	f.val, f.err = compute()
-	return f.val, f.err
-}
-
-// backgroundFlight executes a refresh computation on the SWR runner. A
-// panic settles the flight with errPanicked and is swallowed: nobody is
-// on this call stack to re-panic on, and waiters coalesced onto the
-// flight see the error.
-func (c *Cache) backgroundFlight(key Key, f *flight, gen uint64, compute func() (any, error)) {
-	defer func() {
-		if r := recover(); r != nil {
-			f.err = errPanicked
-		}
-		c.settleFlight(key, f, gen)
 	}()
 	f.val, f.err = compute()
 }
