@@ -492,9 +492,10 @@ func BenchmarkSnapshotDirParallel(b *testing.B) {
 
 // BenchmarkSegmentCompression is self-checking: each iteration
 // snapshots the persist fixture and fails unless the columnar encoding
-// (docs/PERSISTENCE.md §2) is at least 2x smaller on disk than the raw
-// columns (16 bytes a point) — the acceptance floor for the storage
-// engine. bench-smoke runs it under -benchtime=1x in CI.
+// (docs/PERSISTENCE.md §2) is at least 4.1x smaller on disk than the
+// raw columns (16 bytes a point) — the storage engine's floor, within
+// 20% of the 5.1x it measures; byte counts are deterministic, so the
+// floor cannot flap. bench-smoke runs it under -benchtime=1x in CI.
 func BenchmarkSegmentCompression(b *testing.B) {
 	db := persistStore(b)
 	b.ResetTimer()
@@ -509,8 +510,8 @@ func BenchmarkSegmentCompression(b *testing.B) {
 		}
 		raw := int64(info.Points) * 16
 		ratio := float64(raw) / float64(info.Bytes)
-		if ratio < 2 {
-			b.Fatalf("compression ratio %.2fx below the 2x floor (raw %d B, on disk %d B)",
+		if ratio < 4.1 {
+			b.Fatalf("compression ratio %.2fx below the 4.1x floor (raw %d B, on disk %d B)",
 				ratio, raw, info.Bytes)
 		}
 		b.ReportMetric(ratio, "x-compression")

@@ -4,46 +4,43 @@
 //
 // Usage:
 //
-//	benchtables [-seed N] [-days N] [-only table1,figure3,...]
+//	benchtables [-seed N] [-days N] [-only table1,figure3,...] [-report file.md]
 //
 // The longitudinal experiments (tables 1, 3, 4; figures 7, 8, 9; operator
 // validation) share one fluid-mode study; -days 650 covers March 2016
 // through December 2017 like the paper, smaller values trade fidelity for
-// speed.
+// speed. Only the paper's evaluation lives here: the serving and storage
+// tiers are measured by the repository benchmark (go run ./benchmark) and
+// their floors are package tests.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"os/signal"
-	"reflect"
-	"runtime"
-	"sort"
 	"strings"
 	"syscall"
 	"time"
 
-	"interdomain/internal/analysis"
-	"interdomain/internal/api"
 	"interdomain/internal/experiments"
-	"interdomain/internal/netsim"
-	"interdomain/internal/replication"
-	"interdomain/internal/tsdb"
 )
+
+// sections names every -only value: the paper's tables, figures and
+// studies.
+var sections = map[string]bool{
+	"table1": true, "table2": true, "table3": true, "table4": true,
+	"figure3": true, "figure4": true, "figure5": true, "figure6": true,
+	"figure7": true, "figure8": true, "figure9": true,
+	"operator": true, "ablations": true, "asymmetry": true, "mapit": true,
+}
 
 func main() {
 	seed := flag.Uint64("seed", 1, "determinism seed")
 	days := flag.Int("days", experiments.StudyDays, "longitudinal study length in days")
-	only := flag.String("only", "", "comma-separated subset (table1..4, figure3..9, operator, ablations, asymmetry, mapit, campaign, persist, storage, readpath, aggregate, detect, fleet)")
+	only := flag.String("only", "", "comma-separated subset (table1..4, figure3..9, operator, ablations, asymmetry, mapit)")
 	report := flag.String("report", "", "also write a full Markdown measurement report here")
-	jsonOut := flag.String("json", "", "write the machine-independent benchmark ratios as JSON here (needs the storage and readpath sections)")
-	baseline := flag.String("baseline", "", "compare the ratios against this baseline JSON and fail on >20% regression")
 	flag.Parse()
 
 	// Interrupts cancel the in-flight experiment instead of killing the
@@ -54,7 +51,11 @@ func main() {
 	want := map[string]bool{}
 	if *only != "" {
 		for _, k := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(k)] = true
+			k = strings.TrimSpace(k)
+			if !sections[k] {
+				fatal(fmt.Errorf("-only: unknown section %q", k))
+			}
+			want[k] = true
 		}
 	}
 	sel := func(k string) bool { return len(want) == 0 || want[k] }
@@ -162,55 +163,6 @@ func main() {
 		}
 		fmt.Println(experiments.RenderAsymmetry(r))
 	}
-	if sel("campaign") {
-		section("Packet-mode campaign — sequential vs sharded scheduler",
-			"per-tick VP partitioning on the pipeline worker pool; identical stores by construction")
-		if err := runCampaignSection(ctx, *seed); err != nil {
-			fatal(err)
-		}
-	}
-	if sel("persist") {
-		section("Persistence — segmented snapshot/restore + retention",
-			"per-(shard,window) segments on the pipeline pool; equivalence checked by canonical digest")
-		if err := runPersistSection(); err != nil {
-			fatal(err)
-		}
-	}
-	if sel("storage") {
-		section("Storage engine — columnar segments vs raw columns + compaction",
-			"delta-of-delta timestamps, Gorilla XOR values, per-block sums (docs/PERSISTENCE.md §2, §10); same digest, fewer bytes")
-		if err := runStorageSection(); err != nil {
-			fatal(err)
-		}
-	}
-	if sel("readpath") {
-		section("Read path — eager decode vs lazy block-pruned open (docs/PERSISTENCE.md §9)",
-			"segments mapped, not decoded; queries prune whole blocks by summary and decode survivors on demand")
-		if err := runReadpathSection(); err != nil {
-			fatal(err)
-		}
-	}
-	if sel("aggregate") {
-		section("Aggregate pushdown — per-point fold vs summary-level buckets (docs/PERSISTENCE.md §10)",
-			"aligned dashboard aggregates answered from block summaries without decoding a single block")
-		if err := runAggregateSection(); err != nil {
-			fatal(err)
-		}
-	}
-	if sel("detect") {
-		section("Detection — batch recompute vs incremental warm update (docs/DETECTION.md §3-§4)",
-			"persistent accumulators fold only new points; stale-while-revalidate serves the superseded body meanwhile")
-		if err := runDetectSection(); err != nil {
-			fatal(err)
-		}
-	}
-	if sel("fleet") {
-		section("Follower fleet — delta shipping and relay sync (docs/REPLICATION.md §8)",
-			"append generations ship as spliced tails; a relay's leaf converges on the leader's digest")
-		if err := runFleetSection(); err != nil {
-			fatal(err)
-		}
-	}
 	if sel("mapit") {
 		section("§9 — MAP-IT: interdomain links beyond the VP's border",
 			"paper proposes combining bdrmap with MAP-IT for links farther than one AS hop")
@@ -233,952 +185,6 @@ func main() {
 		}
 		fmt.Printf("report written to %s\n", *report)
 	}
-	if *jsonOut != "" || *baseline != "" {
-		if err := finishBench(*jsonOut, *baseline); err != nil {
-			fatal(err)
-		}
-	}
-}
-
-// benchRatios collects the machine-independent ratios measured by the
-// storage and readpath sections. Ratios — not absolute wall-clock or
-// byte counts — are what -json persists and -baseline compares, so the
-// regression gate is meaningful across machines of different speed.
-var benchRatios = map[string]float64{}
-
-// benchRegressionSlack is how far below the committed baseline a ratio
-// may fall before -baseline fails the run: 20%, absorbing scheduler
-// noise in the wall-clock-derived ratios while still catching a real
-// regression (the structural ratios are deterministic and never move).
-const benchRegressionSlack = 0.20
-
-// benchReport is the schema of the -json artifact and of
-// bench/baseline.json: a flat name -> ratio map, higher is better.
-type benchReport struct {
-	Metrics map[string]float64 `json:"metrics"`
-}
-
-// finishBench writes the measured ratios to jsonOut and/or gates them
-// against a committed baseline, failing when any baseline metric is
-// missing from this run or regressed more than benchRegressionSlack.
-func finishBench(jsonOut, baseline string) error {
-	for _, k := range []string{"compression_ratio", "block_skip_ratio", "cold_open_speedup", "aggregate_pushdown_speedup", "detect_update_speedup", "delta_bytes_ratio"} {
-		if _, ok := benchRatios[k]; !ok {
-			return fmt.Errorf("bench gate needs the storage, readpath, aggregate, detect and fleet sections (missing %s); run with -only \"\" or -only storage,readpath,aggregate,detect,fleet", k)
-		}
-	}
-	if jsonOut != "" {
-		buf, err := json.MarshalIndent(benchReport{Metrics: benchRatios}, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonOut, append(buf, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("bench ratios written to %s\n", jsonOut)
-	}
-	if baseline != "" {
-		raw, err := os.ReadFile(baseline)
-		if err != nil {
-			return err
-		}
-		var base benchReport
-		if err := json.Unmarshal(raw, &base); err != nil {
-			return fmt.Errorf("parse %s: %w", baseline, err)
-		}
-		var failed []string
-		for name, want := range base.Metrics {
-			got, ok := benchRatios[name]
-			floor := want * (1 - benchRegressionSlack)
-			switch {
-			case !ok:
-				failed = append(failed, fmt.Sprintf("%s: not measured (baseline %.2f)", name, want))
-			case got < floor:
-				failed = append(failed, fmt.Sprintf("%s: %.2f < %.2f (baseline %.2f - %.0f%% slack)",
-					name, got, floor, want, 100*benchRegressionSlack))
-			default:
-				fmt.Printf("bench gate: %-20s %8.2f  (baseline %.2f, floor %.2f) ok\n", name, got, want, floor)
-			}
-		}
-		if len(failed) > 0 {
-			return fmt.Errorf("bench regression vs %s:\n  %s", baseline, strings.Join(failed, "\n  "))
-		}
-		fmt.Printf("bench gate: all %d metrics within %.0f%% of %s\n",
-			len(base.Metrics), 100*benchRegressionSlack, baseline)
-	}
-	return nil
-}
-
-// runCampaignSection times the same packet-mode campaign on the
-// sequential scheduler and on the sharded scheduler, checks the stores
-// match bit-for-bit, and reports the wall-clock speedup. The speedup is
-// bounded by GOMAXPROCS — on one CPU it only shows dispatch overhead.
-func runCampaignSection(ctx context.Context, seed uint64) error {
-	cfg := experiments.CampaignConfig{Seed: seed, VPs: 8, Hours: 2, GlobalChurn: true}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > 8 {
-		workers = 8
-	}
-
-	t0 := time.Now()
-	seq, err := experiments.RunCampaign(ctx, cfg)
-	if err != nil {
-		return err
-	}
-	seqWall := time.Since(t0)
-
-	cfg.Workers = workers
-	t0 = time.Now()
-	par, err := experiments.RunCampaign(ctx, cfg)
-	if err != nil {
-		return err
-	}
-	parWall := time.Since(t0)
-
-	fmt.Printf("%d VPs, %dh probing horizon, %d links, %d loss targets, %d points\n",
-		seq.VPs, cfg.Hours, seq.Links, seq.Targets, seq.Points)
-	fmt.Printf("sequential scheduler: %8.2fs  (%d events)\n", seqWall.Seconds(), seq.Events)
-	fmt.Printf("sharded x%d workers:  %8.2fs  (GOMAXPROCS=%d)\n", workers, parWall.Seconds(), runtime.GOMAXPROCS(0))
-	fmt.Printf("speedup: %.2fx\n", seqWall.Seconds()/parWall.Seconds())
-	if seq.Digest != par.Digest {
-		return fmt.Errorf("campaign stores diverged: sequential digest %016x, sharded %016x", seq.Digest, par.Digest)
-	}
-	fmt.Printf("store digests match: %016x\n", seq.Digest)
-	return nil
-}
-
-// runPersistSection times the segmented directory snapshot and restore
-// (docs/PERSISTENCE.md) on a synthetic store shaped like a week of
-// campaign data, proves the restore through the canonical digest, and
-// demonstrates segment-drop retention. Like the campaign section, the
-// speedup over one worker is bounded by GOMAXPROCS.
-func runPersistSection() error {
-	db := persistFixture()
-	want := db.Digest()
-
-	dir, err := os.MkdirTemp("", "benchtables-persist-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-
-	t0 := time.Now()
-	st, err := db.SnapshotDir(dir, tsdb.DirOptions{})
-	if err != nil {
-		return err
-	}
-	dirSnap := time.Since(t0)
-
-	t0 = time.Now()
-	viaDir := tsdb.Open()
-	if err := viaDir.RestoreDir(dir, tsdb.DirOptions{}); err != nil {
-		return err
-	}
-	dirRestore := time.Since(t0)
-
-	if viaDir.Digest() != want {
-		return fmt.Errorf("restore diverged: dir %016x, want %016x", viaDir.Digest(), want)
-	}
-
-	fmt.Printf("%d series, %d points, %d segments, %d workers\n",
-		st.Series, st.Points, st.Segments, runtime.GOMAXPROCS(0))
-	fmt.Printf("snapshot: dir %8.1fms\n", dirSnap.Seconds()*1e3)
-	fmt.Printf("restore:  dir %8.1fms\n", dirRestore.Seconds()*1e3)
-
-	cut := netsim.Epoch.Add(48 * time.Hour)
-	t0 = time.Now()
-	removed, dropped, err := tsdb.RetainDir(dir, cut)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("retention to t+48h: %d segment files deleted, %d points dropped in %.1fms (no survivor decoded)\n",
-		removed, dropped, time.Since(t0).Seconds()*1e3)
-	fmt.Printf("restore agrees: digest %016x\n", want)
-	return nil
-}
-
-// persistFixture builds the synthetic store shared by the persist and
-// storage sections: 400 series shaped like a week of campaign data, 600
-// points each on a fixed 12-minute cadence.
-func persistFixture() *tsdb.DB {
-	db := tsdb.Open()
-	batch := make([]tsdb.BatchPoint, 0, 4096)
-	for s := 0; s < 400; s++ {
-		tags := map[string]string{
-			"vp":   fmt.Sprintf("vp-%02d", s%16),
-			"link": fmt.Sprintf("l-%03d", s),
-			"side": []string{"near", "far"}[s%2],
-		}
-		for p := 0; p < 600; p++ {
-			batch = append(batch, tsdb.BatchPoint{
-				Measurement: "tslp", Tags: tags,
-				Time:  netsim.Epoch.Add(time.Duration(p) * 12 * time.Minute),
-				Value: float64(s*600 + p),
-			})
-			if len(batch) == cap(batch) {
-				db.WriteBatch(batch)
-				batch = batch[:0]
-			}
-		}
-	}
-	db.WriteBatch(batch)
-	return db
-}
-
-// rawPointBytes is what one point costs as raw columns: an int64
-// timestamp plus a float64 value. compression_ratio is measured against
-// it.
-const rawPointBytes = 16
-
-// runStorageSection measures the segment format on the persist fixture:
-// bytes on disk against the raw columns (16 B a point), snapshot/restore
-// wall-clock, and replication transfer volume, then compacts the
-// directory and reports what the merged segments cost. Digest equality
-// across every path is the equivalence proof (ISSUE 6 acceptance).
-func runStorageSection() error {
-	db := persistFixture()
-	want := db.Digest()
-
-	dir, err := os.MkdirTemp("", "benchtables-storage-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-
-	t0 := time.Now()
-	if _, err := db.SnapshotDir(dir, tsdb.DirOptions{}); err != nil {
-		return err
-	}
-	snap := time.Since(t0)
-
-	info, err := tsdb.ReadDirInfo(dir)
-	if err != nil {
-		return err
-	}
-
-	t0 = time.Now()
-	restored := tsdb.Open()
-	if err := restored.RestoreDir(dir, tsdb.DirOptions{}); err != nil {
-		return err
-	}
-	restore := time.Since(t0)
-	if restored.Digest() != want {
-		return fmt.Errorf("storage: restore diverged: %016x want %016x", restored.Digest(), want)
-	}
-
-	// Replication transfer volume: a cold follower fetching the whole
-	// directory moves exactly the committed segment payloads.
-	ts := httptest.NewServer(replication.NewExporter(dir))
-	fdir, err := os.MkdirTemp("", "benchtables-replica-*")
-	if err != nil {
-		ts.Close()
-		return err
-	}
-	fdb := tsdb.Open()
-	cs, err := replication.New(ts.URL, fdir, fdb, replication.Options{}).TailOnce(context.Background())
-	ts.Close()
-	os.RemoveAll(fdir)
-	if err != nil {
-		return err
-	}
-	if fdb.Digest() != want {
-		return fmt.Errorf("storage: replication diverged")
-	}
-
-	raw := int64(info.Points) * rawPointBytes
-	fmt.Printf("%d series x 600 points, %d segments per snapshot\n", 400, info.Segments)
-	fmt.Printf("raw columns  %8d KiB\n", raw/1024)
-	fmt.Printf("on disk      %8d KiB | snapshot %6.1fms restore %6.1fms | replication %8d KiB\n",
-		info.Bytes/1024, snap.Seconds()*1e3, restore.Seconds()*1e3, cs.BytesFetched/1024)
-	ratio := float64(raw) / float64(info.Bytes)
-	benchRatios["compression_ratio"] = ratio
-	fmt.Printf("compression ratio raw/disk: %.2fx bytes on disk, %.2fx transfer volume\n",
-		ratio, float64(raw)/float64(cs.BytesFetched))
-
-	// Compaction: merge everything cold into multi-window level-1
-	// segments and report the effect.
-	t0 = time.Now()
-	cstats, err := tsdb.CompactDir(dir, tsdb.CompactOptions{ColdBefore: netsim.Epoch.AddDate(1, 0, 0)})
-	if err != nil {
-		return err
-	}
-	info, err = tsdb.ReadDirInfo(dir)
-	if err != nil {
-		return err
-	}
-	compacted := tsdb.Open()
-	if err := compacted.RestoreDir(dir, tsdb.DirOptions{}); err != nil {
-		return err
-	}
-	if compacted.Digest() != want {
-		return fmt.Errorf("storage: compacted restore diverged")
-	}
-	fmt.Printf("compaction:  %d -> %d segments (level %d) in %.1fms, %d KiB, digest preserved\n",
-		cstats.Merged, cstats.Written, info.MaxLevel, time.Since(t0).Seconds()*1e3, info.Bytes/1024)
-	if ratio < 2 {
-		return fmt.Errorf("storage: compression ratio %.2fx below the 2x acceptance floor", ratio)
-	}
-	fmt.Printf("all digests match: %016x\n", want)
-	return nil
-}
-
-// runReadpathSection compares a cold eager restore of the persist
-// fixture against a lazy block-pruned open (docs/PERSISTENCE.md §9):
-// open wall-clock, heap resident after open, and the first one-day
-// query. The fixture spans five 24h windows, one 120-point block per
-// (series, window), so a one-day query must decode exactly a fifth of
-// the blocks — the section fails below a 5x block-skip ratio, if an
-// out-of-range query decodes anything, or if the lazy store's digest
-// ever diverges from the eager one (ISSUE 7 acceptance).
-func runReadpathSection() error {
-	db := persistFixture()
-	want := db.Digest()
-
-	dir, err := os.MkdirTemp("", "benchtables-readpath-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	if _, err := db.SnapshotDir(dir, tsdb.DirOptions{}); err != nil {
-		return err
-	}
-	qFrom, qTo := netsim.Epoch, netsim.Epoch.Add(24*time.Hour)
-
-	// One cold run: restore the directory, measure the heap the restored
-	// store holds (mapped-but-undecoded segments do not count), then run
-	// the first query against it. Best-of-3 for the wall-clock numbers;
-	// the heap delta is stable so the minimum is just noise rejection.
-	type coldRun struct {
-		open, query time.Duration
-		heap        int64
-		db          *tsdb.DB
-	}
-	cold := func(lazy bool) (coldRun, error) {
-		r := coldRun{open: time.Hour, query: time.Hour, heap: 1 << 62}
-		for i := 0; i < 3; i++ {
-			r.db = nil
-			runtime.GC()
-			var m0 runtime.MemStats
-			runtime.ReadMemStats(&m0)
-
-			d := tsdb.Open()
-			t0 := time.Now()
-			if err := d.RestoreDir(dir, tsdb.DirOptions{Lazy: lazy}); err != nil {
-				return r, err
-			}
-			open := time.Since(t0)
-
-			runtime.GC()
-			var m1 runtime.MemStats
-			runtime.ReadMemStats(&m1)
-			if h := int64(m1.HeapAlloc) - int64(m0.HeapAlloc); h < r.heap {
-				r.heap = h
-			}
-
-			t0 = time.Now()
-			views := d.QueryView("tslp", nil, qFrom, qTo)
-			query := time.Since(t0)
-			if len(views) != 400 {
-				return r, fmt.Errorf("readpath: one-day query returned %d series, want 400", len(views))
-			}
-			if open < r.open {
-				r.open = open
-			}
-			if query < r.query {
-				r.query = query
-			}
-			r.db = d
-		}
-		return r, nil
-	}
-
-	eager, err := cold(false)
-	if err != nil {
-		return err
-	}
-	lazy, err := cold(true)
-	if err != nil {
-		return err
-	}
-
-	ls, ok := lazy.db.LazyReadStats()
-	if !ok {
-		return fmt.Errorf("readpath: lazy-opened store reports no lazy stats")
-	}
-	if ls.BlocksDecoded == 0 {
-		return fmt.Errorf("readpath: one-day query decoded no blocks")
-	}
-	skipRatio := float64(ls.Blocks) / float64(ls.BlocksDecoded)
-
-	// Out-of-range probe: a window before any data must be answered from
-	// summaries alone.
-	lazy.db.QueryView("tslp", nil, netsim.Epoch.Add(-48*time.Hour), netsim.Epoch.Add(-24*time.Hour))
-	ls2, _ := lazy.db.LazyReadStats()
-	if extra := ls2.BlocksDecoded - ls.BlocksDecoded; extra != 0 {
-		return fmt.Errorf("readpath: out-of-range query decoded %d blocks, want 0", extra)
-	}
-
-	// Digest equality is the correctness oracle; on the lazy store it
-	// decodes every block (through the cache), so it runs last.
-	if eager.db.Digest() != want || lazy.db.Digest() != want {
-		return fmt.Errorf("readpath: restores diverged: eager %016x, lazy %016x, want %016x",
-			eager.db.Digest(), lazy.db.Digest(), want)
-	}
-
-	speedup := eager.open.Seconds() / lazy.open.Seconds()
-	benchRatios["cold_open_speedup"] = speedup
-	benchRatios["block_skip_ratio"] = skipRatio
-
-	fmt.Printf("%d series x 600 points, %d segments, %d blocks, one-day query over a five-day store\n",
-		400, ls.Segments, ls.Blocks)
-	fmt.Printf("cold open:   eager %8.1fms | lazy %8.1fms  (%.1fx faster)\n",
-		eager.open.Seconds()*1e3, lazy.open.Seconds()*1e3, speedup)
-	fmt.Printf("resident:    eager %8d KiB | lazy %8d KiB after open\n",
-		eager.heap/1024, lazy.heap/1024)
-	fmt.Printf("first query: eager %8.2fms | lazy %8.2fms  (decoded %d, skipped %d of %d blocks)\n",
-		eager.query.Seconds()*1e3, lazy.query.Seconds()*1e3, ls.BlocksDecoded, ls.BlocksSkipped, ls.Blocks)
-	fmt.Printf("block-skip ratio: %.2fx; out-of-range query decoded 0 blocks\n", skipRatio)
-	if skipRatio < 5 {
-		return fmt.Errorf("readpath: block-skip ratio %.2fx below the 5x acceptance floor", skipRatio)
-	}
-	fmt.Printf("digests match: %016x\n", want)
-	return nil
-}
-
-// runAggregateSection measures the summary-level aggregate pushdown
-// (docs/PERSISTENCE.md §10) against the per-point fold it replaces.
-// The fixture holds 64 series of minute-cadence integer samples over
-// three days on one-hour segment windows, so every block sits inside an
-// aligned one-hour bucket: the pushdown path must answer the whole
-// dashboard aggregate from block summaries alone — zero blocks decoded,
-// a 100% decode-free bucket ratio — while the per-point path restores
-// the same lazy directory and folds every decoded point. The section
-// fails on any decoded block, on any value mismatch against the
-// per-point fold (integer fixture values keep bucket sums exactly
-// representable, so equality is bit-for-bit), below a 5x wall-clock
-// speedup, or when the pushdown's resident heap reaches half the bytes
-// the decode path materializes (ISSUE 9 acceptance).
-func runAggregateSection() error {
-	const (
-		nSeries = 64
-		days    = 3
-		step    = time.Hour
-	)
-	buckets := days * 24
-	points := nSeries * days * 24 * 60
-
-	db := tsdb.Open()
-	db.SetSegmentWindow(time.Hour)
-	batch := make([]tsdb.BatchPoint, 0, 4096)
-	for s := 0; s < nSeries; s++ {
-		tags := map[string]string{
-			"vp":   fmt.Sprintf("vp-%02d", s%8),
-			"link": fmt.Sprintf("l-%03d", s/2),
-			"side": []string{"near", "far"}[s%2],
-		}
-		for p := 0; p < days*24*60; p++ {
-			batch = append(batch, tsdb.BatchPoint{
-				Measurement: "tslp", Tags: tags,
-				Time:  netsim.Epoch.Add(time.Duration(p) * time.Minute),
-				Value: float64(s*100000 + p),
-			})
-			if len(batch) == cap(batch) {
-				db.WriteBatch(batch)
-				batch = batch[:0]
-			}
-		}
-	}
-	db.WriteBatch(batch)
-
-	dir, err := os.MkdirTemp("", "benchtables-aggregate-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	if _, err := db.SnapshotDir(dir, tsdb.DirOptions{}); err != nil {
-		return err
-	}
-	from := netsim.Epoch
-	to := from.Add(days * 24 * time.Hour)
-	openLazy := func() (*tsdb.DB, error) {
-		d := tsdb.Open()
-		return d, d.RestoreDir(dir, tsdb.DirOptions{Lazy: true})
-	}
-
-	// Pushdown path: fresh lazy store per run, best of 3 for wall-clock
-	// and resident heap. Any decode at all fails the run — an aligned
-	// aggregate must live on summaries alone.
-	var (
-		pushWall        = time.Hour
-		pushHeap  int64 = 1 << 62
-		pushRes   []tsdb.AggSeries
-		pushStats tsdb.LazyStats
-	)
-	for i := 0; i < 3; i++ {
-		d, err := openLazy()
-		if err != nil {
-			return err
-		}
-		runtime.GC()
-		var m0 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		t0 := time.Now()
-		res, err := d.QueryAggregate("tslp", nil, from, to, step, tsdb.AggAll)
-		if err != nil {
-			return err
-		}
-		wall := time.Since(t0)
-		runtime.GC()
-		var m1 runtime.MemStats
-		runtime.ReadMemStats(&m1)
-		st, ok := d.LazyReadStats()
-		if !ok {
-			return fmt.Errorf("aggregate: lazy-opened store reports no lazy stats")
-		}
-		if st.BlocksDecoded != 0 || st.DecodedBytes != 0 {
-			return fmt.Errorf("aggregate: aligned pushdown decoded %d blocks (%d bytes), want 0",
-				st.BlocksDecoded, st.DecodedBytes)
-		}
-		if wall < pushWall {
-			pushWall = wall
-		}
-		if h := int64(m1.HeapAlloc) - int64(m0.HeapAlloc); h < pushHeap {
-			pushHeap = h
-		}
-		pushRes, pushStats = res, st
-		runtime.KeepAlive(res)
-	}
-	wantBuckets := uint64(nSeries * buckets)
-	if pushStats.SummaryOnlyBuckets != wantBuckets {
-		return fmt.Errorf("aggregate: %d summary-only buckets, want %d",
-			pushStats.SummaryOnlyBuckets, wantBuckets)
-	}
-
-	// Per-point path — what the dashboards did before pushdown: decode
-	// every surviving block through QueryView and fold point by point
-	// with the same bucket semantics.
-	var (
-		decWall  = time.Hour
-		decBytes uint64
-		decRes   []tsdb.AggSeries
-	)
-	for i := 0; i < 3; i++ {
-		d, err := openLazy()
-		if err != nil {
-			return err
-		}
-		t0 := time.Now()
-		res := foldAggViews(d.QueryView("tslp", nil, from, to), from, step, buckets)
-		wall := time.Since(t0)
-		st, _ := d.LazyReadStats()
-		if st.BlocksDecoded == 0 {
-			return fmt.Errorf("aggregate: per-point fold decoded no blocks")
-		}
-		decBytes = st.DecodedBytes
-		if wall < decWall {
-			decWall = wall
-		}
-		decRes = res
-	}
-
-	// Equality is the oracle: both paths, same bits.
-	if len(pushRes) != len(decRes) {
-		return fmt.Errorf("aggregate: pushdown returned %d series, per-point fold %d", len(pushRes), len(decRes))
-	}
-	for i := range pushRes {
-		for b := range pushRes[i].Buckets {
-			p, q := pushRes[i].Buckets[b], decRes[i].Buckets[b]
-			if p.Start != q.Start || p.Count != q.Count ||
-				!aggBitsEqual(p.Min, q.Min) || !aggBitsEqual(p.Max, q.Max) ||
-				!aggBitsEqual(p.Sum, q.Sum) || !aggBitsEqual(p.Mean, q.Mean) {
-				return fmt.Errorf("aggregate: series %d bucket %d diverged: pushdown %+v, per-point %+v", i, b, p, q)
-			}
-		}
-	}
-
-	speedup := decWall.Seconds() / pushWall.Seconds()
-	benchRatios["aggregate_pushdown_speedup"] = speedup
-	freeRatio := float64(pushStats.SummaryOnlyBuckets) / float64(wantBuckets)
-	heapCeiling := int64(decBytes) / 2
-
-	fmt.Printf("%d series x %d days at minute cadence (%d points), %d one-hour buckets per series\n",
-		nSeries, days, points, buckets)
-	fmt.Printf("per-point fold: %8.2fms (decoded %d blocks, %d KiB materialized)\n",
-		decWall.Seconds()*1e3, pushStats.Blocks, decBytes/1024)
-	fmt.Printf("pushdown:       %8.2fms (decoded 0 blocks, %d summary-only buckets)\n",
-		pushWall.Seconds()*1e3, pushStats.SummaryOnlyBuckets)
-	fmt.Printf("decode-free bucket ratio: %.2f; resident heap %d KiB (ceiling %d KiB); speedup %.1fx\n",
-		freeRatio, pushHeap/1024, heapCeiling/1024, speedup)
-	if pushHeap >= heapCeiling {
-		return fmt.Errorf("aggregate: pushdown resident heap %d KiB reached the %d KiB ceiling",
-			pushHeap/1024, heapCeiling/1024)
-	}
-	if speedup < 5 {
-		return fmt.Errorf("aggregate: pushdown speedup %.2fx below the 5x acceptance floor", speedup)
-	}
-	fmt.Println("pushdown and per-point results agree bit-for-bit")
-	return nil
-}
-
-// foldAggViews reproduces QueryAggregate's bucket semantics point by
-// point over decoded views (docs/PERSISTENCE.md §10): Count includes
-// NaN, Min/Max exclude it, Sum folds sequentially in time order so a
-// NaN poisons the bucket, Mean is Sum/Count.
-func foldAggViews(views []tsdb.SeriesView, from time.Time, step time.Duration, buckets int) []tsdb.AggSeries {
-	fromNs := from.UnixNano()
-	out := make([]tsdb.AggSeries, len(views))
-	for i, v := range views {
-		bs := make([]tsdb.AggBucket, buckets)
-		for b := range bs {
-			bs[b] = tsdb.AggBucket{
-				Start: from.Add(time.Duration(b) * step),
-				Min:   math.NaN(), Max: math.NaN(), Sum: math.NaN(), Mean: math.NaN(),
-			}
-		}
-		for j, ns := range v.Times {
-			b := int(time.Duration(ns-fromNs) / step)
-			bk := &bs[b]
-			if bk.Count == 0 {
-				bk.Sum = 0
-			}
-			bk.Count++
-			val := v.Values[j]
-			bk.Sum += val
-			if !math.IsNaN(val) {
-				if math.IsNaN(bk.Min) || val < bk.Min {
-					bk.Min = val
-				}
-				if math.IsNaN(bk.Max) || val > bk.Max {
-					bk.Max = val
-				}
-			}
-		}
-		for b := range bs {
-			if bs[b].Count > 0 {
-				bs[b].Mean = bs[b].Sum / float64(bs[b].Count)
-			}
-		}
-		out[i] = tsdb.AggSeries{Measurement: v.Measurement, Tags: v.Tags, Buckets: bs}
-	}
-	return out
-}
-
-// aggBitsEqual compares two aggregate values bit-for-bit, treating any
-// NaN as equal to any NaN.
-func aggBitsEqual(a, b float64) bool {
-	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
-}
-
-// runDetectSection measures the incremental detector against the batch
-// path on an 8-VP, 50-day fixture (docs/DETECTION.md §3-§4): one full
-// fold into a cold accumulator versus warm advances that fold a single
-// appended point, with batch/incremental result equality checked before
-// any timing is trusted. The section fails below a 10x warm-update
-// speedup. It then serves the same fixture through the API with
-// stale-while-revalidate on and proves a stamp-change request is
-// answered from the superseded body in well under the batch time while
-// the refresh runs in the background (docs/DETECTION.md §7).
-func runDetectSection() error {
-	const vps = 8
-	cfg := analysis.DefaultAutocorr()
-	cfg.WindowDays = 50
-	from := netsim.Epoch
-	bin := 24 * time.Hour / time.Duration(cfg.BinsPerDay)
-	to := from.Add(time.Duration(cfg.WindowDays*cfg.BinsPerDay) * bin)
-
-	db := tsdb.Open()
-	rng := netsim.NewRNG(11)
-	batch := make([]tsdb.BatchPoint, 0, 4096)
-	for v := 0; v < vps; v++ {
-		vp := fmt.Sprintf("vp-%d", v)
-		farTags := map[string]string{"vp": vp, "link": "L", "side": "far"}
-		nearTags := map[string]string{"vp": vp, "link": "L", "side": "near"}
-		for d := 0; d < cfg.WindowDays; d++ {
-			for b := 0; b < 96; b++ {
-				at := netsim.Day(d).Add(time.Duration(b) * 15 * time.Minute)
-				far := 20 + rng.Float64()
-				if b >= 80 && b < 90 {
-					far += 30
-				}
-				batch = append(batch,
-					tsdb.BatchPoint{Measurement: "tslp", Tags: farTags, Time: at, Value: far},
-					tsdb.BatchPoint{Measurement: "tslp", Tags: nearTags, Time: at, Value: 5 + rng.Float64()})
-				if len(batch) >= cap(batch)-2 {
-					db.WriteBatch(batch)
-					batch = batch[:0]
-				}
-			}
-		}
-	}
-	db.WriteBatch(batch)
-
-	query := func(side string) []tsdb.SeriesView {
-		return db.QueryView("tslp", map[string]string{"link": "L", "side": side}, from, to)
-	}
-
-	// Correctness before timing: the accumulator's first advance must
-	// reproduce the batch detector exactly (docs/DETECTION.md §4).
-	inc := analysis.NewIncremental(from, cfg)
-	res, info := inc.Advance(db.Epoch(), query("far"), query("near"))
-	if !info.Full {
-		return fmt.Errorf("detect: cold accumulator did not report a full fold")
-	}
-	buildBatch := func(side string) *analysis.BinSeries {
-		s := analysis.NewBinSeries(from, bin, cfg.WindowDays*cfg.BinsPerDay)
-		for _, view := range query(side) {
-			for i, ns := range view.Times {
-				s.ObserveNanos(ns, view.Values[i])
-			}
-		}
-		return s
-	}
-	want, err := analysis.Autocorrelation(buildBatch("far"), buildBatch("near"), cfg)
-	if err != nil {
-		return err
-	}
-	if !reflect.DeepEqual(res, want) {
-		return fmt.Errorf("detect: incremental result diverged from batch")
-	}
-
-	// Full-fold cost: fresh accumulator per run, best of 3.
-	points := 0
-	full := time.Hour
-	for i := 0; i < 3; i++ {
-		cold := analysis.NewIncremental(from, cfg)
-		far, near := query("far"), query("near")
-		t0 := time.Now()
-		_, fi := cold.Advance(db.Epoch(), far, near)
-		if d := time.Since(t0); d < full {
-			full = d
-		}
-		points = fi.PointsFolded
-	}
-
-	// Warm updates: append one far sample, advance, repeat. Every
-	// advance must stay on the incremental path and fold exactly the
-	// one new point.
-	const warmN = 30
-	farTags := map[string]string{"vp": "vp-0", "link": "L", "side": "far"}
-	at := netsim.Day(cfg.WindowDays - 1).Add(95 * 15 * time.Minute)
-	warmRuns := make([]time.Duration, 0, warmN)
-	for i := 0; i < warmN; i++ {
-		at = at.Add(time.Second)
-		db.Write("tslp", farTags, at, 20+rng.Float64())
-		far, near := query("far"), query("near")
-		t0 := time.Now()
-		_, wi := inc.Advance(db.Epoch(), far, near)
-		warmRuns = append(warmRuns, time.Since(t0))
-		if wi.Full {
-			return fmt.Errorf("detect: warm advance %d fell back to a full recompute", i)
-		}
-		if wi.PointsFolded != 1 {
-			return fmt.Errorf("detect: warm advance %d folded %d points, want 1", i, wi.PointsFolded)
-		}
-	}
-	// Median, not mean: a single GC pause landing in one ~30µs advance
-	// would otherwise dominate the statistic and flap the CI gate.
-	sort.Slice(warmRuns, func(i, j int) bool { return warmRuns[i] < warmRuns[j] })
-	warm := warmRuns[warmN/2]
-
-	speedup := full.Seconds() / warm.Seconds()
-	benchRatios["detect_update_speedup"] = speedup
-	fmt.Printf("%d VPs x %d days (%d points per fold), %d bins\n",
-		vps, cfg.WindowDays, points, cfg.WindowDays*cfg.BinsPerDay)
-	fmt.Printf("full fold:   %10.3fms (cold accumulator, batch-equivalent result)\n", full.Seconds()*1e3)
-	fmt.Printf("warm update: %10.3fms median over %d one-point advances\n", warm.Seconds()*1e3, warmN)
-	fmt.Printf("warm-update speedup: %.0fx\n", speedup)
-	if speedup < 10 {
-		return fmt.Errorf("detect: warm-update speedup %.1fx below the 10x acceptance floor", speedup)
-	}
-
-	// Stale-while-revalidate: a stamp-change request must be served the
-	// superseded body in well under a detector run while the refresh
-	// proceeds in the background.
-	srv := api.New(db, api.WithStaleWhileRevalidate(0))
-	defer srv.Close()
-	congestion := func() (time.Duration, *httptest.ResponseRecorder) {
-		req := httptest.NewRequest("GET",
-			"/api/v1/congestion?link=L&from="+from.Format(time.RFC3339)+"&days=50", nil)
-		w := httptest.NewRecorder()
-		t0 := time.Now()
-		srv.ServeHTTP(w, req)
-		return time.Since(t0), w
-	}
-	if _, w := congestion(); w.Code != 200 {
-		return fmt.Errorf("detect: prime request status %d: %s", w.Code, w.Body.String())
-	}
-	at = at.Add(time.Second)
-	db.Write("tslp", farTags, at, 20+rng.Float64())
-	stale := time.Hour
-	staleSeen := false
-	for i := 0; i < 5; i++ {
-		d, w := congestion()
-		if w.Code != 200 {
-			return fmt.Errorf("detect: stale request status %d", w.Code)
-		}
-		if w.Header().Get("X-Stale") != "true" {
-			continue // the background refresh already landed
-		}
-		staleSeen = true
-		if d < stale {
-			stale = d
-		}
-	}
-	if !staleSeen {
-		return fmt.Errorf("detect: no request was served stale")
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.CongestionComputes() < 2 {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("detect: background refresh never ran (computes=%d)", srv.CongestionComputes())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	st := srv.CacheStats()
-	fmt.Printf("swr: stale serve %.3fms (vs %.3fms full fold), %d stale serves, %d background refreshes, %d detector runs\n",
-		stale.Seconds()*1e3, full.Seconds()*1e3, st.StaleServes, st.BackgroundRefreshes, srv.CongestionComputes())
-	if stale > full/2 && stale > time.Millisecond {
-		return fmt.Errorf("detect: stale serve took %.3fms — it waited for the detector", stale.Seconds()*1e3)
-	}
-	return nil
-}
-
-// runFleetSection measures the follower fleet (docs/REPLICATION.md §8):
-// delta shipping's transfer saving on an append-shaped generation
-// against a whole-segment control (a follower whose leader 404s the
-// delta endpoint, so every splice falls back) and relay convergence
-// through a middle tier. The delta bytes ratio feeds the bench gate as
-// delta_bytes_ratio.
-func runFleetSection() error {
-	ctx := context.Background()
-
-	// Leader fixture: 12 dense hours committed as generation 1, then a
-	// one-hour append committed incrementally as generation 2 — the
-	// shape delta shipping exists for.
-	ldb := tsdb.Open()
-	writeHours := func(h0, h1 int) {
-		batch := make([]tsdb.BatchPoint, 0, 4096)
-		for m := h0 * 60; m < h1*60; m++ {
-			at := netsim.Epoch.Add(time.Duration(m) * time.Minute)
-			for l := 0; l < 4; l++ {
-				link := fmt.Sprintf("L%d", l)
-				for _, side := range []string{"far", "near"} {
-					batch = append(batch, tsdb.BatchPoint{
-						Measurement: "tslp",
-						Tags:        map[string]string{"link": link, "side": side, "vp": "v"},
-						Time:        at, Value: float64(m % 37),
-					})
-					if len(batch) >= cap(batch)-2 {
-						ldb.WriteBatch(batch)
-						batch = batch[:0]
-					}
-				}
-			}
-		}
-		ldb.WriteBatch(batch)
-	}
-	ldir, err := os.MkdirTemp("", "benchtables-fleet-leader-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(ldir)
-	writeHours(0, 12)
-	if _, err := ldb.SnapshotDir(ldir, tsdb.DirOptions{Incremental: true}); err != nil {
-		return err
-	}
-	exporter := replication.NewExporter(ldir)
-	ts := httptest.NewServer(exporter)
-	defer ts.Close()
-	noDelta := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasPrefix(r.URL.Path, replication.DeltaPathPrefix) {
-			http.NotFound(w, r)
-			return
-		}
-		exporter.ServeHTTP(w, r)
-	}))
-	defer noDelta.Close()
-
-	mkFollower := func(leader string) (string, *tsdb.DB, *replication.Follower, error) {
-		dir, err := os.MkdirTemp("", "benchtables-fleet-replica-*")
-		if err != nil {
-			return "", nil, nil, err
-		}
-		db := tsdb.Open()
-		return dir, db, replication.New(leader, dir, db, replication.Options{}), nil
-	}
-	fdir, fdb, delta, err := mkFollower(ts.URL)
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(fdir)
-	cdir, cdb, control, err := mkFollower(noDelta.URL)
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(cdir)
-	if _, err := delta.TailOnce(ctx); err != nil {
-		return err
-	}
-	if _, err := control.TailOnce(ctx); err != nil {
-		return err
-	}
-
-	// The append: one more hour, committed incrementally so unchanged
-	// windows keep their files and grown windows carry append cursors.
-	writeHours(12, 13)
-	if _, err := ldb.SnapshotDir(ldir, tsdb.DirOptions{Incremental: true}); err != nil {
-		return err
-	}
-	cs, err := delta.TailOnce(ctx)
-	if err != nil {
-		return err
-	}
-	ccs, err := control.TailOnce(ctx)
-	if err != nil {
-		return err
-	}
-	want := ldb.Digest()
-	if fdb.Digest() != want || cdb.Digest() != want {
-		return fmt.Errorf("fleet: follower diverged from leader after the append generation")
-	}
-	if cs.DeltaSegments == 0 || cs.DeltaFallbacks != 0 {
-		return fmt.Errorf("fleet: delta follower shipped %d deltas with %d fallbacks", cs.DeltaSegments, cs.DeltaFallbacks)
-	}
-	if ccs.DeltaSegments != 0 || ccs.DeltaFallbacks == 0 {
-		return fmt.Errorf("fleet: control follower shipped %d deltas with %d fallbacks", ccs.DeltaSegments, ccs.DeltaFallbacks)
-	}
-	ratio := float64(ccs.BytesFetched) / float64(cs.BytesFetched)
-	benchRatios["delta_bytes_ratio"] = ratio
-	fmt.Printf("append generation: whole-segment %d KiB, delta %d KiB (%d delta segments)\n",
-		ccs.BytesFetched/1024, cs.BytesFetched/1024, cs.DeltaSegments)
-	fmt.Printf("delta bytes ratio: %.2fx\n", ratio)
-	if ratio < 5 {
-		return fmt.Errorf("fleet: delta bytes ratio %.2fx below the 5x acceptance floor", ratio)
-	}
-
-	// Relay: a leaf syncing from the delta follower's re-exported
-	// directory must land on the same digest and generation.
-	rts := httptest.NewServer(replication.NewExporter(fdir))
-	defer rts.Close()
-	leafDir, err := os.MkdirTemp("", "benchtables-fleet-leaf-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(leafDir)
-	leafDB := tsdb.Open()
-	leaf := replication.New(rts.URL, leafDir, leafDB, replication.Options{})
-	if _, err := leaf.TailOnce(ctx); err != nil {
-		return err
-	}
-	if leafDB.Digest() != want {
-		return fmt.Errorf("fleet: relay leaf diverged from leader")
-	}
-	if got, wantGen := leaf.Status().AppliedGeneration, delta.Status().AppliedGeneration; got != wantGen {
-		return fmt.Errorf("fleet: relay leaf at generation %d, relay at %d", got, wantGen)
-	}
-	fmt.Printf("relay chain leader -> follower -> leaf converged at generation %d, digest %016x\n",
-		leaf.Status().AppliedGeneration, want)
-	return nil
 }
 
 func section(title, paper string) {

@@ -201,9 +201,10 @@ func TestIncrementalEquivalenceRandomSchedules(t *testing.T) {
 }
 
 // TestIncrementalPureAppendStaysIncremental is the performance
-// contract behind the benchtables ≥10x floor (docs/DETECTION.md §4):
-// a steady in-order write workload must never fall back to a full
-// recompute after the initial fold.
+// contract of docs/DETECTION.md §4 (the ruler's
+// analysis.advance_us_p50 measures its cost): a steady in-order write
+// workload must never fall back to a full recompute after the initial
+// fold, and a warm one-point append folds exactly that point.
 func TestIncrementalPureAppendStaysIncremental(t *testing.T) {
 	rng := netsim.NewRNG(7)
 	h := newIncHarness(t)
@@ -219,6 +220,14 @@ func TestIncrementalPureAppendStaysIncremental(t *testing.T) {
 	}
 	if h.incs == 0 {
 		t.Fatal("no incremental advances recorded")
+	}
+	at, ok := h.next["vp1|far"]
+	if !ok {
+		t.Fatal("schedule never appended to vp1's far series")
+	}
+	h.write("vp1", "far", at, h.value("far", at, rng))
+	if info := h.check(); info.Full || info.PointsFolded != 1 {
+		t.Fatalf("warm one-point advance: %+v, want an incremental fold of 1 point", info)
 	}
 }
 

@@ -123,10 +123,11 @@ func TestFleetDeltaShippingConverges(t *testing.T) {
 	}
 	// The headline property: a hot-window tick costs O(new points), not
 	// O(window). The control refetched every changed segment whole;
-	// the acceptance bar is at least 5x fewer bytes on the wire.
-	if cs.BytesFetched*5 > ccs.BytesFetched {
-		t.Fatalf("delta shipped %d bytes, whole segments %d — expected a >=5x saving",
-			cs.BytesFetched, ccs.BytesFetched)
+	// the bar is at least 5.5x fewer bytes on the wire, within 20% of the
+	// 6.87x the fixture measures (deterministic byte counts).
+	if ratio := float64(ccs.BytesFetched) / float64(cs.BytesFetched); ratio < 5.5 {
+		t.Fatalf("delta shipped %d bytes, whole segments %d (%.2fx) — expected a >=5.5x saving",
+			cs.BytesFetched, ccs.BytesFetched, ratio)
 	}
 	st := f.Status()
 	if st.DeltaSegments == 0 || st.DeltaFallbacks != 0 {

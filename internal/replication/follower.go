@@ -1,6 +1,7 @@
 package replication
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -486,9 +487,8 @@ func segmentIdentity(sm tsdb.SegmentMeta) string {
 // tail onto the local predecessor file (docs/REPLICATION.md §8): open
 // and self-verify the local base, request the tail from the offset the
 // base dictates, assemble and CRC-verify the full segment in memory,
-// then run the same temp-file/fsync/verify/rename dance as a whole
-// fetch. It returns the bytes read off the wire; any error makes the
-// caller fall back to fetchSegment.
+// then install it like a whole fetch. It returns the bytes read off the
+// wire; any error makes the caller fall back to fetchSegment.
 func (f *Follower) fetchDelta(ctx context.Context, sm tsdb.SegmentMeta, prevFile string) (int64, error) {
 	base, err := tsdb.OpenDeltaBase(filepath.Join(f.dir, prevFile), sm)
 	if err != nil {
@@ -523,38 +523,12 @@ func (f *Follower) fetchDelta(ctx context.Context, sm tsdb.SegmentMeta, prevFile
 	if err != nil {
 		return n, err
 	}
-	tmp := filepath.Join(f.dir, sm.File+".tmp")
-	file, err := os.Create(tmp)
-	if err != nil {
-		return n, err
-	}
-	_, werr := file.Write(full)
-	if werr == nil {
-		werr = file.Sync()
-	}
-	if cerr := file.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(tmp)
-		return n, fmt.Errorf("replication: write spliced segment %s: %w", sm.File, werr)
-	}
-	if err := tsdb.VerifySegmentFile(tmp, sm); err != nil {
-		os.Remove(tmp)
-		return n, fmt.Errorf("replication: spliced segment rejected: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(f.dir, sm.File)); err != nil {
-		os.Remove(tmp)
-		return n, err
-	}
-	return n, nil
+	_, err = f.install(sm, "spliced", bytes.NewReader(full))
+	return n, err
 }
 
-// fetchSegment downloads one segment to a temp file, verifies it
-// against its manifest entry (header fields + CRC-32C), fsyncs it and
-// renames it into place. It returns the bytes read off the wire. A
-// verification failure deletes the temp file and fails the cycle —
-// nothing invalid ever carries a committed name.
+// fetchSegment downloads one segment and installs it. It returns the
+// bytes read off the wire.
 func (f *Follower) fetchSegment(ctx context.Context, sm tsdb.SegmentMeta) (int64, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, f.leader+SegmentPathPrefix+sm.File, nil)
 	if err != nil {
@@ -568,12 +542,21 @@ func (f *Follower) fetchSegment(ctx context.Context, sm tsdb.SegmentMeta) (int64
 	if resp.StatusCode != http.StatusOK {
 		return 0, fmt.Errorf("replication: fetch segment %s: leader answered %s", sm.File, resp.Status)
 	}
+	return f.install(sm, "fetched", resp.Body)
+}
+
+// install copies one segment's bytes from src to a temp file, fsyncs
+// it, verifies it against its manifest entry (header fields + CRC-32C)
+// and renames it into place; kind ("fetched", "spliced") names the
+// source in errors. It returns the bytes copied. Any failure deletes
+// the temp file — nothing invalid ever carries a committed name.
+func (f *Follower) install(sm tsdb.SegmentMeta, kind string, src io.Reader) (int64, error) {
 	tmp := filepath.Join(f.dir, sm.File+".tmp")
 	file, err := os.Create(tmp)
 	if err != nil {
 		return 0, fmt.Errorf("replication: %w", err)
 	}
-	n, err := io.Copy(file, resp.Body)
+	n, err := io.Copy(file, src)
 	if err == nil {
 		// Durable before the rename, like the leader's own segment
 		// writes (docs/PERSISTENCE.md §4).
@@ -584,11 +567,11 @@ func (f *Follower) fetchSegment(ctx context.Context, sm tsdb.SegmentMeta) (int64
 	}
 	if err != nil {
 		os.Remove(tmp)
-		return n, fmt.Errorf("replication: write segment %s: %w", sm.File, err)
+		return n, fmt.Errorf("replication: write %s segment %s: %w", kind, sm.File, err)
 	}
 	if err := tsdb.VerifySegmentFile(tmp, sm); err != nil {
 		os.Remove(tmp)
-		return n, fmt.Errorf("replication: fetched segment rejected: %w", err)
+		return n, fmt.Errorf("replication: %s segment rejected: %w", kind, err)
 	}
 	if err := os.Rename(tmp, filepath.Join(f.dir, sm.File)); err != nil {
 		os.Remove(tmp)

@@ -8,6 +8,7 @@ package replication_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -429,6 +430,57 @@ func TestExporterRejectsBadNames(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode == http.StatusOK {
 		t.Fatal("path traversal served a file outside the directory")
+	}
+}
+
+// TestFollowerRejectsEscapingManifest: a hostile leader whose manifest
+// names a file outside the replica directory, and which serves genuine
+// segment bytes under that name, must fail the cycle before anything is
+// written outside the directory (docs/REPLICATION.md §5).
+func TestFollowerRejectsEscapingManifest(t *testing.T) {
+	lf := newLeader(t)
+	m, err := tsdb.LoadManifest(lf.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const escaped = "../escaped.seg"
+	genuine := m.Segments[0].File
+	m.Segments[0].File = escaped
+	hostile, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exporter := replication.NewExporter(lf.dir)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case replication.ManifestPath:
+			_, _ = w.Write(hostile)
+		case replication.SegmentPathPrefix + escaped:
+			data, err := os.ReadFile(filepath.Join(lf.dir, genuine))
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusInternalServerError)
+				return
+			}
+			_, _ = w.Write(data)
+		default:
+			exporter.ServeHTTP(w, r)
+		}
+	}))
+	defer ts.Close()
+
+	root := t.TempDir()
+	f := replication.New(ts.URL, filepath.Join(root, "replica"), tsdb.Open(), replication.Options{})
+	if _, err := f.TailOnce(context.Background()); err == nil {
+		t.Fatal("follower committed a manifest naming a file outside its directory")
+	}
+	entries, err := os.ReadDir(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.Name() != "replica" {
+			t.Errorf("tail cycle wrote %s outside the replica directory", e.Name())
+		}
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"time"
 
 	"interdomain/internal/pipeline"
@@ -200,22 +199,8 @@ func CompactDir(dir string, opts CompactOptions) (CompactStats, error) {
 		return st, nil
 	}
 	gen := m.Generation + 1
-
-	// Reap leftovers of a crashed earlier attempt so this pass's
-	// gen-qualified names are free (docs/PERSISTENCE.md §4).
-	listed := make(map[string]bool, len(m.Segments))
-	for _, sm := range m.Segments {
-		listed[sm.File] = true
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
+	if _, _, err := reapLeftovers(dir, m); err != nil {
 		return st, fmt.Errorf("tsdb: compactdir: %w", err)
-	}
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), tmpSuffix) ||
-			(strings.HasSuffix(e.Name(), segmentSuffix) && !listed[e.Name()]) {
-			os.Remove(filepath.Join(dir, e.Name()))
-		}
 	}
 
 	// Merge the runs concurrently; each writes its own output file, and

@@ -14,7 +14,6 @@ package tsdb
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 
 	"interdomain/internal/tsdb/blockenc"
@@ -43,41 +42,24 @@ type DeltaBase struct {
 // OpenDeltaBase reads the local segment file at path and prepares it as
 // the splice base for the successor described by sm (the new manifest
 // entry, same shard and window span). The local file is verified
-// self-consistently — magic, format version, its own header's payload
-// length and CRC — so a corrupt local copy is detected
-// here rather than poisoning an assembled segment. The successor's
-// identity fields must match; everything else (whether the local bytes
-// really are a prefix of the successor) is settled by AssembleDelta's
-// full-CRC check.
+// self-consistently by the same parser every segment reader uses —
+// magic, format version, its own header's payload length and CRC — so
+// a corrupt local copy is detected here rather than poisoning an
+// assembled segment. Only the successor's identity fields must match;
+// everything else (whether the local bytes really are a prefix of the
+// successor) is settled by AssembleDelta's full-CRC check.
 func OpenDeltaBase(path string, sm SegmentMeta) (*DeltaBase, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("tsdb: delta base: %w", err)
 	}
-	if len(data) < segmentHeaderSize {
-		return nil, fmt.Errorf("tsdb: delta base %s: truncated header (%d bytes)", path, len(data))
+	h, payload, err := parseSegment(data, "delta base", path)
+	if err != nil {
+		return nil, err
 	}
-	if string(data[:8]) != SegmentMagic {
-		return nil, fmt.Errorf("tsdb: delta base %s: bad magic %q", path, data[:8])
-	}
-	if version := binary.BigEndian.Uint32(data[8:12]); version != SegmentVersion {
-		return nil, fmt.Errorf("tsdb: delta base %s: %w: format version %d, supported %d", path, ErrSegmentVersion, version, SegmentVersion)
-	}
-	shard := int(binary.BigEndian.Uint32(data[12:16]))
-	winStart := int64(binary.BigEndian.Uint64(data[16:24]))
-	winEnd := int64(binary.BigEndian.Uint64(data[24:32]))
-	if shard != sm.Shard || winStart != sm.WindowStart || winEnd != sm.WindowEnd {
+	if h.shard != sm.Shard || h.winStart != sm.WindowStart || h.winEnd != sm.WindowEnd {
 		return nil, fmt.Errorf("tsdb: delta base %s: identity (shard %d, window [%d,%d)) does not match successor (shard %d, window [%d,%d))",
-			path, shard, winStart, winEnd, sm.Shard, sm.WindowStart, sm.WindowEnd)
-	}
-	payloadLen := int(binary.BigEndian.Uint64(data[44:52]))
-	crc := binary.BigEndian.Uint32(data[52:56])
-	payload := data[segmentHeaderSize:]
-	if len(payload) != payloadLen {
-		return nil, fmt.Errorf("tsdb: delta base %s: truncated payload (%d of %d bytes)", path, len(payload), payloadLen)
-	}
-	if got := crc32.Checksum(payload, crcTable); got != crc {
-		return nil, fmt.Errorf("tsdb: delta base %s: checksum mismatch (got %08x, want %08x)", path, got, crc)
+			path, h.shard, h.winStart, h.winEnd, sm.Shard, sm.WindowStart, sm.WindowEnd)
 	}
 	_, headLen, err := blockenc.PayloadHead(payload)
 	if err != nil {

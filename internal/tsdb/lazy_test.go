@@ -642,8 +642,9 @@ func TestLazyValueBoundQuery(t *testing.T) {
 // BenchmarkLazyQueryPrune is the self-checking pruning benchmark CI's
 // bench-smoke runs: each iteration lazily opens a six-window fixture
 // and queries far outside it, asserting the query decodes at least 5x
-// fewer blocks than the eager open's everything (in fact zero). The
-// digest oracle runs once, untimed, at the end.
+// fewer blocks than the eager open's everything (in fact zero), then
+// queries one window, asserting it decodes at most a fifth of the
+// blocks. The digest oracle runs once, untimed, at the end.
 func BenchmarkLazyQueryPrune(b *testing.B) {
 	src := buildSegStore(time.Hour)
 	dir := snapToDir(b, src, DirOptions{})
@@ -672,6 +673,16 @@ func BenchmarkLazyQueryPrune(b *testing.B) {
 		}
 		if st.BlocksDecoded != 0 {
 			b.Fatalf("out-of-range query decoded %d blocks, want 0", st.BlocksDecoded)
+		}
+		// A one-window query decodes its own window's blocks and no more:
+		// at most a fifth of the store's.
+		for _, m := range []string{"tslp", "loss"} {
+			if out := db.Query(m, nil, t0, t0.Add(time.Hour)); len(out) == 0 {
+				b.Fatalf("one-window %s query returned nothing", m)
+			}
+		}
+		if st, _ = db.LazyReadStats(); st.BlocksDecoded == 0 || st.BlocksDecoded*5 > uint64(st.Blocks) {
+			b.Fatalf("one-window query decoded %d of %d blocks, want at most a fifth", st.BlocksDecoded, st.Blocks)
 		}
 		last = db
 	}

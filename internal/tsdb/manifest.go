@@ -162,10 +162,12 @@ func readManifest(dir string) (*Manifest, error) {
 
 // ParseManifest parses and validates raw manifest bytes against the
 // schema of docs/PERSISTENCE.md §3: supported version, positive and
-// self-consistent window bounds per entry, in-range shards, no
+// self-consistent window bounds per entry, in-range shards, file names
+// that are well-formed segment names with no path components, no
 // duplicate file names. The replication follower uses it to vet a
 // manifest fetched over HTTP before acting on it; every on-disk read
-// goes through the same checks.
+// and CommitManifest go through the same checks, so no manifest can
+// make a reader or writer touch a file outside its directory.
 func ParseManifest(data []byte) (*Manifest, error) {
 	var m Manifest
 	if err := json.Unmarshal(data, &m); err != nil {
@@ -179,6 +181,9 @@ func ParseManifest(data []byte) (*Manifest, error) {
 	}
 	seen := make(map[string]bool, len(m.Segments))
 	for _, sm := range m.Segments {
+		if !ValidSegmentName(sm.File) {
+			return nil, fmt.Errorf("tsdb: manifest entry %q is not a segment file name", sm.File)
+		}
 		if sm.Shard < 0 || sm.Shard >= NumShards {
 			return nil, fmt.Errorf("tsdb: manifest entry %s: shard %d out of range", sm.File, sm.Shard)
 		}

@@ -6,6 +6,7 @@ package tsdb
 // §2-§4; the protocol built on them is docs/REPLICATION.md.
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -141,6 +142,25 @@ func TestValidSegmentName(t *testing.T) {
 	for _, n := range invalid {
 		if ValidSegmentName(n) {
 			t.Errorf("ValidSegmentName(%q) = true, want false", n)
+		}
+	}
+}
+
+// TestParseManifestRejectsBadFileNames: an entry whose file is not a
+// plain segment name is refused at parse time, so neither a follower
+// nor CommitManifest nor RestoreDir can be pointed outside the
+// directory (docs/PERSISTENCE.md §3).
+func TestParseManifestRejectsBadFileNames(t *testing.T) {
+	manifest := func(file string) []byte {
+		return []byte(fmt.Sprintf(`{"version":1,"generation":1,"window_nanos":%d,"segments":[`+
+			`{"file":%q,"shard":0,"window_start":0,"window_end":%d}]}`, int64(time.Hour), file, int64(time.Hour)))
+	}
+	if _, err := ParseManifest(manifest("seg-00-0-g1.seg")); err != nil {
+		t.Fatalf("well-formed entry rejected: %v", err)
+	}
+	for _, file := range []string{"../x.seg", "a/seg-00-0-g1.seg", ManifestName} {
+		if _, err := ParseManifest(manifest(file)); err == nil {
+			t.Errorf("ParseManifest accepted file %q", file)
 		}
 	}
 }

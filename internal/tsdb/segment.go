@@ -472,6 +472,39 @@ func encodeSegment(dir string, gen uint64, p *segPlan) error {
 	return nil
 }
 
+// reapLeftovers removes what a crashed writer left in dir: .tmp files
+// and segment files the committed manifest m (nil: none yet) does not
+// reference (docs/PERSISTENCE.md §4). Every writer reaps before
+// writing, which also guarantees its generation-qualified names are
+// free. It returns the number of segment files removed and the set of
+// committed files present on disk.
+func reapLeftovers(dir string, m *Manifest) (removed int, present map[string]bool, err error) {
+	listed := make(map[string]bool)
+	if m != nil {
+		for _, sm := range m.Segments {
+			listed[sm.File] = true
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return 0, nil, err
+	}
+	present = make(map[string]bool, len(listed))
+	for _, e := range entries {
+		name := e.Name()
+		switch {
+		case strings.HasSuffix(name, tmpSuffix):
+			os.Remove(filepath.Join(dir, name))
+		case !strings.HasSuffix(name, segmentSuffix):
+		case listed[name]:
+			present[name] = true
+		case os.Remove(filepath.Join(dir, name)) == nil:
+			removed++
+		}
+	}
+	return removed, present, nil
+}
+
 // SnapshotDir persists the whole store into dir as one segment file per
 // (shard, time window) plus a manifest, encoding segments concurrently
 // on an internal/pipeline pool. With opts.Incremental it rewrites only
@@ -501,36 +534,11 @@ func (db *DB) SnapshotDir(dir string, opts DirOptions) (DirStats, error) {
 	// first so committed segments can be told apart from leftovers of a
 	// crashed attempt.
 	prev, prevErr := readManifest(dir) // fails on the first snapshot into dir
-	listed := make(map[string]bool)
-	if prevErr == nil {
-		for _, sm := range prev.Segments {
-			listed[sm.File] = true
-		}
-	}
-
-	// Reap leftovers from a crashed writer: .tmp files and segment files
-	// the committed manifest does not reference (docs/PERSISTENCE.md §4).
-	// Reaping unlisted segments up front also guarantees this attempt's
-	// generation-qualified names are free.
-	entries, err := os.ReadDir(dir)
+	removed, onDisk, err := reapLeftovers(dir, prev)
 	if err != nil {
 		return st, fmt.Errorf("tsdb: snapshotdir: %w", err)
 	}
-	onDisk := make(map[string]bool)
-	for _, e := range entries {
-		switch {
-		case strings.HasSuffix(e.Name(), tmpSuffix):
-			os.Remove(filepath.Join(dir, e.Name()))
-		case strings.HasSuffix(e.Name(), segmentSuffix):
-			if !listed[e.Name()] {
-				if os.Remove(filepath.Join(dir, e.Name())) == nil {
-					st.Removed++
-				}
-				continue
-			}
-			onDisk[e.Name()] = true
-		}
-	}
+	st.Removed = removed
 
 	// Decide the snapshot mode, the reusable entries, and this attempt's
 	// generation (segment file names embed it, so it is fixed up front).
@@ -661,39 +669,64 @@ func (db *DB) SnapshotDir(dir string, opts DirOptions) (DirStats, error) {
 	return st, nil
 }
 
-// verifySegmentBytes checks a segment file's bytes against its
-// manifest entry — header length, magic, version, identity fields,
-// payload length, CRC-32C (docs/PERSISTENCE.md §2, reader
-// obligations) — and returns the payload. The payload decode and the
+// segmentHeader is the identity and integrity part of a segment file's
+// fixed header (docs/PERSISTENCE.md §2); parseSegment checks the magic,
+// version and payload length itself.
+type segmentHeader struct {
+	shard            int
+	winStart, winEnd int64
+	series, points   int
+	crc              uint32
+}
+
+// parseSegment splits a segment file's bytes into header and payload
+// and checks everything the file vouches for by itself: header length,
+// magic, version, payload length, and the payload's CRC-32C against the
+// header's (docs/PERSISTENCE.md §2, reader obligations). what and name
+// label errors ("segment", file name). Comparing the header against a
+// manifest entry is the caller's job.
+func parseSegment(data []byte, what, name string) (segmentHeader, []byte, error) {
+	var h segmentHeader
+	if len(data) < segmentHeaderSize {
+		return h, nil, fmt.Errorf("tsdb: %s %s: truncated header (%d bytes)", what, name, len(data))
+	}
+	if string(data[:8]) != SegmentMagic {
+		return h, nil, fmt.Errorf("tsdb: %s %s: bad magic %q", what, name, data[:8])
+	}
+	if version := binary.BigEndian.Uint32(data[8:12]); version != SegmentVersion {
+		return h, nil, fmt.Errorf("tsdb: %s %s: %w: format version %d, supported %d (see docs/PERSISTENCE.md)", what, name, ErrSegmentVersion, version, SegmentVersion)
+	}
+	h = segmentHeader{
+		shard:    int(binary.BigEndian.Uint32(data[12:16])),
+		winStart: int64(binary.BigEndian.Uint64(data[16:24])),
+		winEnd:   int64(binary.BigEndian.Uint64(data[24:32])),
+		series:   int(binary.BigEndian.Uint32(data[32:36])),
+		points:   int(binary.BigEndian.Uint64(data[36:44])),
+		crc:      binary.BigEndian.Uint32(data[52:56]),
+	}
+	payload := data[segmentHeaderSize:]
+	if payloadLen := int(binary.BigEndian.Uint64(data[44:52])); len(payload) != payloadLen {
+		return h, nil, fmt.Errorf("tsdb: %s %s: truncated payload (%d of %d bytes)", what, name, len(payload), payloadLen)
+	}
+	if got := crc32.Checksum(payload, crcTable); got != h.crc {
+		return h, nil, fmt.Errorf("tsdb: %s %s: checksum mismatch (got %08x, want %08x)", what, name, got, h.crc)
+	}
+	return h, payload, nil
+}
+
+// verifySegmentBytes checks a segment file's bytes — parseSegment's
+// self-consistency checks, then every header field against its manifest
+// entry — and returns the payload. The payload decode and the
 // decoded-count checks stay with the caller; VerifySegmentFile and
 // every reader share everything up to that point.
 func verifySegmentBytes(data []byte, sm SegmentMeta) ([]byte, error) {
-	if len(data) < segmentHeaderSize {
-		return nil, fmt.Errorf("tsdb: segment %s: truncated header (%d bytes)", sm.File, len(data))
+	h, payload, err := parseSegment(data, "segment", sm.File)
+	if err != nil {
+		return nil, err
 	}
-	if string(data[:8]) != SegmentMagic {
-		return nil, fmt.Errorf("tsdb: segment %s: bad magic %q", sm.File, data[:8])
-	}
-	if version := binary.BigEndian.Uint32(data[8:12]); version != SegmentVersion {
-		return nil, fmt.Errorf("tsdb: segment %s: %w: format version %d, supported %d (see docs/PERSISTENCE.md)", sm.File, ErrSegmentVersion, version, SegmentVersion)
-	}
-	shard := int(binary.BigEndian.Uint32(data[12:16]))
-	winStart := int64(binary.BigEndian.Uint64(data[16:24]))
-	winEnd := int64(binary.BigEndian.Uint64(data[24:32]))
-	series := int(binary.BigEndian.Uint32(data[32:36]))
-	points := int(binary.BigEndian.Uint64(data[36:44]))
-	payloadLen := int(binary.BigEndian.Uint64(data[44:52]))
-	crc := binary.BigEndian.Uint32(data[52:56])
-	if shard != sm.Shard || winStart != sm.WindowStart || winEnd != sm.WindowEnd ||
-		series != sm.Series || points != sm.Points || crc != sm.CRC {
+	if h.shard != sm.Shard || h.winStart != sm.WindowStart || h.winEnd != sm.WindowEnd ||
+		h.series != sm.Series || h.points != sm.Points || h.crc != sm.CRC {
 		return nil, fmt.Errorf("tsdb: segment %s: header disagrees with manifest entry", sm.File)
-	}
-	payload := data[segmentHeaderSize:]
-	if len(payload) != payloadLen {
-		return nil, fmt.Errorf("tsdb: segment %s: truncated payload (%d of %d bytes)", sm.File, len(payload), payloadLen)
-	}
-	if got := crc32.Checksum(payload, crcTable); got != crc {
-		return nil, fmt.Errorf("tsdb: segment %s: checksum mismatch (got %08x, want %08x)", sm.File, got, crc)
 	}
 	return payload, nil
 }
@@ -929,22 +962,8 @@ func RetainDir(dir string, olderThan time.Time) (segmentsRemoved, pointsDropped 
 	}
 	cut := olderThan.UnixNano()
 	gen := m.Generation + 1
-
-	// Reap leftovers of a crashed earlier attempt so this pass's
-	// gen-qualified names are free (docs/PERSISTENCE.md §4).
-	listed := make(map[string]bool, len(m.Segments))
-	for _, sm := range m.Segments {
-		listed[sm.File] = true
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
+	if _, _, err := reapLeftovers(dir, m); err != nil {
 		return 0, 0, fmt.Errorf("tsdb: retaindir: %w", err)
-	}
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), tmpSuffix) ||
-			(strings.HasSuffix(e.Name(), segmentSuffix) && !listed[e.Name()]) {
-			os.Remove(filepath.Join(dir, e.Name()))
-		}
 	}
 
 	var kept []SegmentMeta
