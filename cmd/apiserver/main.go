@@ -56,11 +56,13 @@
 // /api/v1/stats gains a "front" block of routing counters. -in is not
 // used in front mode.
 //
-// The public listener of every mode bounds how long a connection may
-// take to send its request header and its request, to read its
-// response, and to sit idle (newServer). The limits are constants,
-// chosen to sit outside what the front's and the followers' clients
-// wait for, not flags.
+// Every listener — the public one of every mode, -replica-addr and
+// -debug-addr — bounds how long a connection may take to send its
+// request header and its request, to read its response, and to sit
+// idle (newServer). The limits are constants, chosen to sit outside
+// what the front's and the followers' clients wait for, not flags; a
+// CPU profile from -debug-addr must therefore be shorter than the
+// write limit.
 //
 // -debug-addr starts a second listener (loopback by default) exposing
 // net/http/pprof under /debug/pprof/ for CPU/heap/mutex profiling of
@@ -97,7 +99,7 @@ import (
 // termination signal before the listener is torn down.
 const shutdownGrace = 5 * time.Second
 
-// Connection limits of the public listener in every mode. A client
+// Connection limits of every listener in every mode. A client
 // that dribbles its request line, stalls mid-request or never reads its
 // response gives its connection back instead of holding a goroutine
 // and a file descriptor for ever. Every endpoint is a body-less GET;
@@ -112,8 +114,9 @@ const (
 	idleTimeout       = 120 * time.Second
 )
 
-// newServer is the http.Server both the serving modes and the front
-// listen with.
+// newServer is the http.Server every listener of every mode listens
+// with: the serving modes', the front's, the replica exporter's and
+// the profiler's.
 func newServer(addr string, h http.Handler) *http.Server {
 	return &http.Server{
 		Addr:              addr,
@@ -181,6 +184,9 @@ func main() {
 	}
 	var db *tsdb.DB
 	var err error
+	// tailing closes once the follower's loop has returned (at once
+	// without -follow), so shutdown never closes the store under a swap.
+	tailing := make(chan struct{})
 	if *follow != "" {
 		// Follower mode: -in is the replica directory. It may not exist
 		// yet (first start) or may hold a committed generation (restart);
@@ -197,7 +203,10 @@ func main() {
 			CacheBytes: cacheBytes,
 			Logf:       log.Printf,
 		})
-		go f.Run(ctx)
+		go func() {
+			f.Run(ctx)
+			close(tailing)
+		}()
 		opts = append(opts,
 			api.WithReplication(func() api.ReplicationHealth {
 				return replicationHealth(f)
@@ -214,11 +223,12 @@ func main() {
 			fatal(err)
 		}
 		opts = append(opts, api.WithStorageDir(*inPath))
+		close(tailing)
 	}
 
 	if *replicaAddr != "" {
 		go func() {
-			if err := http.ListenAndServe(*replicaAddr, replication.NewExporter(*inPath)); err != nil {
+			if err := newServer(*replicaAddr, replication.NewExporter(*inPath)).ListenAndServe(); err != nil {
 				fmt.Fprintln(os.Stderr, "apiserver: replica listener:", err)
 			}
 		}()
@@ -231,7 +241,7 @@ func main() {
 
 	if *debugAddr != "" {
 		go func() {
-			if err := http.ListenAndServe(*debugAddr, debugMux()); err != nil {
+			if err := newServer(*debugAddr, debugMux()).ListenAndServe(); err != nil {
 				fmt.Fprintln(os.Stderr, "apiserver: debug listener:", err)
 			}
 		}()
@@ -253,6 +263,10 @@ func main() {
 		if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
 			fatal(err)
 		}
+		// Every request has drained and the follower has stopped: release
+		// the store's segment mappings.
+		<-tailing
+		db.Close()
 	}
 }
 
@@ -289,7 +303,7 @@ func runFront(replicas, addr, debugAddr, pidfile string, healthEvery time.Durati
 
 	if debugAddr != "" {
 		go func() {
-			if err := http.ListenAndServe(debugAddr, debugMux()); err != nil {
+			if err := newServer(debugAddr, debugMux()).ListenAndServe(); err != nil {
 				fmt.Fprintln(os.Stderr, "apiserver: debug listener:", err)
 			}
 		}()

@@ -115,7 +115,26 @@ func TestDebugMux(t *testing.T) {
 // run, and goes on answering a well-behaved keep-alive client.
 func TestServerTimeouts(t *testing.T) {
 	t.Parallel() // the stalled client costs the header timeout in wall time
-	srv := newServer("", api.New(tsdb.Open()))
+	checkHeaderTimeout(t, newServer("", api.New(tsdb.Open())), "/api/v1/measurements", http.StatusOK)
+}
+
+// TestExporterListenerTimeouts: the -replica-addr listener is the same
+// server, so a client that stalls mid request line cannot hold an
+// exporter connection for ever either.
+func TestExporterListenerTimeouts(t *testing.T) {
+	t.Parallel()
+	exporter := replication.NewExporter(t.TempDir())
+	// No snapshot committed yet: a well-formed manifest poll is a 503.
+	checkHeaderTimeout(t, newServer("", exporter), replication.ManifestPath, http.StatusServiceUnavailable)
+}
+
+// checkHeaderTimeout serves srv on a loopback port, stalls one client
+// halfway through its request line, and checks that two requests for
+// path over one kept-alive connection are answered with want meanwhile
+// and that the stalled connection is closed — at most with a 400 —
+// once the header timeout has run and not before.
+func checkHeaderTimeout(t *testing.T, srv *http.Server, path string, want int) {
+	t.Helper()
 	if srv.ReadHeaderTimeout <= 0 || srv.ReadTimeout < srv.ReadHeaderTimeout || srv.WriteTimeout <= 0 || srv.IdleTimeout <= 0 {
 		t.Fatalf("timeouts not set: %+v", srv)
 	}
@@ -138,23 +157,23 @@ func TestServerTimeouts(t *testing.T) {
 	}
 	defer slow.Close()
 	sent := time.Now()
-	if _, err := slow.Write([]byte("GET /api/v1/meas")); err != nil {
+	if _, err := slow.Write([]byte("GET " + path[:len(path)/2])); err != nil {
 		t.Fatal(err)
 	}
 
 	// While that connection stalls, two requests over one kept-alive
-	// connection succeed.
+	// connection are answered.
 	client := &http.Client{Transport: &http.Transport{MaxConnsPerHost: 1}}
 	defer client.CloseIdleConnections()
 	for i := 0; i < 2; i++ {
-		resp, err := client.Get("http://" + ln.Addr().String() + "/api/v1/measurements")
+		resp, err := client.Get("http://" + ln.Addr().String() + path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("request %d answered %d", i, resp.StatusCode)
+		if resp.StatusCode != want {
+			t.Fatalf("request %d answered %d, want %d", i, resp.StatusCode, want)
 		}
 	}
 

@@ -101,7 +101,7 @@ func main() {
 	// so it can start before any data exists.
 	if *replicaAddr != "" {
 		go func() {
-			if err := http.ListenAndServe(*replicaAddr, replication.NewExporter(*datadir)); err != nil {
+			if err := newExporterServer(*replicaAddr, *datadir).ListenAndServe(); err != nil {
 				fatal(fmt.Errorf("replica listener: %w", err))
 			}
 		}()
@@ -245,6 +245,27 @@ func main() {
 		sig := make(chan os.Signal, 1)
 		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 		<-sig
+	}
+}
+
+// Connection limits of the exporter listener, the header and idle
+// limits of apiserver's listeners: a client that dribbles its request
+// header gives its connection back after readHeaderTimeout, and a
+// kept-alive connection outlives the 90 s after which the followers'
+// transport drops it itself.
+const (
+	readHeaderTimeout = 3 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+// newExporterServer is the http.Server the -replica-addr listener
+// exports dir with.
+func newExporterServer(addr, dir string) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           replication.NewExporter(dir),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 }
 

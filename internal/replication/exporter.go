@@ -14,6 +14,7 @@
 package replication
 
 import (
+	"bytes"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -22,6 +23,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"interdomain/internal/tsdb"
 )
@@ -55,17 +57,18 @@ const (
 var etagTable = crc32.MakeTable(crc32.Castagnoli)
 
 // manifestETag derives the strong ETag of a manifest body: generation
-// plus a CRC-32C of the exact bytes, so any recommit — even one that
-// somehow reused a generation — changes the tag.
-func manifestETag(gen uint64, data []byte) string {
-	return fmt.Sprintf("\"g%d-%08x\"", gen, crc32.Checksum(data, etagTable))
+// plus crc, the CRC-32C of the exact bytes, so any recommit — even one
+// that somehow reused a generation — changes the tag.
+func manifestETag(gen uint64, crc uint32) string {
+	return fmt.Sprintf("\"g%d-%08x\"", gen, crc)
 }
 
 // Exporter is the leader-side HTTP handler serving a segment directory
-// to followers. It is stateless over the directory: every manifest
-// request re-reads (and re-validates) the committed MANIFEST.json, so
-// a snapshot landing between two requests is simply the next
-// generation served. Segment files are immutable once published
+// to followers. It keeps no state about the directory beyond the bytes
+// it validated last: every manifest request re-reads the committed
+// MANIFEST.json and validates any bytes it has not seen, so a snapshot
+// landing between two requests is simply the next generation served.
+// Segment files are immutable once published
 // (docs/PERSISTENCE.md §2), which is what makes serving them without
 // coordination safe: a name either resolves to exactly the bytes the
 // manifest promised, or — after a later snapshot deleted it — to a
@@ -74,6 +77,18 @@ func manifestETag(gen uint64, data []byte) string {
 type Exporter struct {
 	dir string
 	mux *http.ServeMux
+	// valid is the manifest the exporter validated last. A request that
+	// finds the same bytes on disk — every 304 poll, every further
+	// follower's GET of one generation — validates nothing again.
+	valid atomic.Pointer[validManifest]
+}
+
+// validManifest is manifest bytes the exporter validated, keyed by
+// their ETag CRC, with the generation they declare.
+type validManifest struct {
+	crc  uint32
+	gen  uint64
+	data []byte
 }
 
 // NewExporter returns an exporter over the segment directory dir. The
@@ -92,22 +107,28 @@ func (e *Exporter) ServeHTTP(w http.ResponseWriter, r *http.Request) { e.mux.Ser
 
 // handleManifest serves the committed manifest bytes verbatim. The
 // bytes are validated before serving — the exporter never vouches for
-// a manifest RestoreDir would reject — and carry a strong ETag plus
-// the generation header.
+// a manifest RestoreDir would reject — once per distinct content, and
+// carry a strong ETag plus the generation header.
 func (e *Exporter) handleManifest(w http.ResponseWriter, r *http.Request) {
 	data, err := os.ReadFile(filepath.Join(e.dir, tsdb.ManifestName))
 	if err != nil {
 		http.Error(w, "no committed snapshot in the replica directory yet", http.StatusServiceUnavailable)
 		return
 	}
-	m, err := tsdb.ParseManifest(data)
-	if err != nil {
-		http.Error(w, fmt.Sprintf("replica directory manifest is invalid: %v", err), http.StatusInternalServerError)
-		return
+	crc := crc32.Checksum(data, etagTable)
+	v := e.valid.Load()
+	if v == nil || v.crc != crc || !bytes.Equal(v.data, data) {
+		m, err := tsdb.ParseManifest(data)
+		if err != nil {
+			http.Error(w, fmt.Sprintf("replica directory manifest is invalid: %v", err), http.StatusInternalServerError)
+			return
+		}
+		v = &validManifest{crc: crc, gen: m.Generation, data: data}
+		e.valid.Store(v)
 	}
-	etag := manifestETag(m.Generation, data)
+	etag := manifestETag(v.gen, crc)
 	w.Header().Set("ETag", etag)
-	w.Header().Set(GenerationHeader, strconv.FormatUint(m.Generation, 10))
+	w.Header().Set(GenerationHeader, strconv.FormatUint(v.gen, 10))
 	if inmMatches(r.Header.Get("If-None-Match"), etag) {
 		w.WriteHeader(http.StatusNotModified)
 		return

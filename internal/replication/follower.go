@@ -1,7 +1,6 @@
 package replication
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -33,9 +32,9 @@ type Options struct {
 	// Client is the HTTP client used against the leader (nil means a
 	// client with a 30-second overall timeout).
 	Client *http.Client
-	// Workers bounds concurrent segment downloads per cycle and the
-	// parallel decode of the post-commit RestoreDir (0 means one per
-	// CPU).
+	// Workers bounds concurrent segment downloads per cycle — and the
+	// installs writing finished downloads beside them — and the parallel
+	// decode of the post-commit RestoreDir (0 means one per CPU).
 	Workers int
 	// Logf, when set, receives one line per completed tail cycle and
 	// per failure (e.g. log.Printf). Nil disables logging; Status
@@ -134,8 +133,21 @@ type Follower struct {
 	cacheB      int64
 	logf        func(format string, args ...interface{})
 
-	// gate serializes tail cycles.
+	// gate serializes tail cycles and guards committed, swept and
+	// pending, which only cycles touch.
 	gate sync.Mutex
+	// committed is the manifest of the generation the replica directory
+	// last committed (loaded by New on a restart): a cycle plans from it
+	// instead of from the disk (docs/REPLICATION.md §3 step 3). Nil
+	// before the first commit.
+	committed *tsdb.Manifest
+	// swept reports that a cycle committed since New, so every file
+	// committed lists has been verified by this process. Until then a
+	// cycle verifies whatever it reuses from disk, as after a crash.
+	swept bool
+	// pending names the segment files installed by cycles that did not
+	// commit: on disk, but vouched for by no committed manifest.
+	pending map[string]bool
 	// mu guards st and etag.
 	mu   sync.Mutex
 	st   Status
@@ -170,11 +182,13 @@ func New(leaderURL, dir string, db *tsdb.DB, opts Options) *Follower {
 		lazy:     opts.Lazy,
 		cacheB:   opts.CacheBytes,
 		logf:     opts.Logf,
+		pending:  map[string]bool{},
 	}
 	f.leaderShown = RedactURL(f.leader)
 	f.st.Leader = f.leaderShown
 	reapTempFiles(dir)
 	if m, err := tsdb.LoadManifest(dir); err == nil {
+		f.committed = m
 		f.st.AppliedGeneration = m.Generation
 		f.st.LeaderGeneration = m.Generation
 	}
@@ -368,72 +382,92 @@ func (f *Follower) tail(ctx context.Context) (CycleStats, error) {
 			m.Generation, applied)
 	}
 
-	// 3. Plan transfers: a manifest entry satisfied byte-for-byte by a
-	// local file (committed earlier, or left by an interrupted cycle)
-	// is reused without touching the network — the incremental-snapshot
-	// property, across the wire.
+	// 3. Plan transfers from the committed manifest, not from the disk:
+	// an entry it lists unchanged is reused unread — the
+	// incremental-snapshot property, across the wire. Only a file no
+	// committed manifest vouches for (a download of an interrupted
+	// cycle), and every file in the first cycle after New, is read and
+	// verified before it is reused.
 	if err := os.MkdirAll(f.dir, 0o755); err != nil {
 		return cs, fmt.Errorf("replication: %w", err)
 	}
+	held := map[string]tsdb.SegmentMeta{}
+	prevFiles := map[identity]string{} // committed file of each identity
+	if f.committed != nil {
+		for _, sm := range f.committed.Segments {
+			held[sm.File] = sm
+			prevFiles[segmentIdentity(sm)] = sm.File
+		}
+	}
 	var toFetch []tsdb.SegmentMeta
 	for _, sm := range m.Segments {
-		if tsdb.VerifySegmentFile(filepath.Join(f.dir, sm.File), sm) == nil {
+		if f.swept && held[sm.File] == sm {
+			cs.SegmentsReused++
+			continue
+		}
+		if (!f.swept || f.pending[sm.File]) && tsdb.VerifySegmentFile(filepath.Join(f.dir, sm.File), sm) == nil {
 			cs.SegmentsReused++
 			continue
 		}
 		toFetch = append(toFetch, sm)
 	}
 
-	// 3b. Map the previously committed generation's entries by segment
-	// identity: a new entry carrying an append cursor whose (shard,
-	// window span) we already hold is a delta-splice candidate
-	// (docs/REPLICATION.md §8).
-	prevFiles := map[string]string{}
-	if len(toFetch) > 0 {
-		if pm, err := tsdb.LoadManifest(f.dir); err == nil {
-			for _, sm := range pm.Segments {
-				prevFiles[segmentIdentity(sm)] = sm.File
-			}
-		}
-	}
-
-	// 4. Fetch the rest concurrently; every download is verified
-	// against its manifest entry before being renamed into place. Delta
-	// candidates try the splice first and fall back to the whole
-	// segment on any failure — the fallback is load-bearing, not an
-	// edge case: it is what makes a wrong prefix guess merely slow.
-	var fetched atomic.Int64
-	var deltas, fallbacks atomic.Int64
+	// 4. Fetch the rest concurrently; every download is verified in
+	// memory against its manifest entry before it is written and renamed
+	// into place. An entry with an append cursor whose (shard, window
+	// span) the committed generation holds is a delta-splice candidate
+	// (docs/REPLICATION.md §8): it tries the splice first and falls back
+	// to the whole segment on any failure — the fallback is load-bearing,
+	// not an edge case: it is what makes a wrong prefix guess merely slow.
+	// A verified download is written on its own goroutine while the next
+	// one transfers, so a segment's create → write → fsync → rename
+	// overlaps the next segment's round trip; at most as many installs
+	// as downloads are in flight, and all have finished before the
+	// commit or the error return.
+	var counts fetchCounts
 	pool := pipeline.NewPool(f.workers)
 	defer pool.Close()
+	var installing sync.WaitGroup
+	slots := make(chan struct{}, pool.Workers())
+	installErrs := make([]error, len(toFetch))
+	installed := make([]bool, len(toFetch))
 	jobs := make([]func() error, len(toFetch))
 	for i, sm := range toFetch {
-		sm := sm
 		jobs[i] = func() error {
-			if prevFile, ok := prevFiles[segmentIdentity(sm)]; ok && sm.AppendCursor > 0 && prevFile != sm.File {
-				n, err := f.fetchDelta(ctx, sm, prevFile)
-				fetched.Add(n)
-				if err == nil {
-					deltas.Add(1)
-					return nil
-				}
-				fallbacks.Add(1)
-				if f.logf != nil {
-					f.logf("replication: delta fetch %s failed (%s), falling back to whole segment", sm.File, f.redact(err.Error()))
-				}
+			full, kind, err := f.fetch(ctx, sm, prevFiles[segmentIdentity(sm)], &counts)
+			if err != nil {
+				return err
 			}
-			n, err := f.fetchSegment(ctx, sm)
-			fetched.Add(n)
-			return err
+			slots <- struct{}{}
+			installing.Add(1)
+			go func() {
+				defer installing.Done()
+				installErrs[i] = f.install(sm, kind, full)
+				installed[i] = installErrs[i] == nil
+				<-slots
+			}()
+			return nil
 		}
 	}
-	if err := pool.DoErr(jobs...); err != nil {
+	err = pool.DoErr(jobs...)
+	installing.Wait()
+	for i, ok := range installed {
+		if ok {
+			f.pending[toFetch[i].File] = true
+		}
+	}
+	for _, ierr := range installErrs {
+		if err == nil {
+			err = ierr
+		}
+	}
+	if err != nil {
 		return cs, err
 	}
 	cs.SegmentsFetched = len(toFetch)
-	cs.BytesFetched = fetched.Load()
-	cs.DeltaSegments = int(deltas.Load())
-	cs.DeltaFallbacks = int(fallbacks.Load())
+	cs.BytesFetched = counts.bytes.Load()
+	cs.DeltaSegments = int(counts.deltas.Load())
+	cs.DeltaFallbacks = int(counts.fallbacks.Load())
 
 	// 5. Commit: rename the leader's exact manifest bytes into place.
 	// Before this line the directory still restores to the previous
@@ -442,31 +476,51 @@ func (f *Follower) tail(ctx context.Context) (CycleStats, error) {
 		return cs, fmt.Errorf("replication: %w", err)
 	}
 
-	// 6. Reap superseded local files, mirroring the leader's
-	// post-commit deletion: unlisted segments and stray temp files.
-	// Best-effort — a leftover is reused or reaped next cycle.
+	// 6. Reap what the commit superseded, mirroring the leader's
+	// post-commit deletion: the previous generation's files the new one
+	// no longer lists, and downloads of interrupted cycles it does not
+	// list either. The first cycle after New cannot know what an earlier
+	// process left behind, so it lists the directory instead and also
+	// reaps stray temp files. Best-effort — a leftover is reaped by the
+	// next first cycle.
 	listed := make(map[string]bool, len(m.Segments))
 	for _, sm := range m.Segments {
 		listed[sm.File] = true
 	}
-	if entries, err := os.ReadDir(f.dir); err == nil {
+	remove := func(name string) {
+		if os.Remove(filepath.Join(f.dir, name)) == nil {
+			cs.Removed++
+		}
+	}
+	if f.swept {
+		for name := range held {
+			if !listed[name] {
+				remove(name)
+			}
+		}
+		for name := range f.pending {
+			if !listed[name] {
+				remove(name)
+			}
+		}
+	} else if entries, err := os.ReadDir(f.dir); err == nil {
 		for _, e := range entries {
 			name := e.Name()
-			if strings.HasSuffix(name, ".tmp") ||
-				(strings.HasSuffix(name, ".seg") && !listed[name]) {
-				if os.Remove(filepath.Join(f.dir, name)) == nil {
-					cs.Removed++
-				}
+			if strings.HasSuffix(name, ".tmp") || (strings.HasSuffix(name, ".seg") && !listed[name]) {
+				remove(name)
 			}
 		}
 	}
+	f.committed, f.swept = m, true
+	clear(f.pending)
 
-	// 7. Hot-swap the serving store. RestoreDir decodes and
-	// cross-checks everything before mutating the store, so a failure
-	// here — a bug, not an expected mode, since every file was just
-	// verified — leaves the old data serving. In lazy mode the swap
-	// reuses every segment the store already holds, so its cost tracks
-	// this cycle's SegmentsFetched, not the directory size.
+	// 7. Hot-swap the serving store. RestoreDir cross-checks the new
+	// generation before mutating the store, so a failure here — a bug,
+	// not an expected mode, since every file was just verified — leaves
+	// the old data serving. In lazy mode the swap maps only the files
+	// this cycle fetched, and when the generation only appended it
+	// extends the held series in place and keeps the store epoch
+	// (docs/PERSISTENCE.md §9.3).
 	if f.db != nil {
 		if err := f.db.RestoreDir(f.dir, tsdb.DirOptions{Workers: f.workers, Lazy: f.lazy, BlockCacheBytes: f.cacheB}); err != nil {
 			return cs, fmt.Errorf("replication: restore committed generation %d: %w", m.Generation, err)
@@ -476,87 +530,133 @@ func (f *Follower) tail(ctx context.Context) (CycleStats, error) {
 	return cs, nil
 }
 
-// segmentIdentity keys a manifest entry by what survives generations:
-// shard and window span. Two entries with equal identity describe the
-// same logical data at different generations.
-func segmentIdentity(sm tsdb.SegmentMeta) string {
-	return fmt.Sprintf("%d/%d/%d", sm.Shard, sm.WindowStart, sm.WindowEnd)
+// identity keys a manifest entry by what survives generations: shard
+// and window span. Two entries with equal identity describe the same
+// logical data at different generations.
+type identity struct {
+	shard      int
+	start, end int64
+}
+
+func segmentIdentity(sm tsdb.SegmentMeta) identity {
+	return identity{sm.Shard, sm.WindowStart, sm.WindowEnd}
+}
+
+// fetchCounts accumulates one cycle's transfer counters across its
+// concurrent fetches.
+type fetchCounts struct {
+	bytes, deltas, fallbacks atomic.Int64
+}
+
+// fetch downloads one manifest entry and verifies it in memory: as a
+// delta splice onto prevFile, the committed file of the same (shard,
+// window span), when the entry carries an append cursor
+// (docs/REPLICATION.md §8), and whole otherwise or when the splice
+// fails. It returns the verified file bytes and how they were obtained
+// ("spliced", "fetched").
+func (f *Follower) fetch(ctx context.Context, sm tsdb.SegmentMeta, prevFile string, c *fetchCounts) ([]byte, string, error) {
+	if prevFile != "" && sm.AppendCursor > 0 && prevFile != sm.File {
+		full, n, err := f.fetchDelta(ctx, sm, prevFile)
+		c.bytes.Add(n)
+		if err == nil {
+			c.deltas.Add(1)
+			return full, "spliced", nil
+		}
+		c.fallbacks.Add(1)
+		if f.logf != nil {
+			f.logf("replication: delta fetch %s failed (%s), falling back to whole segment", sm.File, f.redact(err.Error()))
+		}
+	}
+	full, n, err := f.fetchSegment(ctx, sm)
+	c.bytes.Add(n)
+	return full, "fetched", err
 }
 
 // fetchDelta satisfies one manifest entry by splicing a shipped payload
 // tail onto the local predecessor file (docs/REPLICATION.md §8): open
 // and self-verify the local base, request the tail from the offset the
-// base dictates, assemble and CRC-verify the full segment in memory,
-// then install it like a whole fetch. It returns the bytes read off the
+// base dictates, then assemble and CRC-verify the full segment in
+// memory. It returns the verified file bytes and the bytes read off the
 // wire; any error makes the caller fall back to fetchSegment.
-func (f *Follower) fetchDelta(ctx context.Context, sm tsdb.SegmentMeta, prevFile string) (int64, error) {
+func (f *Follower) fetchDelta(ctx context.Context, sm tsdb.SegmentMeta, prevFile string) ([]byte, int64, error) {
 	base, err := tsdb.OpenDeltaBase(filepath.Join(f.dir, prevFile), sm)
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
 	u := f.leader + DeltaPathPrefix + sm.File + "?from=" + strconv.FormatInt(base.From, 10)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
 	resp, err := f.client.Do(req)
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("replication: delta %s: leader answered %s", sm.File, resp.Status)
+		return nil, 0, fmt.Errorf("replication: delta %s: leader answered %s", sm.File, resp.Status)
 	}
 	data, err := io.ReadAll(resp.Body)
 	n := int64(len(data))
 	if err != nil {
-		return n, err
+		return nil, n, err
 	}
 	from, hdr, tail, err := decodeDeltaFrame(data)
 	if err != nil {
-		return n, err
+		return nil, n, err
 	}
 	if from != base.From {
-		return n, fmt.Errorf("replication: delta %s: leader cut at %d, asked for %d", sm.File, from, base.From)
+		return nil, n, fmt.Errorf("replication: delta %s: leader cut at %d, asked for %d", sm.File, from, base.From)
 	}
 	full, err := tsdb.AssembleDelta(sm, base, hdr, tail)
-	if err != nil {
-		return n, err
-	}
-	_, err = f.install(sm, "spliced", bytes.NewReader(full))
-	return n, err
+	return full, n, err
 }
 
-// fetchSegment downloads one segment and installs it. It returns the
-// bytes read off the wire.
-func (f *Follower) fetchSegment(ctx context.Context, sm tsdb.SegmentMeta) (int64, error) {
+// fetchSegment downloads one segment and verifies it against its
+// manifest entry (header fields + CRC-32C) from the bytes in hand. It
+// returns the verified file bytes and the bytes read off the wire.
+func (f *Follower) fetchSegment(ctx context.Context, sm tsdb.SegmentMeta) ([]byte, int64, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, f.leader+SegmentPathPrefix+sm.File, nil)
 	if err != nil {
-		return 0, fmt.Errorf("replication: %w", err)
+		return nil, 0, fmt.Errorf("replication: %w", err)
 	}
 	resp, err := f.client.Do(req)
 	if err != nil {
-		return 0, fmt.Errorf("replication: fetch segment %s: %w", sm.File, err)
+		return nil, 0, fmt.Errorf("replication: fetch segment %s: %w", sm.File, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("replication: fetch segment %s: leader answered %s", sm.File, resp.Status)
+		return nil, 0, fmt.Errorf("replication: fetch segment %s: leader answered %s", sm.File, resp.Status)
 	}
-	return f.install(sm, "fetched", resp.Body)
+	data, err := io.ReadAll(resp.Body)
+	n := int64(len(data))
+	if err != nil {
+		return nil, n, fmt.Errorf("replication: fetch segment %s: %w", sm.File, err)
+	}
+	hdr, payload := data, []byte(nil)
+	if len(data) >= tsdb.SegmentHeaderSize {
+		hdr, payload = data[:tsdb.SegmentHeaderSize], data[tsdb.SegmentHeaderSize:]
+	}
+	full, err := tsdb.AssembleDelta(sm, nil, hdr, payload)
+	if err != nil {
+		return nil, n, fmt.Errorf("replication: fetched segment rejected: %w", err)
+	}
+	return full, n, nil
 }
 
-// install copies one segment's bytes from src to a temp file, fsyncs
-// it, verifies it against its manifest entry (header fields + CRC-32C)
+// install writes one verified segment file to a temp file, fsyncs it
 // and renames it into place; kind ("fetched", "spliced") names the
-// source in errors. It returns the bytes copied. Any failure deletes
-// the temp file — nothing invalid ever carries a committed name.
-func (f *Follower) install(sm tsdb.SegmentMeta, kind string, src io.Reader) (int64, error) {
+// source in errors. The bytes were verified against the manifest entry
+// before they got here and are written once, never read back. Any
+// failure deletes the temp file — nothing carries a committed name
+// before it is complete and durable.
+func (f *Follower) install(sm tsdb.SegmentMeta, kind string, full []byte) error {
 	tmp := filepath.Join(f.dir, sm.File+".tmp")
 	file, err := os.Create(tmp)
 	if err != nil {
-		return 0, fmt.Errorf("replication: %w", err)
+		return fmt.Errorf("replication: %w", err)
 	}
-	n, err := io.Copy(file, src)
+	_, err = file.Write(full)
 	if err == nil {
 		// Durable before the rename, like the leader's own segment
 		// writes (docs/PERSISTENCE.md §4).
@@ -567,15 +667,11 @@ func (f *Follower) install(sm tsdb.SegmentMeta, kind string, src io.Reader) (int
 	}
 	if err != nil {
 		os.Remove(tmp)
-		return n, fmt.Errorf("replication: write %s segment %s: %w", kind, sm.File, err)
-	}
-	if err := tsdb.VerifySegmentFile(tmp, sm); err != nil {
-		os.Remove(tmp)
-		return n, fmt.Errorf("replication: %s segment rejected: %w", kind, err)
+		return fmt.Errorf("replication: write %s segment %s: %w", kind, sm.File, err)
 	}
 	if err := os.Rename(tmp, filepath.Join(f.dir, sm.File)); err != nil {
 		os.Remove(tmp)
-		return n, fmt.Errorf("replication: %w", err)
+		return fmt.Errorf("replication: %w", err)
 	}
-	return n, nil
+	return nil
 }

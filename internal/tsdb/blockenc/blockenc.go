@@ -456,6 +456,12 @@ func PayloadHead(data []byte) (count int, headLen int, err error) {
 // and leaves point-level decoding to Block.Decode, so callers that
 // merely reshuffle blocks (compaction, retention) never pay for a full
 // decode.
+//
+// An append-extended payload repeats a series' identity — measurement
+// and tags — in every entry it appended (docs/REPLICATION.md §8); an
+// entry whose identity bytes repeat an earlier entry's shares that
+// entry's Measurement and Tags map instead of allocating its own, so
+// callers must treat Tags as read-only.
 func DecodePayload(data []byte) ([]Series, error) {
 	d := payloadReader{buf: data}
 	n, err := d.uvarint("series count")
@@ -463,26 +469,19 @@ func DecodePayload(data []byte) ([]Series, error) {
 		return nil, err
 	}
 	out := make([]Series, 0, allocHint(int(n)))
+	seen := make(map[string]int) // identity bytes → first entry in out
 	for i := uint64(0); i < n; i++ {
 		var s Series
-		if s.Measurement, err = d.string("measurement"); err != nil {
+		id := d.buf
+		if err := d.skipIdentity(); err != nil {
 			return nil, err
 		}
-		tags, err := d.uvarint("tag count")
-		if err != nil {
-			return nil, err
-		}
-		s.Tags = make(map[string]string, allocHint(int(tags)))
-		for t := uint64(0); t < tags; t++ {
-			k, err := d.string("tag key")
-			if err != nil {
-				return nil, err
-			}
-			v, err := d.string("tag value")
-			if err != nil {
-				return nil, err
-			}
-			s.Tags[k] = v
+		id = id[:len(id)-len(d.buf)]
+		if j, ok := seen[string(id)]; ok {
+			s.Measurement, s.Tags = out[j].Measurement, out[j].Tags
+		} else {
+			s.Measurement, s.Tags = decodeIdentity(id)
+			seen[string(id)] = len(out)
 		}
 		blocks, err := d.uvarint("block count")
 		if err != nil {
@@ -532,6 +531,41 @@ func DecodePayload(data []byte) ([]Series, error) {
 		return nil, fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, len(d.buf))
 	}
 	return out, nil
+}
+
+// skipIdentity moves past one entry's measurement and tags, checking
+// their structure.
+func (d *payloadReader) skipIdentity() error {
+	if _, err := d.lengthPrefixed("measurement"); err != nil {
+		return err
+	}
+	tags, err := d.uvarint("tag count")
+	if err != nil {
+		return err
+	}
+	for t := uint64(0); t < tags; t++ {
+		if _, err := d.lengthPrefixed("tag key"); err != nil {
+			return err
+		}
+		if _, err := d.lengthPrefixed("tag value"); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// decodeIdentity decodes identity bytes skipIdentity accepted.
+func decodeIdentity(id []byte) (measurement string, tags map[string]string) {
+	d := payloadReader{buf: id}
+	measurement, _ = d.string("measurement")
+	n, _ := d.uvarint("tag count")
+	tags = make(map[string]string, allocHint(int(n)))
+	for t := uint64(0); t < n; t++ {
+		k, _ := d.string("tag key")
+		v, _ := d.string("tag value")
+		tags[k] = v
+	}
+	return measurement, tags
 }
 
 // appendString appends a uvarint length prefix and the string bytes.

@@ -84,16 +84,25 @@ func OpenDeltaBase(path string, sm SegmentMeta) (*DeltaBase, error) {
 // falls back to a whole-segment fetch (docs/REPLICATION.md §8). The
 // returned slice is the complete segment file, ready for the
 // write-tmp/fsync/rename commit dance.
+//
+// A nil base assembles a whole segment: tail is then the successor's
+// complete payload. The follower verifies every whole-segment download
+// that way, in memory, before writing a byte of it.
 func AssembleDelta(sm SegmentMeta, base *DeltaBase, hdr, tail []byte) ([]byte, error) {
 	if len(hdr) != segmentHeaderSize {
 		return nil, fmt.Errorf("tsdb: assemble delta %s: header is %d bytes, want %d", sm.File, len(hdr), segmentHeaderSize)
 	}
-	head := binary.AppendUvarint(nil, uint64(sm.Series))
-	full := make([]byte, 0, len(hdr)+len(head)+len(base.Entries)+len(tail))
-	full = append(full, hdr...)
-	full = append(full, head...)
-	full = append(full, base.Entries...)
-	full = append(full, tail...)
+	var full []byte
+	if base == nil {
+		full = append(append(make([]byte, 0, len(hdr)+len(tail)), hdr...), tail...)
+	} else {
+		head := binary.AppendUvarint(nil, uint64(sm.Series))
+		full = make([]byte, 0, len(hdr)+len(head)+len(base.Entries)+len(tail))
+		full = append(full, hdr...)
+		full = append(full, head...)
+		full = append(full, base.Entries...)
+		full = append(full, tail...)
+	}
 	if _, err := verifySegmentBytes(full, sm); err != nil {
 		return nil, fmt.Errorf("tsdb: assemble delta: %w", err)
 	}

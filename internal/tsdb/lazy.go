@@ -26,9 +26,12 @@ package tsdb
 //     encoded in — fails loud instead of mis-pruning.
 
 import (
+	"bytes"
 	"container/list"
 	"fmt"
+	"math"
 	"path/filepath"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -116,7 +119,23 @@ type lazyFile struct {
 	data   []byte
 	unmap  func()
 	series []blockenc.Series // blocks alias data
+	keys   []string          // series key of each entry of series
 	blocks int               // encoded block count
+}
+
+// payload returns the file's payload bytes (everything after the header).
+func (lf *lazyFile) payload() []byte { return lf.data[segmentHeaderSize:] }
+
+// ordinals returns the file's encoded blocks in the order blockKey.ord
+// counts them: payload order, entry by entry.
+func (lf *lazyFile) ordinals() []*blockenc.Block {
+	out := make([]*blockenc.Block, 0, lf.blocks)
+	for i := range lf.series {
+		for bi := range lf.series[i].Blocks {
+			out = append(out, &lf.series[i].Blocks[bi])
+		}
+	}
+	return out
 }
 
 // close releases the file's mapping, if any.
@@ -139,6 +158,14 @@ type lazyStore struct {
 	dir   string
 	files map[string]*lazyFile
 	cache *blockCache
+
+	// manifest is the manifest the store was last swapped to, and
+	// versions the shard write-versions right after that swap: together
+	// they say what the held stubs are, so the next swap can tell an
+	// append it may apply in place from anything else (an unchanged
+	// versions array proves no local write or trim touched a stub since).
+	manifest *Manifest
+	versions [NumShards]uint64
 
 	// Current-state gauges, recomputed at each swap under the
 	// exclusive lock.
@@ -347,6 +374,23 @@ func (db *DB) dropLazyLocked() {
 	db.lazy = nil
 }
 
+// Close unmaps every segment file a lazy restore holds, after which
+// LazyReadStats reports ok=false. It empties the store so no read can
+// reach an unmapped block: a closed store answers as an empty one, and
+// the epoch moves as on any whole-store replacement. Writes and
+// RestoreDir work on a closed store as on a fresh one.
+func (db *DB) Close() {
+	unlock := db.lockAll(true)
+	defer unlock()
+	db.idx.reset()
+	for i := range db.shards {
+		db.shards[i].series = make(map[string]*series)
+	}
+	db.resetPersistenceLocked()
+	db.dropLazyLocked()
+	db.epoch++
+}
+
 // LazyReadStats reports the lazy read path's counters, ok=false when
 // the store is not lazily open (never restored with DirOptions.Lazy,
 // or fully materialized since).
@@ -380,11 +424,35 @@ func openLazyFile(dir string, sm SegmentMeta) (*lazyFile, error) {
 		unmap()
 		return nil, err
 	}
-	blocks := 0
+	lf := &lazyFile{name: sm.File, data: data, unmap: unmap, series: list}
 	for i := range list {
-		blocks += len(list[i].Blocks)
+		lf.blocks += len(list[i].Blocks)
 	}
-	return &lazyFile{name: sm.File, data: data, unmap: unmap, series: list, blocks: blocks}, nil
+	return lf, nil
+}
+
+// fillKeys computes the series key of every entry once, taking the
+// leading ones from prefix: the keys of a predecessor whose entries
+// this file's payload starts with verbatim.
+func (lf *lazyFile) fillKeys(prefix []string) {
+	if lf.keys != nil {
+		return
+	}
+	lf.keys = make([]string, len(lf.series))
+	for i := copy(lf.keys, prefix); i < len(lf.series); i++ {
+		lf.keys[i] = Key(lf.series[i].Measurement, lf.series[i].Tags)
+	}
+}
+
+// newBlockRef is the lazy ref of block b, the ord-th of file.
+func newBlockRef(file string, ord int, b *blockenc.Block) lazyBlockRef {
+	return lazyBlockRef{
+		key:  blockKey{file: file, ord: ord},
+		enc:  b,
+		minT: b.MinT, maxT: b.MaxT,
+		min: b.Min, max: b.Max, sum: b.Sum,
+		count: b.Count,
+	}
 }
 
 // appendRefs adds the file's series to a shard map under construction
@@ -392,10 +460,11 @@ func openLazyFile(dir string, sm SegmentMeta) (*lazyFile, error) {
 // ascending window order, which keeps each stub's refs time-ordered
 // (windows partition time; blocks within a payload are time-ordered).
 func (lf *lazyFile) appendRefs(shardSeries map[string]*series, ls *lazyStore, si int) error {
+	lf.fillKeys(nil)
 	ord := 0
 	for i := range lf.series {
 		bs := &lf.series[i]
-		key := Key(bs.Measurement, bs.Tags)
+		key := lf.keys[i]
 		if shardFor(key) != uint32(si) {
 			return fmt.Errorf("tsdb: segment %s: series %q does not belong to shard %d", lf.name, key, si)
 		}
@@ -406,13 +475,7 @@ func (lf *lazyFile) appendRefs(shardSeries map[string]*series, ls *lazyStore, si
 		}
 		for bi := range bs.Blocks {
 			b := &bs.Blocks[bi]
-			s.lazy.blocks = append(s.lazy.blocks, lazyBlockRef{
-				key:  blockKey{file: lf.name, ord: ord},
-				enc:  b,
-				minT: b.MinT, maxT: b.MaxT,
-				min: b.Min, max: b.Max, sum: b.Sum,
-				count: b.Count,
-			})
+			s.lazy.blocks = append(s.lazy.blocks, newBlockRef(lf.name, ord, b))
 			s.lazy.points += b.Count
 			ord++
 		}
@@ -421,11 +484,13 @@ func (lf *lazyFile) appendRefs(shardSeries map[string]*series, ls *lazyStore, si
 }
 
 // restoreDirLazy is RestoreDir's lazy mode: reuse or create the lazy
-// store, map only the manifest entries not already held, build the
-// shard maps as stubs from summaries alone, and swap. On a store
-// already lazy over the same directory (a follower hot-swap) the work
-// is O(changed segments) — unchanged files, their parsed block lists
-// and their cached decoded blocks all carry over.
+// store, map only the manifest entries not already held, and swap. On a
+// store already lazy over the same directory (a follower hot-swap)
+// unchanged files, their parsed block lists and their cached decoded
+// blocks all carry over. When every difference from the held
+// generation is an append, the swap extends the held stubs in place and
+// keeps the epoch — O(changed segments) end to end; otherwise it
+// rebuilds every stub from summaries alone and moves the epoch.
 func (db *DB) restoreDirLazy(dir string, m *Manifest, opts DirOptions) error {
 	unlock := db.lockAll(true)
 	defer unlock()
@@ -486,25 +551,37 @@ func (db *DB) restoreDirLazy(dir string, m *Manifest, opts DirOptions) error {
 		ls.files[lf.name] = lf
 	}
 
-	// Build the new shard maps from summaries alone, in ascending
-	// window order per shard (same merge order as the eager path).
-	newShards := make([]map[string]*series, NumShards)
-	for si, sms := range segmentsByShard(m) {
-		newShards[si] = make(map[string]*series)
-		for _, sm := range sms {
-			if err := ls.files[sm.File].appendRefs(newShards[si], ls, si); err != nil {
-				return fmt.Errorf("tsdb: restoredir: %w", err)
+	// The swap. All shard locks are held, so no reader can be mid-flight
+	// on the old stubs while stale files are unmapped below. An
+	// append-only generation extends the held stubs and keeps the epoch;
+	// anything else rebuilds every stub and moves it.
+	succ := map[string]string{} // superseded file → its successor
+	if changes, ok := db.planAppendsLocked(ls, m); ok {
+		db.applyAppendsLocked(ls, m, changes, succ)
+	} else {
+		// Build the new shard maps from summaries alone, in ascending
+		// window order per shard (same merge order as the eager path).
+		newShards := make([]map[string]*series, NumShards)
+		for si, sms := range segmentsByShard(m) {
+			newShards[si] = make(map[string]*series)
+			for _, sm := range sms {
+				if err := ls.files[sm.File].appendRefs(newShards[si], ls, si); err != nil {
+					return fmt.Errorf("tsdb: restoredir: %w", err)
+				}
 			}
 		}
+		if err := db.installLocked(dir, m, newShards); err != nil {
+			return err
+		}
+	}
+	ls.manifest = m
+	for i := range db.shards {
+		ls.versions[i] = db.shards[i].version
 	}
 
-	// Swap. All shard locks are held, so no reader can be mid-flight
-	// on the old stubs while stale files are unmapped below.
-	if err := db.installLocked(dir, m, newShards); err != nil {
-		return err
-	}
-
-	// Drop files the new manifest no longer references.
+	// Drop files the new manifest no longer references; a superseded
+	// file's cached blocks move to its successor, whose prefix holds the
+	// same blocks at the same ordinals.
 	listed := make(map[string]bool, len(m.Segments))
 	for _, sm := range m.Segments {
 		listed[sm.File] = true
@@ -513,10 +590,13 @@ func (db *DB) restoreDirLazy(dir string, m *Manifest, opts DirOptions) error {
 		if listed[name] {
 			continue
 		}
-		ls.cache.purgeFile(name)
+		if _, ok := succ[name]; !ok {
+			succ[name] = ""
+		}
 		lf.close()
 		delete(ls.files, name)
 	}
+	ls.cache.retire(succ)
 	ls.segments, ls.blocks = len(ls.files), 0
 	for _, lf := range ls.files {
 		ls.blocks += lf.blocks
@@ -526,6 +606,237 @@ func (db *DB) restoreDirLazy(dir string, m *Manifest, opts DirOptions) error {
 	db.lazy = ls
 	installed = true
 	return nil
+}
+
+// ---------------------------------------------------------------------------
+// Epoch-keeping hot-swap (docs/PERSISTENCE.md §9.3).
+
+// segIdentity keys a manifest entry by what survives generations: its
+// shard and window span.
+type segIdentity struct {
+	shard      int
+	start, end int64
+}
+
+func identityOf(sm SegmentMeta) segIdentity {
+	return segIdentity{sm.Shard, sm.WindowStart, sm.WindowEnd}
+}
+
+// appendChange is one new file an in-place swap applies: it extends a
+// held predecessor (prev non-nil) or opens a window after every held
+// window of its shard. adds holds the blocks it appends per series key.
+type appendChange struct {
+	sm         SegmentMeta
+	file, prev *lazyFile
+	adds       map[string]*seriesAdd
+}
+
+// seriesAdd is what one appendChange appends to one series.
+type seriesAdd struct {
+	first  *blockenc.Series // entry naming the series, for one new to the store
+	refs   []lazyBlockRef
+	points int
+}
+
+// planAppendsLocked decides whether m differs from the manifest the
+// lazy store holds only by appends, and returns the changes in (shard,
+// window) order. An append is a cursor-carrying entry whose payload
+// starts with its held predecessor's entries region byte for byte, or
+// a new window after every held window of its shard. ok is false —
+// and the caller rebuilds — for anything else: a removed entry
+// (retention), a merge (compaction), a rewrite without a cursor, a
+// backfilled window, a store written or trimmed locally since its last
+// swap, and a generation whose totals the appends do not add up to.
+// Every file m lists must be held. It changes nothing.
+func (db *DB) planAppendsLocked(ls *lazyStore, m *Manifest) (changes []appendChange, ok bool) {
+	held := ls.manifest
+	if held == nil || db.snapDir != ls.dir || db.snapGen != held.Generation || held.WindowNanos != m.WindowNanos {
+		return nil, false
+	}
+	for i := range db.shards {
+		if db.shards[i].version != ls.versions[i] {
+			return nil, false
+		}
+	}
+	byFile := make(map[string]SegmentMeta, len(held.Segments))
+	byIdent := make(map[segIdentity]string, len(held.Segments))
+	var lastEnd [NumShards]int64
+	for i := range lastEnd {
+		lastEnd[i] = math.MinInt64
+	}
+	for _, sm := range held.Segments {
+		byFile[sm.File] = sm
+		byIdent[identityOf(sm)] = sm.File
+		lastEnd[sm.Shard] = max(lastEnd[sm.Shard], sm.WindowEnd)
+	}
+	// Every held file must be accounted for exactly once: kept as it is,
+	// or superseded by the one entry extending it.
+	consumed := make(map[string]bool, len(held.Segments))
+	for _, sm := range m.Segments {
+		if h, ok := byFile[sm.File]; ok {
+			if h != sm || consumed[sm.File] {
+				return nil, false
+			}
+			consumed[sm.File] = true
+			continue
+		}
+		c := appendChange{sm: sm, file: ls.files[sm.File]}
+		if prev, ok := byIdent[identityOf(sm)]; ok {
+			if consumed[prev] {
+				return nil, false
+			}
+			consumed[prev] = true
+			c.prev = ls.files[prev]
+			if !extendsPrefix(c.file, c.prev, sm.AppendCursor) {
+				return nil, false
+			}
+			c.file.fillKeys(c.prev.keys)
+		} else if sm.WindowStart < lastEnd[sm.Shard] {
+			return nil, false
+		} else {
+			c.file.fillKeys(nil)
+		}
+		changes = append(changes, c)
+	}
+	if len(consumed) != len(held.Segments) {
+		return nil, false
+	}
+	sort.Slice(changes, func(i, j int) bool {
+		a, b := changes[i].sm, changes[j].sm
+		return a.Shard < b.Shard || (a.Shard == b.Shard && a.WindowStart < b.WindowStart)
+	})
+
+	// Gather what every change appends, and prove it all lands on lazy
+	// stubs of the right shard and adds up to m's totals.
+	gained, series := 0, 0
+	for i := range db.shards {
+		series += len(db.shards[i].series)
+	}
+	created := map[string]bool{}
+	for ci := range changes {
+		c := &changes[ci]
+		if ci > 0 && changes[ci-1].sm.Shard == c.sm.Shard && c.sm.WindowStart < changes[ci-1].sm.WindowEnd {
+			return nil, false // overlapping new windows
+		}
+		sh := &db.shards[c.sm.Shard]
+		from, ord := 0, 0
+		if c.prev != nil {
+			from, ord = len(c.prev.series), c.prev.blocks
+			for _, key := range c.prev.keys {
+				if s := sh.series[key]; s == nil || s.lazy == nil {
+					return nil, false
+				}
+			}
+		}
+		c.adds = make(map[string]*seriesAdd)
+		for i := from; i < len(c.file.series); i++ {
+			bs, key := &c.file.series[i], c.file.keys[i]
+			if shardFor(key) != uint32(c.sm.Shard) {
+				return nil, false
+			}
+			if s := sh.series[key]; s == nil {
+				if !created[key] {
+					created[key] = true
+					series++
+				}
+			} else if s.lazy == nil {
+				return nil, false
+			}
+			a := c.adds[key]
+			if a == nil {
+				a = &seriesAdd{first: bs}
+				c.adds[key] = a
+			}
+			for bi := range bs.Blocks {
+				b := &bs.Blocks[bi]
+				a.refs = append(a.refs, newBlockRef(c.file.name, ord, b))
+				a.points += b.Count
+				gained += b.Count
+				ord++
+			}
+		}
+	}
+	if held.TotalPoints+gained != m.TotalPoints || (m.StoreSeries != 0 && series != m.StoreSeries) {
+		return nil, false
+	}
+	return changes, true
+}
+
+// extendsPrefix reports whether next's payload is prev's entries region
+// verbatim up to cursor, behind next's own series-count head — the
+// append-extend relationship of docs/REPLICATION.md §8, checked on the
+// mapped bytes rather than taken on the manifest's word.
+func extendsPrefix(next, prev *lazyFile, cursor int64) bool {
+	np, pp := next.payload(), prev.payload()
+	_, nHead, err := blockenc.PayloadHead(np)
+	if err != nil {
+		return false
+	}
+	_, pHead, err := blockenc.PayloadHead(pp)
+	if err != nil {
+		return false
+	}
+	entries := pp[pHead:]
+	return cursor == int64(nHead+len(entries)) && cursor <= int64(len(np)) &&
+		bytes.Equal(np[nHead:cursor], entries) && len(next.series) >= len(prev.series)
+}
+
+// applyAppendsLocked applies planned appends to the held stubs: refs
+// into a superseded file move to the same ordinal of its successor, the
+// appended blocks are spliced in after their window's held blocks, and
+// each touched series' version advances by exactly the points it
+// gained — the arithmetic the leader's per-point writes did, so a
+// cursor over the old view stays provable (docs/DETECTION.md §4). The
+// epoch stays. Each superseded file is recorded in succ under its
+// successor's name.
+func (db *DB) applyAppendsLocked(ls *lazyStore, m *Manifest, changes []appendChange, succ map[string]string) {
+	for _, c := range changes {
+		sh := &db.shards[c.sm.Shard]
+		var prev string
+		var ords []*blockenc.Block
+		if c.prev != nil {
+			prev, ords = c.prev.name, c.file.ordinals()
+			succ[prev] = c.file.name
+			for _, key := range c.prev.keys {
+				if _, ok := c.adds[key]; !ok {
+					c.adds[key] = &seriesAdd{}
+				}
+			}
+		}
+		for key, a := range c.adds {
+			s := sh.series[key]
+			if s == nil {
+				s = &series{measurement: a.first.Measurement, tags: a.first.Tags, lazy: &lazySeries{store: ls}}
+				sh.series[key] = s
+				db.idx.add(s.measurement, s.tags, key)
+			}
+			s.lazy = s.lazy.extended(prev, c.file.name, ords, a, c.sm.WindowEnd)
+			s.version += uint64(a.points)
+			sh.version += uint64(a.points)
+		}
+	}
+	db.snapGen = m.Generation
+}
+
+// extended returns a copy of the stub with refs into file prev moved to
+// the same ordinal of next (blocks, indexed by ordinal) and a's refs
+// spliced in before the first block at or past end: after the extended
+// window's own blocks, before any later window's.
+func (l *lazySeries) extended(prev, next string, blocks []*blockenc.Block, a *seriesAdd, end int64) *lazySeries {
+	old := l.blocks
+	pos := sort.Search(len(old), func(i int) bool { return old[i].minT >= end })
+	out := make([]lazyBlockRef, 0, len(old)+len(a.refs))
+	out = append(out, old[:pos]...)
+	if prev != "" {
+		for i := range out {
+			if r := &out[i]; r.key.file == prev {
+				r.key.file, r.enc = next, blocks[r.key.ord]
+			}
+		}
+	}
+	out = append(out, a.refs...)
+	out = append(out, old[pos:]...)
+	return &lazySeries{store: l.store, blocks: out, points: l.points + a.points}
 }
 
 // ---------------------------------------------------------------------------
@@ -596,17 +907,29 @@ func (c *blockCache) put(k blockKey, d *decodedBlock) {
 	}
 }
 
-// purgeFile drops every cached block of one segment file (called when
-// a hot-swap retires the file).
-func (c *blockCache) purgeFile(name string) {
+// retire updates the cache for the segment files a hot-swap retired,
+// in one pass: succ maps each retired file to the successor whose
+// prefix holds its blocks at the same ordinals — their cached blocks
+// are re-keyed to it, keeping their recency — or to "" when there is
+// none and they are dropped.
+func (c *blockCache) retire(succ map[string]string) {
+	if len(succ) == 0 {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for el := c.ll.Front(); el != nil; {
 		next := el.Next()
-		if e := el.Value.(*cacheEntry); e.key.file == name {
-			c.ll.Remove(el)
+		e := el.Value.(*cacheEntry)
+		if to, ok := succ[e.key.file]; ok {
 			delete(c.entries, e.key)
-			c.bytes -= e.bytes
+			e.key.file = to
+			if _, taken := c.entries[e.key]; to == "" || taken {
+				c.ll.Remove(el)
+				c.bytes -= e.bytes
+			} else {
+				c.entries[e.key] = el
+			}
 		}
 		el = next
 	}

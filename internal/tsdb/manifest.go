@@ -7,11 +7,15 @@ package tsdb
 // implementation.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"sync"
 )
 
 // ManifestName is the manifest's file name inside a segment directory.
@@ -91,15 +95,31 @@ func (m *Manifest) sortSegments() {
 	})
 }
 
+// clone returns a copy of m that shares no mutable state with it.
+func (m *Manifest) clone() *Manifest {
+	c := *m
+	c.Segments = slices.Clone(m.Segments)
+	return &c
+}
+
 // writeManifest atomically publishes m as dir's manifest — the commit
-// point of a snapshot or retention pass (docs/PERSISTENCE.md §4).
+// point of a snapshot or retention pass (docs/PERSISTENCE.md §4). The
+// published bytes are remembered as validated, so the writer's next
+// pass reads them back without a parse.
 func writeManifest(dir string, m *Manifest) error {
 	m.sortSegments()
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return fmt.Errorf("tsdb: encode manifest: %w", err)
 	}
-	return publishManifest(dir, append(data, '\n'))
+	data = append(data, '\n')
+	if err := publishManifest(dir, data); err != nil {
+		return err
+	}
+	if m.validate() == nil {
+		parsedManifests.put(data, crc32.Checksum(data, crcTable), m)
+	}
+	return nil
 }
 
 // publishManifest runs the §4 commit dance on raw manifest bytes:
@@ -168,24 +188,54 @@ func readManifest(dir string) (*Manifest, error) {
 // manifest fetched over HTTP before acting on it; every on-disk read
 // and CommitManifest go through the same checks, so no manifest can
 // make a reader or writer touch a file outside its directory.
+//
+// Bytes this process already validated — parsed here before, or
+// published by a snapshot writer — are not parsed again: a follower's
+// commit and hot-swap after its own parse, a writer's next pass and a
+// stats request all get a copy of the remembered manifest instead
+// (docs/REPLICATION.md §3).
 func ParseManifest(data []byte) (*Manifest, error) {
+	crc := crc32.Checksum(data, crcTable)
+	if m := parsedManifests.get(data, crc); m != nil {
+		return m, nil
+	}
+	m, err := decodeManifest(data)
+	if err != nil {
+		return nil, err
+	}
+	parsedManifests.put(data, crc, m)
+	return m, nil
+}
+
+// decodeManifest is ParseManifest without the memo: decode, then
+// validate.
+func decodeManifest(data []byte) (*Manifest, error) {
 	var m Manifest
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("tsdb: parse manifest: %w", err)
 	}
+	if err := m.validate(); err != nil {
+		return nil, err
+	}
+	return &m, nil
+}
+
+// validate checks a decoded manifest against the schema rules
+// ParseManifest documents.
+func (m *Manifest) validate() error {
 	if m.Version > ManifestVersion {
-		return nil, fmt.Errorf("tsdb: manifest version %d newer than supported %d (see docs/PERSISTENCE.md)", m.Version, ManifestVersion)
+		return fmt.Errorf("tsdb: manifest version %d newer than supported %d (see docs/PERSISTENCE.md)", m.Version, ManifestVersion)
 	}
 	if m.WindowNanos <= 0 {
-		return nil, fmt.Errorf("tsdb: manifest window %d is not positive", m.WindowNanos)
+		return fmt.Errorf("tsdb: manifest window %d is not positive", m.WindowNanos)
 	}
 	seen := make(map[string]bool, len(m.Segments))
 	for _, sm := range m.Segments {
 		if !ValidSegmentName(sm.File) {
-			return nil, fmt.Errorf("tsdb: manifest entry %q is not a segment file name", sm.File)
+			return fmt.Errorf("tsdb: manifest entry %q is not a segment file name", sm.File)
 		}
 		if sm.Shard < 0 || sm.Shard >= NumShards {
-			return nil, fmt.Errorf("tsdb: manifest entry %s: shard %d out of range", sm.File, sm.Shard)
+			return fmt.Errorf("tsdb: manifest entry %s: shard %d out of range", sm.File, sm.Shard)
 		}
 		// Every entry's window must be consistent with the directory-wide
 		// window length: a positive whole number of base windows, aligned
@@ -195,20 +245,72 @@ func ParseManifest(data []byte) (*Manifest, error) {
 		// header checks alone would accept a manifest whose window_nanos
 		// disagrees with its entries.
 		if span := sm.WindowEnd - sm.WindowStart; span <= 0 || span%m.WindowNanos != 0 {
-			return nil, fmt.Errorf("tsdb: manifest entry %s: window [%d,%d) spans %d ns, not a positive multiple of the %d ns window",
+			return fmt.Errorf("tsdb: manifest entry %s: window [%d,%d) spans %d ns, not a positive multiple of the %d ns window",
 				sm.File, sm.WindowStart, sm.WindowEnd, span, m.WindowNanos)
 		}
 		if sm.WindowStart%m.WindowNanos != 0 {
-			return nil, fmt.Errorf("tsdb: manifest entry %s: window start %d is not aligned to the %d ns window",
+			return fmt.Errorf("tsdb: manifest entry %s: window start %d is not aligned to the %d ns window",
 				sm.File, sm.WindowStart, m.WindowNanos)
 		}
 		if sm.AppendCursor < 0 {
-			return nil, fmt.Errorf("tsdb: manifest entry %s: negative append cursor %d", sm.File, sm.AppendCursor)
+			return fmt.Errorf("tsdb: manifest entry %s: negative append cursor %d", sm.File, sm.AppendCursor)
 		}
 		if seen[sm.File] {
-			return nil, fmt.Errorf("tsdb: manifest lists %s twice", sm.File)
+			return fmt.Errorf("tsdb: manifest lists %s twice", sm.File)
 		}
 		seen[sm.File] = true
 	}
-	return &m, nil
+	return nil
+}
+
+// parsedManifests remembers the manifest bytes this process validated
+// last, so the same bytes are parsed once however often they are read.
+// It is process-wide because the hops it serves do not share a value —
+// a follower's parse, tsdb.CommitManifest and RestoreDir — and, being
+// keyed by content and handing out copies, no caller can observe
+// another's use of it: a hit returns exactly what a parse would.
+var parsedManifests manifestMemo
+
+// manifestMemoSize bounds the remembered manifests. A publish round
+// holds at most two alive at once — the generation just written and
+// the one before it — so four leave slack without holding on to history.
+const manifestMemoSize = 4
+
+// manifestMemo is a small content-addressed memo of validated
+// manifests. A lookup matches on CRC-32C and then on every byte, never
+// on trust, and every manifest going in or out is a copy, so no caller
+// can change what another is handed.
+type manifestMemo struct {
+	mu      sync.Mutex
+	entries [manifestMemoSize]memoEntry
+	next    int // slot the next put overwrites
+}
+
+// memoEntry is one remembered manifest and the exact bytes it came from.
+type memoEntry struct {
+	crc  uint32
+	data []byte
+	m    *Manifest
+}
+
+// get returns a copy of the manifest remembered for data, nil if none.
+func (mm *manifestMemo) get(data []byte, crc uint32) *Manifest {
+	mm.mu.Lock()
+	defer mm.mu.Unlock()
+	for i := range mm.entries {
+		if e := &mm.entries[i]; e.m != nil && e.crc == crc && bytes.Equal(e.data, data) {
+			return e.m.clone()
+		}
+	}
+	return nil
+}
+
+// put remembers m as the validated form of data, evicting the oldest
+// entry.
+func (mm *manifestMemo) put(data []byte, crc uint32, m *Manifest) {
+	e := memoEntry{crc: crc, data: bytes.Clone(data), m: m.clone()}
+	mm.mu.Lock()
+	defer mm.mu.Unlock()
+	mm.entries[mm.next] = e
+	mm.next = (mm.next + 1) % manifestMemoSize
 }

@@ -48,9 +48,11 @@ func CommitManifest(dir string, data []byte) (*Manifest, error) {
 // its manifest entry — header length, magic, version, identity fields,
 // payload length, CRC-32C — without decoding the payload
 // (docs/PERSISTENCE.md §2, reader obligations). The replication
-// follower accepts a downloaded segment, or reuses a local one
-// byte-for-byte, only after this passes; a truncated or corrupt
-// transfer therefore fails loud before the manifest commit can make it
+// follower reuses a local file no committed manifest vouches for — a
+// download of an interrupted cycle, anything on disk at its first cycle
+// — only after this passes; downloads themselves are checked the same
+// way in memory (AssembleDelta) before they are written, so a truncated
+// or corrupt transfer fails loud before the manifest commit can make it
 // visible.
 func VerifySegmentFile(path string, sm SegmentMeta) error {
 	data, err := os.ReadFile(path)

@@ -148,10 +148,12 @@ type DB struct {
 	// while the store is shared.
 	floor time.Time
 
-	// epoch counts whole-store replacements (RestoreDir).
+	// epoch counts whole-store replacements (RestoreDir, Close).
 	// Per-series versions restart from zero after a restore, so the
 	// epoch is folded into every ViewStamp to keep stamps from before
-	// and after a replacement distinct (docs/SERVING.md §2). Guarded by
+	// and after a replacement distinct (docs/SERVING.md §2). A lazy
+	// hot-swap that only appends keeps it and advances the touched
+	// series' versions instead (docs/PERSISTENCE.md §9.3). Guarded by
 	// the global lock (written only under the exclusive lock).
 	epoch uint64
 
