@@ -331,7 +331,7 @@ func runFront(replicas, addr, debugAddr, pidfile string, healthEvery time.Durati
 	}
 }
 
-// openStore restores a segment directory (tslpd -datadir) shard-parallel
+// openStore restores a segment directory (tslpd -datadir) in parallel
 // and read-only — or, with lazy, maps it without decoding so startup is
 // O(metadata). cacheBytes bounds the lazy decoded-block cache
 // (docs/PERSISTENCE.md §9.5); 0 means the tsdb default.

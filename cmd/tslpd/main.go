@@ -13,10 +13,10 @@
 //	      [-replica-addr :8081] [-lineout points.lp]
 //
 // With -datadir the store persists as a segment directory (one file per
-// shard and time window; see docs/PERSISTENCE.md): tslpd restores from
-// it on startup if it holds a snapshot, takes an incremental snapshot
-// every -snapshot-every of virtual time — rewriting only segments whose
-// (shard, window) changed — and, with -retain > 0, first ages out data
+// time window; see docs/PERSISTENCE.md): tslpd restores from it on
+// startup if it holds a snapshot, takes an incremental snapshot every
+// -snapshot-every of virtual time — rewriting only segments whose
+// window changed — and, with -retain > 0, first ages out data
 // older than the retention horizon. Because the simulation replays
 // deterministically from the epoch, a restart with the same -seed sets
 // a write floor at the restored maximum timestamp: the replayed prefix
@@ -137,7 +137,7 @@ func main() {
 
 	// Periodic persistence: a global event (it runs alone, between tick
 	// partitions) that ages the store out and takes an incremental
-	// snapshot — only dirty (shard, window) segments are rewritten.
+	// snapshot — only dirty windows' segments are rewritten.
 	if *datadir != "" {
 		compact := func(t time.Time) {
 			if *compactAfter <= 0 {

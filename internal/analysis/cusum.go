@@ -141,16 +141,9 @@ type OnlineCUSUM struct {
 }
 
 // NewOnlineCUSUM returns a detector with the given slack and alarm
-// threshold. The reference target locks to the first non-NaN sample
-// unless SetTarget fixed it earlier.
+// threshold. The reference target locks to the first non-NaN sample.
 func NewOnlineCUSUM(slack, threshold float64) *OnlineCUSUM {
 	return &OnlineCUSUM{Slack: slack, Threshold: threshold, onset: -1}
-}
-
-// SetTarget fixes the reference level the excursion is measured
-// against, overriding the lock-to-first-sample default.
-func (c *OnlineCUSUM) SetTarget(target float64) {
-	c.target, c.hasTarget = target, true
 }
 
 // Observe folds one sample and reports the alarm state after it. NaN

@@ -16,8 +16,6 @@ package analysis
 import (
 	"math"
 	"time"
-
-	"interdomain/internal/tsdb"
 )
 
 // BinSeries is a fixed-interval time series of minimum-filtered values.
@@ -40,15 +38,6 @@ func NewBinSeries(start time.Time, interval time.Duration, n int) *BinSeries {
 		v[i] = math.NaN()
 	}
 	return &BinSeries{Start: start, Interval: interval, Values: v}
-}
-
-// FromPoints builds a min-filtered series from raw points.
-func FromPoints(points []tsdb.Point, start time.Time, interval time.Duration, n int) *BinSeries {
-	s := NewBinSeries(start, interval, n)
-	for _, p := range points {
-		s.Observe(p.Time, p.Value)
-	}
-	return s
 }
 
 // Observe folds one sample into its bin, keeping the minimum.

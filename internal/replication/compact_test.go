@@ -87,7 +87,7 @@ func TestFollowerStartupReapsTempFiles(t *testing.T) {
 	}
 
 	// Simulate a crash mid-fetch: an orphaned download temp file.
-	orphan := filepath.Join(fdir, "seg-00-0-g99.seg.tmp")
+	orphan := filepath.Join(fdir, "seg-0-g99.seg.tmp")
 	if err := os.WriteFile(orphan, []byte("half a download"), 0o644); err != nil {
 		t.Fatal(err)
 	}

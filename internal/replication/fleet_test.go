@@ -123,15 +123,61 @@ func TestFleetDeltaShippingConverges(t *testing.T) {
 	}
 	// The headline property: a hot-window tick costs O(new points), not
 	// O(window). The control refetched every changed segment whole;
-	// the bar is at least 5.5x fewer bytes on the wire, within 20% of the
-	// 6.87x the fixture measures (deterministic byte counts).
-	if ratio := float64(ccs.BytesFetched) / float64(cs.BytesFetched); ratio < 5.5 {
-		t.Fatalf("delta shipped %d bytes, whole segments %d (%.2fx) — expected a >=5.5x saving",
+	// the bar is at least 6.9x fewer bytes on the wire, within 20% of the
+	// 8.61x the fixture measures (deterministic byte counts).
+	if ratio := float64(ccs.BytesFetched) / float64(cs.BytesFetched); ratio < 6.9 {
+		t.Fatalf("delta shipped %d bytes, whole segments %d (%.2fx) — expected a >=6.9x saving",
 			cs.BytesFetched, ccs.BytesFetched, ratio)
 	}
 	st := f.Status()
 	if st.DeltaSegments == 0 || st.DeltaFallbacks != 0 {
 		t.Fatalf("status counters not accumulated: %+v", st)
+	}
+}
+
+// TestFollowerOneDeltaPerRound pins the wire cost of a probing round
+// (docs/REPLICATION.md §3, §8): segments partition time, so a round of
+// one point per series into a multi-day store changes one file, and a
+// follower holding its predecessor fetches exactly that one, as a
+// delta splice.
+func TestFollowerOneDeltaPerRound(t *testing.T) {
+	lf := newLeader(t)
+	lf.advance(t, 1)
+	lf.advance(t, 2)
+
+	fdb, fdir := tsdb.Open(), t.TempDir()
+	f := replication.New(lf.ts.URL, fdir, fdb, replication.Options{Lazy: true})
+	if cs := syncOnce(t, f); cs.SegmentsFetched != 3 {
+		t.Fatalf("initial sync of three days fetched %d segments, want 3: %+v", cs.SegmentsFetched, cs)
+	}
+
+	var round []tsdb.BatchPoint
+	at := epoch.AddDate(0, 0, 2).Add(23*time.Hour + 30*time.Minute)
+	for l := 0; l < 4; l++ {
+		for _, side := range []string{"far", "near"} {
+			round = append(round, tsdb.BatchPoint{
+				Measurement: "tslp",
+				Tags:        map[string]string{"link": fmt.Sprintf("l%d", l), "vp": "vp-a", "side": side},
+				Time:        at,
+				Value:       float64(l),
+			})
+		}
+	}
+	lf.db.WriteBatch(round)
+	st, err := lf.db.SnapshotDir(lf.dir, tsdb.DirOptions{Incremental: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Written != 1 {
+		t.Fatalf("leader round wrote %d segments, want 1: %+v", st.Written, st)
+	}
+
+	cs := syncOnce(t, f)
+	if cs.SegmentsFetched != 1 || cs.DeltaSegments != 1 || cs.DeltaFallbacks != 0 || cs.SegmentsReused != 2 {
+		t.Fatalf("follower round: %+v, want 1 segment fetched as 1 delta and 2 reused", cs)
+	}
+	if fdb.Digest() != lf.db.Digest() {
+		t.Fatal("follower digest diverged from the leader")
 	}
 }
 

@@ -414,8 +414,8 @@ func (f *Follower) tail(ctx context.Context) (CycleStats, error) {
 
 	// 4. Fetch the rest concurrently; every download is verified in
 	// memory against its manifest entry before it is written and renamed
-	// into place. An entry with an append cursor whose (shard, window
-	// span) the committed generation holds is a delta-splice candidate
+	// into place. An entry with an append cursor whose window span the
+	// committed generation holds is a delta-splice candidate
 	// (docs/REPLICATION.md §8): it tries the splice first and falls back
 	// to the whole segment on any failure — the fallback is load-bearing,
 	// not an edge case: it is what makes a wrong prefix guess merely slow.
@@ -530,16 +530,15 @@ func (f *Follower) tail(ctx context.Context) (CycleStats, error) {
 	return cs, nil
 }
 
-// identity keys a manifest entry by what survives generations: shard
-// and window span. Two entries with equal identity describe the same
+// identity keys a manifest entry by what survives generations: its
+// window span. Two entries with equal identity describe the same
 // logical data at different generations.
 type identity struct {
-	shard      int
 	start, end int64
 }
 
 func segmentIdentity(sm tsdb.SegmentMeta) identity {
-	return identity{sm.Shard, sm.WindowStart, sm.WindowEnd}
+	return identity{sm.WindowStart, sm.WindowEnd}
 }
 
 // fetchCounts accumulates one cycle's transfer counters across its
@@ -549,8 +548,8 @@ type fetchCounts struct {
 }
 
 // fetch downloads one manifest entry and verifies it in memory: as a
-// delta splice onto prevFile, the committed file of the same (shard,
-// window span), when the entry carries an append cursor
+// delta splice onto prevFile, the committed file of the same window
+// span, when the entry carries an append cursor
 // (docs/REPLICATION.md §8), and whole otherwise or when the splice
 // fails. It returns the verified file bytes and how they were obtained
 // ("spliced", "fetched").

@@ -61,24 +61,24 @@ func (fh *faults) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// identityKey is a manifest entry's (shard, window span).
-func identityKey(sm tsdb.SegmentMeta) [3]int64 {
-	return [3]int64{int64(sm.Shard), sm.WindowStart, sm.WindowEnd}
+// identityKey is a manifest entry's window span.
+func identityKey(sm tsdb.SegmentMeta) [2]int64 {
+	return [2]int64{sm.WindowStart, sm.WindowEnd}
 }
 
 // appendOnly restates the in-place rule over two manifests: every entry
 // of next is an unchanged entry of prev, a cursor-carrying successor of
-// exactly one, or a window after every window prev holds in its shard,
-// and every entry of prev is accounted for.
+// exactly one, or a window after every window prev holds, and every
+// entry of prev is accounted for.
 func appendOnly(prev, next *tsdb.Manifest) bool {
 	held := map[string]tsdb.SegmentMeta{}
-	byIdentity := map[[3]int64]string{}
-	lastEnd := map[int]int64{}
+	byIdentity := map[[2]int64]string{}
+	lastEnd, seen := int64(0), false
 	for _, sm := range prev.Segments {
 		held[sm.File] = sm
 		byIdentity[identityKey(sm)] = sm.File
-		if end, ok := lastEnd[sm.Shard]; !ok || sm.WindowEnd > end {
-			lastEnd[sm.Shard] = sm.WindowEnd
+		if !seen || sm.WindowEnd > lastEnd {
+			lastEnd, seen = sm.WindowEnd, true
 		}
 	}
 	used := map[string]bool{}
@@ -97,7 +97,7 @@ func appendOnly(prev, next *tsdb.Manifest) bool {
 			used[p] = true
 			continue
 		}
-		if end, ok := lastEnd[sm.Shard]; ok && sm.WindowStart < end {
+		if seen && sm.WindowStart < lastEnd {
 			return false
 		}
 	}
@@ -164,6 +164,7 @@ func TestFollowerInPlaceSwapMatchesRestore(t *testing.T) {
 	leader.SetSegmentWindow(time.Hour)
 	dir := t.TempDir()
 	links := []string{"l0", "l1", "l2"}
+	initialLinks := len(links)
 	tags := func(link, side string) map[string]string {
 		return map[string]string{"link": link, "side": side, "vp": "vp-a"}
 	}
@@ -258,10 +259,15 @@ func TestFollowerInPlaceSwapMatchesRestore(t *testing.T) {
 			links = append(links, fmt.Sprintf("l%d", len(links)))
 			appendSteps(1)
 		case p < 0.57:
+			// A point before a series' last one in a complete window.
+			// The series is one of the links written since the start:
+			// a link added later has no points in an older window, and
+			// a first point there appends to the window's file rather
+			// than backfilling it.
 			action = "backfill"
 			hours := int(next.Sub(start) / time.Hour)
 			at := start.Add(time.Duration(rng.Intn(hours-1))*time.Hour + cadence/2)
-			leader.Write("tslp", tags(links[rng.Intn(len(links))], "far"), at, value("far", at))
+			leader.Write("tslp", tags(links[rng.Intn(initialLinks)], "far"), at, value("far", at))
 		case p < 0.64:
 			action = "retain"
 			first, _, _ := leader.TimeBounds("tslp", nil)
@@ -284,8 +290,11 @@ func TestFollowerInPlaceSwapMatchesRestore(t *testing.T) {
 			appendSteps(1 + rng.Intn(2))
 			fh.set(action)
 		case p < 0.85:
+			// One more step than a window holds crosses a window
+			// boundary, so the generation changes two files: the first
+			// fetch installs, the second fails.
 			action = "failed-fetch"
-			appendSteps(1)
+			appendSteps(int(time.Hour/cadence) + 1)
 			fh.set("fail-after-one")
 		case p < 0.92:
 			// A point after a series' last one in an older window: the

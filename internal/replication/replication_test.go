@@ -299,6 +299,53 @@ func TestFollowerRejectsGenerationRegression(t *testing.T) {
 	failedCycleLeavesDirIntact(t, f, fdir, fdb, "regressed")
 }
 
+// TestFollowerRefusesPerShardLeader: a leader still serving a per-shard
+// (format v3) directory — one entry per (shard, window), manifest
+// version 1, served verbatim as an old exporter would — fails the
+// follower's cycle at the manifest parse, and the generation the
+// follower committed keeps serving (docs/REPLICATION.md §5).
+func TestFollowerRefusesPerShardLeader(t *testing.T) {
+	lf := newLeader(t)
+	var perShard atomic.Value // []byte manifest served verbatim once set
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if data, ok := perShard.Load().([]byte); ok && r.URL.Path == replication.ManifestPath {
+			_, _ = w.Write(data)
+			return
+		}
+		lf.tp.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	fdir := t.TempDir()
+	fdb := tsdb.Open()
+	f := replication.New(ts.URL, fdir, fdb, replication.Options{Lazy: true})
+	if _, err := f.TailOnce(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	m, err := tsdb.LoadManifest(lf.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := m.Generation + 1
+	var entries []string
+	for _, sm := range m.Segments {
+		for shard := 0; shard < 2; shard++ {
+			entries = append(entries, fmt.Sprintf(`{"file":"seg-%02d-%d-g%d.seg","shard":%d,"window_start":%d,"window_end":%d,"series":1,"points":1,"crc":1}`,
+				shard, sm.WindowStart, gen, shard, sm.WindowStart, sm.WindowEnd))
+		}
+	}
+	perShard.Store([]byte(fmt.Sprintf(`{"version":1,"generation":%d,"window_nanos":%d,"store_series":8,"total_points":%d,"segments":[%s]}`,
+		gen, m.WindowNanos, len(entries), strings.Join(entries, ","))))
+	failedCycleLeavesDirIntact(t, f, fdir, fdb, "manifest version 1")
+	if st := f.Status(); st.AppliedGeneration != m.Generation {
+		t.Fatalf("applied generation %d after a refused cycle, want %d", st.AppliedGeneration, m.Generation)
+	}
+	if fdb.Digest() != lf.db.Digest() {
+		t.Fatal("the committed generation stopped serving")
+	}
+}
+
 func TestFollowerRunLoop(t *testing.T) {
 	lf := newLeader(t)
 	fdir := t.TempDir()
@@ -404,7 +451,8 @@ func TestExporterRejectsBadNames(t *testing.T) {
 		{m.Segments[0].File, http.StatusOK},
 		{"MANIFEST.json", http.StatusBadRequest},
 		{m.Segments[0].File + ".tmp", http.StatusBadRequest},
-		{"seg-00-0-g99.seg", http.StatusNotFound}, // well-formed but absent
+		{"seg-0-g99.seg", http.StatusNotFound},      // well-formed but absent
+		{"seg-00-0-g99.seg", http.StatusBadRequest}, // format v3's per-shard name
 	}
 	for _, c := range cases {
 		resp, err := http.Get(lf.ts.URL + replication.SegmentPathPrefix + c.name)

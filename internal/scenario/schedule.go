@@ -121,26 +121,3 @@ func ApplySchedule(in *topology.Internet, seed uint64) {
 		}
 	}
 }
-
-// ExpectedCongestedMonths reports, from ground truth, whether the pair's
-// link was scheduled congested in the given month — used only by tests
-// and EXPERIMENTS.md comparisons.
-func ExpectedCongestedMonths(in *topology.Internet, ap, tcp int) map[int]int {
-	out := map[int]int{}
-	for _, ic := range in.InterconnectsOf(ap, tcp) {
-		into := directionInto(ic, ap)
-		p := ic.Link.Profile(into)
-		if p == nil {
-			continue
-		}
-		for _, ep := range p.Episodes {
-			m := monthsBetween(netsim.Epoch, ep.Start)
-			out[m]++
-		}
-	}
-	return out
-}
-
-func monthsBetween(a, b time.Time) int {
-	return (b.Year()-a.Year())*12 + int(b.Month()) - int(a.Month())
-}

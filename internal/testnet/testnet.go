@@ -158,11 +158,6 @@ func directionToward(ic *topology.Interconnect, asn int) netsim.Direction {
 	return netsim.AtoB
 }
 
-// DirectionToward is the exported form for tests in other packages.
-func DirectionToward(ic *topology.Interconnect, asn int) netsim.Direction {
-	return directionToward(ic, asn)
-}
-
 // PeakTime returns a time at the losangeles evening peak on the given day.
 func PeakTime(day int) time.Time {
 	// 21:00 local in losangeles (UTC-8) = 05:00 UTC next day.

@@ -1,10 +1,10 @@
 package tsdb
 
 // Background level compaction for segment directories
-// (docs/PERSISTENCE.md §8): adjacent cold windows of the same shard
-// are merged into one wider generation-qualified segment, cutting the
-// file count — without ever decoding a point, because a merged span's
-// blocks are the concatenation of its inputs' blocks in window order.
+// (docs/PERSISTENCE.md §8): adjacent cold windows are merged into one
+// wider generation-qualified segment, cutting the file count — without
+// ever decoding a point, because a merged span's blocks are the
+// concatenation of its inputs' blocks in window order.
 // The pass runs under the same atomic
 // manifest-rename commit protocol as SnapshotDir and RetainDir, so a
 // crash at any moment leaves the previous snapshot fully restorable,
@@ -67,45 +67,30 @@ type compactRun struct {
 	out    int64       // output bytes on disk
 }
 
-// planCompaction groups each shard's cold segments into runs of two or
-// more whose combined span stays within maxWindows base windows.
-// Segments in a run need not be contiguous in time — a span may cover
-// empty windows — but they never overlap (windows partition time).
+// planCompaction groups the cold segments, in window order, into runs
+// of two or more whose combined span stays within maxWindows base
+// windows. Segments in a run need not be contiguous in time — a span
+// may cover empty windows — but they never overlap (spans are
+// disjoint).
 func planCompaction(m *Manifest, cut int64, maxWindows int) []*compactRun {
-	byShard := make(map[int][]SegmentMeta)
-	for _, sm := range m.Segments {
-		if sm.WindowEnd <= cut {
-			byShard[sm.Shard] = append(byShard[sm.Shard], sm)
-		}
-	}
-	shards := make([]int, 0, len(byShard))
-	for s := range byShard {
-		shards = append(shards, s)
-	}
-	sort.Ints(shards)
-
 	var runs []*compactRun
-	for _, s := range shards {
-		sms := byShard[s]
-		sort.Slice(sms, func(i, j int) bool { return sms[i].WindowStart < sms[j].WindowStart })
-		var cur []SegmentMeta
-		flush := func() {
-			if len(cur) >= 2 {
-				runs = append(runs, &compactRun{inputs: cur})
-			}
-			cur = nil
+	var cur []SegmentMeta
+	flush := func() {
+		if len(cur) >= 2 {
+			runs = append(runs, &compactRun{inputs: cur})
 		}
-		for _, sm := range sms {
-			if len(cur) > 0 {
-				span := sm.WindowEnd - cur[0].WindowStart
-				if span > int64(maxWindows)*m.WindowNanos {
-					flush()
-				}
-			}
-			cur = append(cur, sm)
-		}
-		flush()
+		cur = nil
 	}
+	for _, sm := range m.Segments {
+		if sm.WindowEnd > cut {
+			continue
+		}
+		if len(cur) > 0 && sm.WindowEnd-cur[0].WindowStart > int64(maxWindows)*m.WindowNanos {
+			flush()
+		}
+		cur = append(cur, sm)
+	}
+	flush()
 	return runs
 }
 
@@ -161,8 +146,7 @@ func mergeRun(dir string, gen uint64, r *compactRun) error {
 
 	first, last := r.inputs[0], r.inputs[len(r.inputs)-1]
 	payload := blockenc.EncodePayload(out)
-	meta, err := writeSegmentFile(dir, gen, first.Shard,
-		first.WindowStart, last.WindowEnd, len(out), points, level+1, payload)
+	meta, err := writeSegmentFile(dir, gen, first.WindowStart, last.WindowEnd, len(out), points, level+1, payload)
 	if err != nil {
 		return err
 	}
@@ -204,9 +188,8 @@ func CompactDir(dir string, opts CompactOptions) (CompactStats, error) {
 	}
 
 	// Merge the runs concurrently; each writes its own output file, and
-	// nothing is visible until the manifest commit below. Two runs of
-	// the same shard never collide on a name because their window
-	// starts differ.
+	// nothing is visible until the manifest commit below. Two runs never
+	// collide on a name because their window starts differ.
 	pool := pipeline.NewPool(opts.Workers)
 	defer pool.Close()
 	jobs := make([]func() error, len(runs))

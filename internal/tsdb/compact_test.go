@@ -8,8 +8,10 @@ package tsdb
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -40,13 +42,17 @@ func TestUnknownSegmentVersionNamedError(t *testing.T) {
 	}
 }
 
-// TestOldSegmentVersionsRefused: the retired v1 (gob) and v2 (sum-less
-// block) payload versions are refused by every reader — eager and lazy
-// RestoreDir, VerifySegmentFile (so a follower rejects the file before
-// its manifest commit), CompactDir and RetainDir — with an error
-// wrapping ErrSegmentVersion that names the file. The headers are
-// hand-built from a current segment: valid magic, valid CRC, only the
-// version field rewritten (docs/PERSISTENCE.md §2, "Versioning").
+// TestOldSegmentVersionsRefused: the retired v1 (gob), v2 (sum-less
+// block) and v3 (per-shard) versions are refused by every reader —
+// eager and lazy RestoreDir, VerifySegmentFile (so a follower rejects
+// the file before its manifest commit), CompactDir, RetainDir and
+// AssembleDelta — with an error wrapping ErrSegmentVersion that names
+// the file, and the generation does not move. The headers are
+// hand-built from a current segment: valid magic, valid CRC, the
+// version field rewritten, and for v3 the 56-byte per-shard header
+// with its shard field (docs/PERSISTENCE.md §2, "Versioning"). A whole
+// per-shard directory fails earlier, at its version-1 manifest, and
+// SnapshotDir refuses to overwrite it (docs/PERSISTENCE.md §3, §4).
 func TestOldSegmentVersionsRefused(t *testing.T) {
 	window := time.Hour
 	cut := t0.Add(2*window + 17*time.Minute) // mid-window: RetainDir must read the boundary segment
@@ -67,8 +73,16 @@ func TestOldSegmentVersionsRefused(t *testing.T) {
 			_, _, err := RetainDir(dir, cut)
 			return err
 		}},
+		{"AssembleDelta", func(dir string, sm SegmentMeta) error {
+			data, err := os.ReadFile(filepath.Join(dir, sm.File))
+			if err != nil {
+				return err
+			}
+			_, err = AssembleDelta(sm, nil, data[:segmentHeaderSize], data[segmentHeaderSize:])
+			return err
+		}},
 	}
-	for _, version := range []byte{1, 2} {
+	for _, version := range []byte{1, 2, 3} {
 		for _, r := range readers {
 			dir := t.TempDir()
 			if _, err := buildSegStore(window).SnapshotDir(dir, DirOptions{}); err != nil {
@@ -94,6 +108,10 @@ func TestOldSegmentVersionsRefused(t *testing.T) {
 				t.Fatal(err)
 			}
 			data[11] = version // version field, docs/PERSISTENCE.md §2 field 2
+			if version == 3 {
+				// The v3 header carried the owning shard after the version.
+				data = slices.Concat(data[:12], []byte{0, 0, 0, 7}, data[12:])
+			}
 			if err := os.WriteFile(path, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -110,6 +128,34 @@ func TestOldSegmentVersionsRefused(t *testing.T) {
 			if after, err := readManifest(dir); err != nil || after.Generation != m.Generation {
 				t.Fatalf("v%d via %s: refused pass moved the manifest (%v)", version, r.name, err)
 			}
+		}
+	}
+
+	// A whole per-shard directory — manifest version 1, one entry per
+	// (shard, window) — is refused at its manifest by every directory
+	// reader and by SnapshotDir, and left exactly as it was.
+	dir := t.TempDir()
+	h := int64(window)
+	v1 := fmt.Sprintf(`{"version":1,"generation":3,"window_nanos":%d,"store_series":2,"total_points":2,"segments":[`+
+		`{"file":"seg-00-0-g3.seg","shard":0,"window_start":0,"window_end":%d,"series":1,"points":1,"crc":1},`+
+		`{"file":"seg-01-0-g3.seg","shard":1,"window_start":0,"window_end":%d,"series":1,"points":1,"crc":1}]}`, h, h, h)
+	files := map[string]string{ManifestName: v1, "seg-00-0-g3.seg": "v3 bytes", "seg-01-0-g3.seg": "v3 bytes"}
+	for name, content := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range append(readers[:2:2], readers[3:5]...) {
+		if err := r.read(dir, SegmentMeta{}); err == nil || !strings.Contains(err.Error(), "manifest version 1") {
+			t.Fatalf("per-shard directory via %s: got %v, want a manifest version error", r.name, err)
+		}
+	}
+	if _, err := buildSegStore(window).SnapshotDir(dir, DirOptions{}); err == nil || !strings.Contains(err.Error(), "manifest version 1") {
+		t.Fatalf("SnapshotDir over a per-shard directory: got %v, want a manifest version error", err)
+	}
+	for name, content := range files {
+		if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || string(got) != content {
+			t.Fatalf("refused pass touched %s (%v)", name, err)
 		}
 	}
 }
@@ -306,7 +352,7 @@ func TestCompactDirCrashLeftovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	leftover := segmentFileName(7, 0, m.Generation+1)
+	leftover := segmentFileName(0, m.Generation+1)
 	if err := os.WriteFile(filepath.Join(dir, leftover), []byte("half a crashed compaction"), 0o644); err != nil {
 		t.Fatal(err)
 	}

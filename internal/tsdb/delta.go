@@ -41,7 +41,7 @@ type DeltaBase struct {
 
 // OpenDeltaBase reads the local segment file at path and prepares it as
 // the splice base for the successor described by sm (the new manifest
-// entry, same shard and window span). The local file is verified
+// entry, same window span). The local file is verified
 // self-consistently by the same parser every segment reader uses —
 // magic, format version, its own header's payload length and CRC — so
 // a corrupt local copy is detected here rather than poisoning an
@@ -57,9 +57,9 @@ func OpenDeltaBase(path string, sm SegmentMeta) (*DeltaBase, error) {
 	if err != nil {
 		return nil, err
 	}
-	if h.shard != sm.Shard || h.winStart != sm.WindowStart || h.winEnd != sm.WindowEnd {
-		return nil, fmt.Errorf("tsdb: delta base %s: identity (shard %d, window [%d,%d)) does not match successor (shard %d, window [%d,%d))",
-			path, h.shard, h.winStart, h.winEnd, sm.Shard, sm.WindowStart, sm.WindowEnd)
+	if h.winStart != sm.WindowStart || h.winEnd != sm.WindowEnd {
+		return nil, fmt.Errorf("tsdb: delta base %s: window [%d,%d) does not match successor window [%d,%d)",
+			path, h.winStart, h.winEnd, sm.WindowStart, sm.WindowEnd)
 	}
 	_, headLen, err := blockenc.PayloadHead(payload)
 	if err != nil {

@@ -122,13 +122,12 @@ func TestAppendExtendRecordsCursor(t *testing.T) {
 	}
 }
 
-// segKey identifies a segment by identity, not file name, across
-// generations.
+// segKey identifies a segment by identity — its window span — not by
+// file name, across generations.
 func segKey(sm SegmentMeta) string {
 	return filepath.Join(
 		time.Unix(0, sm.WindowStart).UTC().Format(time.RFC3339),
-		time.Unix(0, sm.WindowEnd).UTC().Format(time.RFC3339),
-		string(rune('0'+sm.Shard)))
+		time.Unix(0, sm.WindowEnd).UTC().Format(time.RFC3339))
 }
 
 func TestBackfillDefeatsAppendExtend(t *testing.T) {
@@ -196,7 +195,7 @@ func TestDeltaSpliceRoundTrip(t *testing.T) {
 	for _, sm := range cur {
 		var prevFile string
 		for _, p := range m1.Segments {
-			if p.Shard == sm.Shard && p.WindowStart == sm.WindowStart && p.WindowEnd == sm.WindowEnd {
+			if p.WindowStart == sm.WindowStart && p.WindowEnd == sm.WindowEnd {
 				prevFile = p.File
 			}
 		}
@@ -244,9 +243,10 @@ func TestOpenDeltaBaseRejects(t *testing.T) {
 	path := filepath.Join(dir, sm.File)
 
 	other := sm
-	other.Shard = (sm.Shard + 1) % NumShards
+	other.WindowStart += int64(DefaultWindow)
+	other.WindowEnd += int64(DefaultWindow)
 	if _, err := OpenDeltaBase(path, other); err == nil {
-		t.Fatal("OpenDeltaBase accepted a shard mismatch")
+		t.Fatal("OpenDeltaBase accepted a window mismatch")
 	}
 
 	data, err := os.ReadFile(path)

@@ -4,7 +4,7 @@ package tsdb
 // follower plans a tail cycle from the manifest alone — which files it
 // reuses unread, which it fetches, which it deletes — so whatever
 // ParseManifest accepts must name only plain segment files and carry
-// sane windows and cursors, and its memo of validated bytes must never
+// sane, disjoint windows and cursors, and its memo of validated bytes must never
 // answer differently from a fresh parse.
 
 import (
@@ -27,16 +27,21 @@ func FuzzParseManifest(f *testing.F) {
 	}
 	f.Add(real)
 	entry := func(file string, cursor int64) []byte {
-		return []byte(fmt.Sprintf(`{"version":1,"generation":1,"window_nanos":%d,"segments":[`+
-			`{"file":%q,"shard":0,"window_start":0,"window_end":%d,"append_cursor":%d}]}`,
-			int64(time.Hour), file, int64(time.Hour), cursor))
+		return []byte(fmt.Sprintf(`{"version":%d,"generation":1,"window_nanos":%d,"segments":[`+
+			`{"file":%q,"window_start":0,"window_end":%d,"append_cursor":%d}]}`,
+			ManifestVersion, int64(time.Hour), file, int64(time.Hour), cursor))
 	}
 	// The names TestParseManifestRejectsBadFileNames pins, and a negative
 	// cursor.
-	for _, file := range []string{"seg-00-0-g1.seg", "../x.seg", "a/seg-00-0-g1.seg", ManifestName} {
+	for _, file := range []string{"seg-0-g1.seg", "../x.seg", "a/seg-0-g1.seg", ManifestName} {
 		f.Add(entry(file, 0))
 	}
-	f.Add(entry("seg-00-0-g1.seg", -1))
+	f.Add(entry("seg-0-g1.seg", -1))
+	// Overlapping spans, the shape a per-shard manifest has.
+	f.Add([]byte(fmt.Sprintf(`{"version":%d,"generation":1,"window_nanos":%d,"segments":[`+
+		`{"file":"seg-0-g1.seg","window_start":0,"window_end":%d},`+
+		`{"file":"seg-0-g2.seg","window_start":0,"window_end":%d}]}`,
+		ManifestVersion, int64(time.Hour), int64(time.Hour), int64(time.Hour))))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := ParseManifest(data)
@@ -60,8 +65,13 @@ func FuzzParseManifest(f *testing.F) {
 			if sm.AppendCursor < 0 {
 				t.Fatalf("accepted cursor %d", sm.AppendCursor)
 			}
-			if sm.WindowEnd <= sm.WindowStart || sm.Shard < 0 || sm.Shard >= NumShards {
+			if sm.WindowEnd <= sm.WindowStart {
 				t.Fatalf("accepted entry %+v", sm)
+			}
+			for _, other := range m.Segments {
+				if other.File != sm.File && other.WindowStart < sm.WindowEnd && sm.WindowStart < other.WindowEnd {
+					t.Fatalf("accepted overlapping entries %+v and %+v", sm, other)
+				}
 			}
 		}
 		// The memo hands out copies: mutating one parse must not leak

@@ -455,19 +455,18 @@ func newBlockRef(file string, ord int, b *blockenc.Block) lazyBlockRef {
 	}
 }
 
-// appendRefs adds the file's series to a shard map under construction
-// as lazy stubs, checking shard ownership. Callers feed files in
-// ascending window order, which keeps each stub's refs time-ordered
-// (windows partition time; blocks within a payload are time-ordered).
-func (lf *lazyFile) appendRefs(shardSeries map[string]*series, ls *lazyStore, si int) error {
+// appendRefs adds the file's series as lazy stubs to the shard maps
+// under construction, each to the shard that owns its key. Callers
+// feed files in ascending window order, which keeps each stub's refs
+// time-ordered (windows partition time; blocks within a payload are
+// time-ordered).
+func (lf *lazyFile) appendRefs(newShards []map[string]*series, ls *lazyStore) {
 	lf.fillKeys(nil)
 	ord := 0
 	for i := range lf.series {
 		bs := &lf.series[i]
 		key := lf.keys[i]
-		if shardFor(key) != uint32(si) {
-			return fmt.Errorf("tsdb: segment %s: series %q does not belong to shard %d", lf.name, key, si)
-		}
+		shardSeries := newShards[shardFor(key)]
 		s, ok := shardSeries[key]
 		if !ok {
 			s = &series{measurement: bs.Measurement, tags: bs.Tags, lazy: &lazySeries{store: ls}}
@@ -480,7 +479,6 @@ func (lf *lazyFile) appendRefs(shardSeries map[string]*series, ls *lazyStore, si
 			ord++
 		}
 	}
-	return nil
 }
 
 // restoreDirLazy is RestoreDir's lazy mode: reuse or create the lazy
@@ -560,15 +558,13 @@ func (db *DB) restoreDirLazy(dir string, m *Manifest, opts DirOptions) error {
 		db.applyAppendsLocked(ls, m, changes, succ)
 	} else {
 		// Build the new shard maps from summaries alone, in ascending
-		// window order per shard (same merge order as the eager path).
+		// window order (same merge order as the eager path).
 		newShards := make([]map[string]*series, NumShards)
-		for si, sms := range segmentsByShard(m) {
+		for si := range newShards {
 			newShards[si] = make(map[string]*series)
-			for _, sm := range sms {
-				if err := ls.files[sm.File].appendRefs(newShards[si], ls, si); err != nil {
-					return fmt.Errorf("tsdb: restoredir: %w", err)
-				}
-			}
+		}
+		for _, sm := range m.Segments {
+			ls.files[sm.File].appendRefs(newShards, ls)
 		}
 		if err := db.installLocked(dir, m, newShards); err != nil {
 			return err
@@ -612,19 +608,18 @@ func (db *DB) restoreDirLazy(dir string, m *Manifest, opts DirOptions) error {
 // Epoch-keeping hot-swap (docs/PERSISTENCE.md §9.3).
 
 // segIdentity keys a manifest entry by what survives generations: its
-// shard and window span.
+// window span.
 type segIdentity struct {
-	shard      int
 	start, end int64
 }
 
 func identityOf(sm SegmentMeta) segIdentity {
-	return segIdentity{sm.Shard, sm.WindowStart, sm.WindowEnd}
+	return segIdentity{sm.WindowStart, sm.WindowEnd}
 }
 
 // appendChange is one new file an in-place swap applies: it extends a
 // held predecessor (prev non-nil) or opens a window after every held
-// window of its shard. adds holds the blocks it appends per series key.
+// window. adds holds the blocks it appends per series key.
 type appendChange struct {
 	sm         SegmentMeta
 	file, prev *lazyFile
@@ -639,15 +634,16 @@ type seriesAdd struct {
 }
 
 // planAppendsLocked decides whether m differs from the manifest the
-// lazy store holds only by appends, and returns the changes in (shard,
-// window) order. An append is a cursor-carrying entry whose payload
-// starts with its held predecessor's entries region byte for byte, or
-// a new window after every held window of its shard. ok is false —
-// and the caller rebuilds — for anything else: a removed entry
-// (retention), a merge (compaction), a rewrite without a cursor, a
-// backfilled window, a store written or trimmed locally since its last
-// swap, and a generation whose totals the appends do not add up to.
-// Every file m lists must be held. It changes nothing.
+// lazy store holds only by appends, and returns the changes in window
+// order (m's, which ParseManifest guarantees). An append is a
+// cursor-carrying entry whose payload starts with its held
+// predecessor's entries region byte for byte, or a new window after
+// every held window. ok is false — and the caller rebuilds — for
+// anything else: a removed entry (retention), a merge (compaction), a
+// rewrite without a cursor, a backfilled window, a store written or
+// trimmed locally since its last swap, and a generation whose totals
+// the appends do not add up to. Every file m lists must be held. It
+// changes nothing.
 func (db *DB) planAppendsLocked(ls *lazyStore, m *Manifest) (changes []appendChange, ok bool) {
 	held := ls.manifest
 	if held == nil || db.snapDir != ls.dir || db.snapGen != held.Generation || held.WindowNanos != m.WindowNanos {
@@ -660,14 +656,11 @@ func (db *DB) planAppendsLocked(ls *lazyStore, m *Manifest) (changes []appendCha
 	}
 	byFile := make(map[string]SegmentMeta, len(held.Segments))
 	byIdent := make(map[segIdentity]string, len(held.Segments))
-	var lastEnd [NumShards]int64
-	for i := range lastEnd {
-		lastEnd[i] = math.MinInt64
-	}
+	lastEnd := int64(math.MinInt64)
 	for _, sm := range held.Segments {
 		byFile[sm.File] = sm
 		byIdent[identityOf(sm)] = sm.File
-		lastEnd[sm.Shard] = max(lastEnd[sm.Shard], sm.WindowEnd)
+		lastEnd = max(lastEnd, sm.WindowEnd)
 	}
 	// Every held file must be accounted for exactly once: kept as it is,
 	// or superseded by the one entry extending it.
@@ -691,7 +684,7 @@ func (db *DB) planAppendsLocked(ls *lazyStore, m *Manifest) (changes []appendCha
 				return nil, false
 			}
 			c.file.fillKeys(c.prev.keys)
-		} else if sm.WindowStart < lastEnd[sm.Shard] {
+		} else if sm.WindowStart < lastEnd {
 			return nil, false
 		} else {
 			c.file.fillKeys(nil)
@@ -701,13 +694,8 @@ func (db *DB) planAppendsLocked(ls *lazyStore, m *Manifest) (changes []appendCha
 	if len(consumed) != len(held.Segments) {
 		return nil, false
 	}
-	sort.Slice(changes, func(i, j int) bool {
-		a, b := changes[i].sm, changes[j].sm
-		return a.Shard < b.Shard || (a.Shard == b.Shard && a.WindowStart < b.WindowStart)
-	})
-
 	// Gather what every change appends, and prove it all lands on lazy
-	// stubs of the right shard and adds up to m's totals.
+	// stubs and adds up to m's totals.
 	gained, series := 0, 0
 	for i := range db.shards {
 		series += len(db.shards[i].series)
@@ -715,15 +703,11 @@ func (db *DB) planAppendsLocked(ls *lazyStore, m *Manifest) (changes []appendCha
 	created := map[string]bool{}
 	for ci := range changes {
 		c := &changes[ci]
-		if ci > 0 && changes[ci-1].sm.Shard == c.sm.Shard && c.sm.WindowStart < changes[ci-1].sm.WindowEnd {
-			return nil, false // overlapping new windows
-		}
-		sh := &db.shards[c.sm.Shard]
 		from, ord := 0, 0
 		if c.prev != nil {
 			from, ord = len(c.prev.series), c.prev.blocks
 			for _, key := range c.prev.keys {
-				if s := sh.series[key]; s == nil || s.lazy == nil {
+				if s := db.shards[shardFor(key)].series[key]; s == nil || s.lazy == nil {
 					return nil, false
 				}
 			}
@@ -731,10 +715,7 @@ func (db *DB) planAppendsLocked(ls *lazyStore, m *Manifest) (changes []appendCha
 		c.adds = make(map[string]*seriesAdd)
 		for i := from; i < len(c.file.series); i++ {
 			bs, key := &c.file.series[i], c.file.keys[i]
-			if shardFor(key) != uint32(c.sm.Shard) {
-				return nil, false
-			}
-			if s := sh.series[key]; s == nil {
+			if s := db.shards[shardFor(key)].series[key]; s == nil {
 				if !created[key] {
 					created[key] = true
 					series++
@@ -781,17 +762,16 @@ func extendsPrefix(next, prev *lazyFile, cursor int64) bool {
 		bytes.Equal(np[nHead:cursor], entries) && len(next.series) >= len(prev.series)
 }
 
-// applyAppendsLocked applies planned appends to the held stubs: refs
-// into a superseded file move to the same ordinal of its successor, the
-// appended blocks are spliced in after their window's held blocks, and
-// each touched series' version advances by exactly the points it
-// gained — the arithmetic the leader's per-point writes did, so a
-// cursor over the old view stays provable (docs/DETECTION.md §4). The
-// epoch stays. Each superseded file is recorded in succ under its
-// successor's name.
+// applyAppendsLocked applies planned appends to the held stubs, each
+// in the shard that owns its key: refs into a superseded file move to
+// the same ordinal of its successor, the appended blocks are spliced in
+// after their window's held blocks, and each touched series' version,
+// and its shard's, advances by exactly the points it gained: the
+// arithmetic the leader's per-point writes did, so a cursor over the
+// old view stays provable (docs/DETECTION.md §4). The epoch stays.
+// Each superseded file is recorded in succ under its successor's name.
 func (db *DB) applyAppendsLocked(ls *lazyStore, m *Manifest, changes []appendChange, succ map[string]string) {
 	for _, c := range changes {
-		sh := &db.shards[c.sm.Shard]
 		var prev string
 		var ords []*blockenc.Block
 		if c.prev != nil {
@@ -804,6 +784,7 @@ func (db *DB) applyAppendsLocked(ls *lazyStore, m *Manifest, changes []appendCha
 			}
 		}
 		for key, a := range c.adds {
+			sh := &db.shards[shardFor(key)]
 			s := sh.series[key]
 			if s == nil {
 				s = &series{measurement: a.first.Measurement, tags: a.first.Tags, lazy: &lazySeries{store: ls}}

@@ -306,7 +306,6 @@ func TestLazyTamperedSummaryFailsLoud(t *testing.T) {
 	hdr := make([]byte, 0, segmentHeaderSize)
 	hdr = append(hdr, SegmentMagic...)
 	hdr = binary.BigEndian.AppendUint32(hdr, uint32(SegmentVersion))
-	hdr = binary.BigEndian.AppendUint32(hdr, uint32(sm.Shard))
 	hdr = binary.BigEndian.AppendUint64(hdr, uint64(sm.WindowStart))
 	hdr = binary.BigEndian.AppendUint64(hdr, uint64(sm.WindowEnd))
 	hdr = binary.BigEndian.AppendUint32(hdr, uint32(sm.Series))
@@ -568,15 +567,15 @@ func TestLazyHotSwapReusesSegments(t *testing.T) {
 		t.Fatalf("cold open: %+v, want %d opened / 0 reused", st1, first.Segments)
 	}
 
-	// One write dirties one (shard, window); the incremental snapshot
-	// rewrites only that.
+	// One write dirties one window; the incremental snapshot rewrites
+	// only its segment.
 	src.Write("tslp", map[string]string{"link": "l1", "vp": "vp-a", "side": "near"}, t0.Add(30*time.Minute), 9.75)
 	second, err := src.SnapshotDir(dir, DirOptions{Incremental: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if second.Written == 0 || second.Written > 2 {
-		t.Fatalf("localized write rewrote %d segments", second.Written)
+	if second.Written != 1 {
+		t.Fatalf("localized write rewrote %d segments, want 1", second.Written)
 	}
 
 	if err := reader.RestoreDir(dir, DirOptions{Lazy: true}); err != nil {

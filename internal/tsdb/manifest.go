@@ -8,23 +8,24 @@ package tsdb
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"sync"
 )
 
 // ManifestName is the manifest's file name inside a segment directory.
 const ManifestName = "MANIFEST.json"
 
-// ManifestVersion is the manifest schema version this package writes.
-// Readers reject manifests with a larger version (docs/PERSISTENCE.md
-// §3, "Versioning").
-const ManifestVersion = 1
+// ManifestVersion is the manifest schema version this package writes
+// and reads: version 2 lists one entry per disjoint window span, where
+// version 1 listed one per (shard, window). Readers reject any other
+// version (docs/PERSISTENCE.md §3, "Versioning").
+const ManifestVersion = 2
 
 // SegmentMeta is one manifest entry: the identity and integrity data of
 // one segment file. Every field is redundant with the segment's own
@@ -32,8 +33,6 @@ const ManifestVersion = 1
 type SegmentMeta struct {
 	// File is the segment's file name, relative to the directory.
 	File string `json:"file"`
-	// Shard is the store shard the segment belongs to (0..NumShards-1).
-	Shard int `json:"shard"`
 	// WindowStart is the window's inclusive lower bound, Unix nanoseconds.
 	WindowStart int64 `json:"window_start"`
 	// WindowEnd is the window's exclusive upper bound, Unix nanoseconds.
@@ -50,8 +49,8 @@ type SegmentMeta struct {
 	// — the window bounds, not the level, define the segment's identity.
 	Level int `json:"level,omitempty"`
 	// AppendCursor, when positive, records that this segment was
-	// produced by append-extending its predecessor for the same (shard,
-	// window span): payload bytes [0, AppendCursor) are the new series
+	// produced by append-extending its predecessor for the same window
+	// span: payload bytes [0, AppendCursor) are the new series
 	// count followed by the predecessor's entries region verbatim, and
 	// everything from AppendCursor on is newly appended
 	// (docs/REPLICATION.md §8). Zero means no such relationship is
@@ -78,21 +77,16 @@ type Manifest struct {
 	StoreSeries int `json:"store_series"`
 	// TotalPoints is the sum of Points over Segments.
 	TotalPoints int `json:"total_points"`
-	// Segments lists every segment file, sorted by (shard, window start).
+	// Segments lists every segment file in window order; their window
+	// spans are disjoint. Readers rely on both: every parsed manifest
+	// has been validated.
 	Segments []SegmentMeta `json:"segments"`
 }
 
-// sortSegments puts the manifest entries in canonical (shard, window)
-// order so repeated snapshots of identical content produce identical
-// manifests.
+// sortSegments puts the manifest entries in canonical window order so
+// repeated snapshots of identical content produce identical manifests.
 func (m *Manifest) sortSegments() {
-	sort.Slice(m.Segments, func(i, j int) bool {
-		a, b := m.Segments[i], m.Segments[j]
-		if a.Shard != b.Shard {
-			return a.Shard < b.Shard
-		}
-		return a.WindowStart < b.WindowStart
-	})
+	slices.SortFunc(m.Segments, func(a, b SegmentMeta) int { return cmp.Compare(a.WindowStart, b.WindowStart) })
 }
 
 // clone returns a copy of m that shares no mutable state with it.
@@ -182,9 +176,9 @@ func readManifest(dir string) (*Manifest, error) {
 
 // ParseManifest parses and validates raw manifest bytes against the
 // schema of docs/PERSISTENCE.md §3: supported version, positive and
-// self-consistent window bounds per entry, in-range shards, file names
-// that are well-formed segment names with no path components, no
-// duplicate file names. The replication follower uses it to vet a
+// self-consistent window bounds per entry, entries in window order with
+// pairwise disjoint spans, file names that are well-formed segment names with no path
+// components, no duplicate file names. The replication follower uses it to vet a
 // manifest fetched over HTTP before acting on it; every on-disk read
 // and CommitManifest go through the same checks, so no manifest can
 // make a reader or writer touch a file outside its directory.
@@ -223,19 +217,19 @@ func decodeManifest(data []byte) (*Manifest, error) {
 // validate checks a decoded manifest against the schema rules
 // ParseManifest documents.
 func (m *Manifest) validate() error {
-	if m.Version > ManifestVersion {
+	switch {
+	case m.Version > ManifestVersion:
 		return fmt.Errorf("tsdb: manifest version %d newer than supported %d (see docs/PERSISTENCE.md)", m.Version, ManifestVersion)
+	case m.Version < ManifestVersion:
+		return fmt.Errorf("tsdb: manifest version %d older than supported %d: a per-shard directory this version cannot read (see docs/PERSISTENCE.md)", m.Version, ManifestVersion)
 	}
 	if m.WindowNanos <= 0 {
 		return fmt.Errorf("tsdb: manifest window %d is not positive", m.WindowNanos)
 	}
 	seen := make(map[string]bool, len(m.Segments))
-	for _, sm := range m.Segments {
+	for i, sm := range m.Segments {
 		if !ValidSegmentName(sm.File) {
 			return fmt.Errorf("tsdb: manifest entry %q is not a segment file name", sm.File)
-		}
-		if sm.Shard < 0 || sm.Shard >= NumShards {
-			return fmt.Errorf("tsdb: manifest entry %s: shard %d out of range", sm.File, sm.Shard)
 		}
 		// Every entry's window must be consistent with the directory-wide
 		// window length: a positive whole number of base windows, aligned
@@ -254,6 +248,18 @@ func (m *Manifest) validate() error {
 		}
 		if sm.AppendCursor < 0 {
 			return fmt.Errorf("tsdb: manifest entry %s: negative append cursor %d", sm.File, sm.AppendCursor)
+		}
+		// One window span, one file: entries come in window order with
+		// pairwise disjoint spans, which is what lets every reader
+		// rebuild a series by appending segments in list order and
+		// identify a segment across generations by its span alone. A
+		// per-shard manifest lists each window once per shard and fails
+		// here.
+		if i > 0 {
+			if prev := m.Segments[i-1]; sm.WindowStart < prev.WindowEnd {
+				return fmt.Errorf("tsdb: manifest entries %s [%d,%d) and %s [%d,%d) overlap or are out of window order",
+					prev.File, prev.WindowStart, prev.WindowEnd, sm.File, sm.WindowStart, sm.WindowEnd)
+			}
 		}
 		if seen[sm.File] {
 			return fmt.Errorf("tsdb: manifest lists %s twice", sm.File)

@@ -64,8 +64,9 @@ func VerifySegmentFile(path string, sm SegmentMeta) error {
 }
 
 // ValidSegmentName reports whether name is a well-formed
-// generation-qualified segment file name (seg-SS-<windowStart>-g<gen>.seg,
-// docs/PERSISTENCE.md §2) with no path components. The replication
+// generation-qualified segment file name (seg-<windowStart>-g<gen>.seg,
+// docs/PERSISTENCE.md §2) with no path components. The per-shard names
+// of format v3 (seg-SS-<windowStart>-g<gen>.seg) are not. The replication
 // exporter serves only such names, which both blocks path traversal
 // and keeps manifests, temp files and foreign files unreachable
 // through the segment endpoint.

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -76,6 +77,31 @@ func TestCommitManifestRejectsInvalid(t *testing.T) {
 	if _, err := CommitManifest(dir, []byte(`{"version":99}`)); err == nil {
 		t.Fatal("future-versioned manifest committed")
 	}
+	// Entries come in window order with disjoint spans
+	// (docs/PERSISTENCE.md §3): two entries claiming overlapping time,
+	// or listed out of order, are refused even at the current version
+	// with well-formed names.
+	h := int64(time.Hour)
+	twoEntries := func(start0, end0, start1, end1 int64) []byte {
+		return []byte(fmt.Sprintf(`{"version":%d,"generation":1,"window_nanos":%d,"segments":[`+
+			`{"file":"seg-%d-g1.seg","window_start":%d,"window_end":%d},`+
+			`{"file":"seg-%d-g1.seg","window_start":%d,"window_end":%d}]}`,
+			ManifestVersion, h, start0, start0, end0, start1, start1, end1))
+	}
+	if _, err := CommitManifest(dir, twoEntries(0, 2*h, h, 3*h)); err == nil || !strings.Contains(err.Error(), "overlap") {
+		t.Fatalf("overlapping spans: got %v, want an overlap error", err)
+	}
+	if _, err := CommitManifest(dir, twoEntries(h, 2*h, 0, h)); err == nil || !strings.Contains(err.Error(), "window order") {
+		t.Fatalf("entries out of order: got %v, want a window-order error", err)
+	}
+	// A per-shard v3 directory's manifest lists each window once per
+	// shard: refused at parse, never read as something it is not.
+	perShard := fmt.Sprintf(`{"version":1,"generation":3,"window_nanos":%d,"segments":[`+
+		`{"file":"seg-00-0-g3.seg","shard":0,"window_start":0,"window_end":%d},`+
+		`{"file":"seg-01-0-g3.seg","shard":1,"window_start":0,"window_end":%d}]}`, h, h, h)
+	if _, err := CommitManifest(dir, []byte(perShard)); err == nil {
+		t.Fatal("per-shard v3 manifest committed")
+	}
 	if _, err := os.Stat(filepath.Join(dir, ManifestName)); !os.IsNotExist(err) {
 		t.Fatal("rejected commit left a manifest behind")
 	}
@@ -129,10 +155,12 @@ func TestVerifySegmentFile(t *testing.T) {
 }
 
 func TestValidSegmentName(t *testing.T) {
-	valid := []string{"seg-00-1456790400000000000-g1.seg", "seg-15-0-g42.seg"}
+	valid := []string{"seg-1456790400000000000-g1.seg", "seg-0-g42.seg", "seg--3600000000000-g7.seg"}
 	invalid := []string{
-		"", "MANIFEST.json", "seg-00-0-g1.seg.tmp", "notaseg.seg",
-		"../seg-00-0-g1.seg", "a/seg-00-0-g1.seg", "seg-00-0.seg",
+		"", "MANIFEST.json", "seg-0-g1.seg.tmp", "notaseg.seg",
+		"../seg-0-g1.seg", "a/seg-0-g1.seg", "seg-0.seg", "seg-0-g0.seg", "seg-x-g1.seg",
+		// Format v3's per-shard names.
+		"seg-00-1456790400000000000-g1.seg", "seg-15-0-g42.seg",
 	}
 	for _, n := range valid {
 		if !ValidSegmentName(n) {
@@ -152,13 +180,13 @@ func TestValidSegmentName(t *testing.T) {
 // directory (docs/PERSISTENCE.md §3).
 func TestParseManifestRejectsBadFileNames(t *testing.T) {
 	manifest := func(file string) []byte {
-		return []byte(fmt.Sprintf(`{"version":1,"generation":1,"window_nanos":%d,"segments":[`+
-			`{"file":%q,"shard":0,"window_start":0,"window_end":%d}]}`, int64(time.Hour), file, int64(time.Hour)))
+		return []byte(fmt.Sprintf(`{"version":%d,"generation":1,"window_nanos":%d,"segments":[`+
+			`{"file":%q,"window_start":0,"window_end":%d}]}`, ManifestVersion, int64(time.Hour), file, int64(time.Hour)))
 	}
-	if _, err := ParseManifest(manifest("seg-00-0-g1.seg")); err != nil {
+	if _, err := ParseManifest(manifest("seg-0-g1.seg")); err != nil {
 		t.Fatalf("well-formed entry rejected: %v", err)
 	}
-	for _, file := range []string{"../x.seg", "a/seg-00-0-g1.seg", ManifestName} {
+	for _, file := range []string{"../x.seg", "a/seg-0-g1.seg", ManifestName} {
 		if _, err := ParseManifest(manifest(file)); err == nil {
 			t.Errorf("ParseManifest accepted file %q", file)
 		}

@@ -1,23 +1,28 @@
 package tsdb
 
 // Segmented on-disk persistence: the store persists as one file per
-// (shard, time window) pair plus a manifest, the way InfluxDB's TSM
-// engine persists the deployed system's backend (§3 of the paper) —
-// retention becomes a file delete and snapshot/restore parallelizes
-// over segments.
+// time window, holding every series with points in it, plus a
+// manifest — the way InfluxDB, the deployed system's backend (§3 of the
+// paper), partitions its files by shard-group time range. Retention
+// becomes a file delete, snapshot/restore parallelizes over windows,
+// and a publish round that touched one window writes one file.
 //
 // The segment file format implemented here is specified normatively in
 // docs/PERSISTENCE.md; the constants below mirror its §2 and tests cite
 // the doc section they enforce.
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -35,17 +40,18 @@ const (
 	// SegmentVersion is the one segment format version this package
 	// writes and reads: columnar per-series blocks of delta-of-delta
 	// varint timestamps and Gorilla XOR-compressed values, each fronted
-	// by a (minT, maxT, min, max, sum, count) summary
-	// (docs/PERSISTENCE.md §2). A header declaring any other version is
-	// a descriptive error wrapping ErrSegmentVersion, never a silent
-	// skip (docs/PERSISTENCE.md §2, "Versioning").
-	SegmentVersion = 3
+	// by a (minT, maxT, min, max, sum, count) summary, one file per time
+	// window holding every series with points in it
+	// (docs/PERSISTENCE.md §2). A header declaring any other version —
+	// the per-shard v3 layout included — is a descriptive error wrapping
+	// ErrSegmentVersion, never a silent skip (docs/PERSISTENCE.md §2,
+	// "Versioning").
+	SegmentVersion = 4
 
 	// segmentHeaderSize is the fixed byte length of the header laid out
-	// in docs/PERSISTENCE.md §2: magic(8) + version(4) + shard(4) +
-	// windowStart(8) + windowEnd(8) + series(4) + points(8) +
-	// payloadLen(8) + crc(4).
-	segmentHeaderSize = 8 + 4 + 4 + 8 + 8 + 4 + 8 + 8 + 4
+	// in docs/PERSISTENCE.md §2: magic(8) + version(4) + windowStart(8) +
+	// windowEnd(8) + series(4) + points(8) + payloadLen(8) + crc(4).
+	segmentHeaderSize = 8 + 4 + 8 + 8 + 4 + 8 + 8 + 4
 
 	// segmentSuffix is the extension of segment files.
 	segmentSuffix = ".seg"
@@ -73,11 +79,11 @@ var ErrSegmentVersion = errors.New("unsupported segment format version")
 // DirOptions configures SnapshotDir and RestoreDir.
 type DirOptions struct {
 	// Workers bounds the concurrent segment encoders (SnapshotDir) or
-	// per-shard decoders (RestoreDir). 0 means one per CPU; 1 runs
-	// fully sequentially on the calling goroutine.
+	// decoders (RestoreDir). 0 means one per CPU; 1 runs fully
+	// sequentially on the calling goroutine.
 	Workers int
-	// Incremental lets SnapshotDir rewrite only segments whose (shard,
-	// window) was touched since the store's previous snapshot into the
+	// Incremental lets SnapshotDir rewrite only segments whose window
+	// was touched since the store's previous snapshot into the
 	// same directory, reusing the rest byte-for-byte. It silently falls
 	// back to a full snapshot when the directory does not match the
 	// store's bookkeeping (first snapshot, foreign directory, or a
@@ -130,32 +136,40 @@ func windowStartNanos(ns int64, window time.Duration) int64 {
 	return k * w
 }
 
-// segmentFileName is the canonical segment file name for a (shard,
-// window) pair written at manifest generation gen:
-// "seg-SS-<windowStartNanos>-g<gen>.seg". The manifest, not the name,
+// segmentFileName is the canonical segment file name for the window
+// span starting at winStart, written at manifest generation gen:
+// "seg-<windowStartNanos>-g<gen>.seg". Spans are disjoint, so the start
+// alone names a span within a generation. The manifest, not the name,
 // binds a file to its identity (docs/PERSISTENCE.md §3) — but the
 // generation suffix is load-bearing for crash safety: a writer never
 // renames over a previous generation's file, so every file the
 // committed manifest references stays intact until a NEW manifest that
 // no longer references it has been published (docs/PERSISTENCE.md §4).
-func segmentFileName(shard int, winStart int64, gen uint64) string {
-	return fmt.Sprintf("seg-%02d-%d-g%d%s", shard, winStart, gen, segmentSuffix)
+func segmentFileName(winStart int64, gen uint64) string {
+	return fmt.Sprintf("seg-%d-g%d%s", winStart, gen, segmentSuffix)
 }
 
 // parseSegmentGen extracts the generation from a segment file name. A
-// name without a parseable "-g<gen>" suffix (gen >= 1) reports ok =
-// false; readers must then treat the file as corruption, not as a
-// leftover (docs/PERSISTENCE.md §4).
+// name not of the form "seg-<windowStart>-g<gen>.seg" (gen >= 1) —
+// the per-shard names of format v3 included — reports ok = false;
+// readers must then treat the file as corruption, not as a leftover
+// (docs/PERSISTENCE.md §4).
 func parseSegmentGen(name string) (gen uint64, ok bool) {
-	if !strings.HasPrefix(name, "seg-") || !strings.HasSuffix(name, segmentSuffix) {
+	base, found := strings.CutPrefix(name, "seg-")
+	if !found {
 		return 0, false
 	}
-	base := strings.TrimSuffix(name, segmentSuffix)
-	i := strings.LastIndex(base, "-g")
-	if i < 0 {
+	if base, found = strings.CutSuffix(base, segmentSuffix); !found {
 		return 0, false
 	}
-	gen, err := strconv.ParseUint(base[i+2:], 10, 64)
+	win, g, found := strings.Cut(base, "-g")
+	if !found {
+		return 0, false
+	}
+	if _, err := strconv.ParseInt(win, 10, 64); err != nil {
+		return 0, false
+	}
+	gen, err := strconv.ParseUint(g, 10, 64)
 	if err != nil || gen == 0 {
 		return 0, false
 	}
@@ -173,11 +187,10 @@ type segChunk struct {
 }
 
 // segPlan is one segment to persist: every series' chunk falling into
-// one (shard, window span). Freshly planned segments span exactly one
-// window; rewrites of compacted segments keep the merged span
+// one window span. Freshly planned segments span exactly one window;
+// rewrites of compacted segments keep the merged span
 // (docs/PERSISTENCE.md §8).
 type segPlan struct {
-	shard    int
 	winStart int64
 	winEnd   int64
 	level    int
@@ -185,7 +198,7 @@ type segPlan struct {
 	points   int
 	meta     SegmentMeta // filled by the encoder
 	// prev, when set, is the committed predecessor segment for the same
-	// (shard, window span) whose windows were dirtied by inserts only:
+	// window span whose windows were dirtied by inserts only:
 	// the encoder may append-extend it — reuse its payload bytes as a
 	// verbatim prefix and encode only the appended tail — recording the
 	// splice point in the manifest's append cursor
@@ -219,8 +232,9 @@ func (db *DB) resetPersistenceLocked() {
 	db.snapGen = 0
 }
 
-// markDirtyLocked records that the shard's window containing the
-// Unix-nanosecond timestamp ns changed. Callers must hold sh.mu.
+// markDirtyLocked records that the window containing the
+// Unix-nanosecond timestamp ns changed in the shard; SnapshotDir
+// rewrites a window any shard marked. Callers must hold sh.mu.
 func (db *DB) markDirtyLocked(sh *shard, ns int64) {
 	if sh.dirty == nil {
 		sh.dirty = make(map[int64]struct{})
@@ -246,36 +260,48 @@ func (db *DB) markTrimmedLocked(sh *shard, times []int64) {
 }
 
 // planSegments cuts every series' columns into segment spans and groups
-// the chunks per (shard, span). span maps a base window's start to the
-// [start, end) its segment must cover. The returned plans alias store
-// memory; the caller must hold the store lock until encoding finishes.
-func (db *DB) planSegments(span func(shard int, win int64) (start, end int64)) []*segPlan {
-	var out []*segPlan
+// the chunks per span, every span's series in canonical key order
+// whichever in-memory shard holds them. span maps a base window's start
+// to the [start, end) its segment must cover. The plans come back in
+// window order. They alias store memory; the caller must hold the
+// store lock until encoding finishes.
+func (db *DB) planSegments(span func(win int64) (start, end int64)) []*segPlan {
+	n := 0
 	for si := range db.shards {
-		keys := make([]string, 0, len(db.shards[si].series))
-		for k := range db.shards[si].series {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		byStart := make(map[int64]*segPlan)
-		for _, k := range keys {
-			s := db.shards[si].series[k]
-			ts, vs := s.times, s.values
-			for len(ts) > 0 {
-				start, end := span(si, windowStartNanos(ts[0], db.window))
-				hi := sort.Search(len(ts), func(i int) bool { return ts[i] >= end })
-				p, ok := byStart[start]
-				if !ok {
-					p = &segPlan{shard: si, winStart: start, winEnd: end}
-					byStart[start] = p
-					out = append(out, p)
-				}
-				p.series = append(p.series, segChunk{s.measurement, s.tags, ts[:hi], vs[:hi]})
-				p.points += hi
-				ts, vs = ts[hi:], vs[hi:]
-			}
+		n += len(db.shards[si].series)
+	}
+	type keyed struct {
+		key string
+		s   *series
+	}
+	all := make([]keyed, 0, n)
+	for si := range db.shards {
+		for k, s := range db.shards[si].series {
+			all = append(all, keyed{k, s})
 		}
 	}
+	slices.SortFunc(all, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
+
+	var out []*segPlan
+	byStart := make(map[int64]*segPlan)
+	for _, ks := range all {
+		s := ks.s
+		ts, vs := s.times, s.values
+		for len(ts) > 0 {
+			start, end := span(windowStartNanos(ts[0], db.window))
+			hi := sort.Search(len(ts), func(i int) bool { return ts[i] >= end })
+			p, ok := byStart[start]
+			if !ok {
+				p = &segPlan{winStart: start, winEnd: end}
+				byStart[start] = p
+				out = append(out, p)
+			}
+			p.series = append(p.series, segChunk{s.measurement, s.tags, ts[:hi], vs[:hi]})
+			p.points += hi
+			ts, vs = ts[hi:], vs[hi:]
+		}
+	}
+	slices.SortFunc(out, func(a, b *segPlan) int { return cmp.Compare(a.winStart, b.winStart) })
 	return out
 }
 
@@ -284,14 +310,13 @@ func (db *DB) planSegments(span func(shard int, win int64) (start, end int64)) [
 // place, and returns its manifest entry. It never touches a previous
 // generation's file; until a manifest referencing the new name is
 // published, the file is an inert leftover (docs/PERSISTENCE.md §4).
-func writeSegmentFile(dir string, gen uint64, shard int, winStart, winEnd int64, seriesCount, points, level int, payload []byte) (SegmentMeta, error) {
-	name := segmentFileName(shard, winStart, gen)
+func writeSegmentFile(dir string, gen uint64, winStart, winEnd int64, seriesCount, points, level int, payload []byte) (SegmentMeta, error) {
+	name := segmentFileName(winStart, gen)
 	crc := crc32.Checksum(payload, crcTable)
 
 	hdr := make([]byte, 0, segmentHeaderSize)
 	hdr = append(hdr, SegmentMagic...)
 	hdr = binary.BigEndian.AppendUint32(hdr, SegmentVersion)
-	hdr = binary.BigEndian.AppendUint32(hdr, uint32(shard))
 	hdr = binary.BigEndian.AppendUint64(hdr, uint64(winStart))
 	hdr = binary.BigEndian.AppendUint64(hdr, uint64(winEnd))
 	hdr = binary.BigEndian.AppendUint32(hdr, uint32(seriesCount))
@@ -326,7 +351,6 @@ func writeSegmentFile(dir string, gen uint64, shard int, winStart, winEnd int64,
 	}
 	return SegmentMeta{
 		File:        name,
-		Shard:       shard,
 		WindowStart: winStart,
 		WindowEnd:   winEnd,
 		Series:      seriesCount,
@@ -439,7 +463,7 @@ func appendExtendSegment(dir string, gen uint64, p *segPlan) (SegmentMeta, bool)
 	for _, s := range appended {
 		out = blockenc.AppendSeries(out, s)
 	}
-	meta, err := writeSegmentFile(dir, gen, p.shard, p.winStart, p.winEnd, newCount, p.points, p.level, out)
+	meta, err := writeSegmentFile(dir, gen, p.winStart, p.winEnd, newCount, p.points, p.level, out)
 	if err != nil {
 		return SegmentMeta{}, false
 	}
@@ -464,7 +488,7 @@ func encodeSegment(dir string, gen uint64, p *segPlan) error {
 	for i, c := range p.series {
 		list[i] = blockenc.Series{Measurement: c.measurement, Tags: c.tags, Blocks: blockenc.BuildBlocks(c.times, c.values)}
 	}
-	meta, err := writeSegmentFile(dir, gen, p.shard, p.winStart, p.winEnd, len(list), p.points, p.level, blockenc.EncodePayload(list))
+	meta, err := writeSegmentFile(dir, gen, p.winStart, p.winEnd, len(list), p.points, p.level, blockenc.EncodePayload(list))
 	if err != nil {
 		return err
 	}
@@ -506,16 +530,17 @@ func reapLeftovers(dir string, m *Manifest) (removed int, present map[string]boo
 }
 
 // SnapshotDir persists the whole store into dir as one segment file per
-// (shard, time window) plus a manifest, encoding segments concurrently
-// on an internal/pipeline pool. With opts.Incremental it rewrites only
-// windows dirtied since the previous SnapshotDir into the same dir and
-// deletes windows that no longer hold data; otherwise (and whenever the
-// directory does not match the store's bookkeeping) every segment is
-// written. The manifest rename is the commit point: every file of the
+// time window — every series with points in it — plus a manifest,
+// encoding segments concurrently on an internal/pipeline pool. With
+// opts.Incremental it rewrites only windows dirtied since the previous
+// SnapshotDir into the same dir and deletes windows that no longer hold
+// data; otherwise (and whenever the directory does not match the
+// store's bookkeeping) every segment is written. The manifest rename is the commit point: every file of the
 // committed snapshot is left untouched until a new manifest no longer
 // referencing it has been published, so a crash — or an error return —
 // at any moment leaves the previous snapshot fully restorable
-// (docs/PERSISTENCE.md §4).
+// (docs/PERSISTENCE.md §4). A directory holding a manifest this version
+// cannot read is refused, never overwritten.
 func (db *DB) SnapshotDir(dir string, opts DirOptions) (DirStats, error) {
 	var st DirStats
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -534,6 +559,12 @@ func (db *DB) SnapshotDir(dir string, opts DirOptions) (DirStats, error) {
 	// first so committed segments can be told apart from leftovers of a
 	// crashed attempt.
 	prev, prevErr := readManifest(dir) // fails on the first snapshot into dir
+	if prevErr != nil && !errors.Is(prevErr, fs.ErrNotExist) {
+		// A manifest this version cannot read — corrupt, or a per-shard
+		// directory of an older format — commits data the reap below
+		// would destroy: refuse instead of starting over.
+		return st, fmt.Errorf("tsdb: snapshotdir: refusing to overwrite %s: %w", dir, prevErr)
+	}
 	removed, onDisk, err := reapLeftovers(dir, prev)
 	if err != nil {
 		return st, fmt.Errorf("tsdb: snapshotdir: %w", err)
@@ -550,20 +581,27 @@ func (db *DB) SnapshotDir(dir string, opts DirOptions) (DirStats, error) {
 	// map every base window a previous segment covers back to it, plan
 	// one segment per span, reuse the committed file whole when none of
 	// its windows is dirty, and rewrite it over the same span otherwise
-	// — compaction stays sticky across snapshots.
-	covered := make(map[[2]int64]SegmentMeta)
+	// — compaction stays sticky across snapshots. A window is dirty or
+	// trimmed when any in-memory shard marked it.
+	covered := make(map[int64]SegmentMeta)
+	dirty := make(map[int64]struct{})
+	trimmed := make(map[int64]struct{})
 	if incremental {
 		for _, sm := range prev.Segments {
 			if !onDisk[sm.File] {
 				continue
 			}
 			for win := sm.WindowStart; win < sm.WindowEnd; win += prev.WindowNanos {
-				covered[[2]int64{int64(sm.Shard), win}] = sm
+				covered[win] = sm
 			}
+		}
+		for i := range db.shards {
+			maps.Copy(dirty, db.shards[i].dirty)
+			maps.Copy(trimmed, db.shards[i].trimmed)
 		}
 	}
 	// spanHas reports whether any base window of a committed span is in
-	// the shard's set.
+	// the set.
 	spanHas := func(sm SegmentMeta, set map[int64]struct{}) bool {
 		for win := sm.WindowStart; win < sm.WindowEnd; win += prev.WindowNanos {
 			if _, ok := set[win]; ok {
@@ -577,8 +615,8 @@ func (db *DB) SnapshotDir(dir string, opts DirOptions) (DirStats, error) {
 		gen = prev.Generation + 1
 	}
 
-	plans := db.planSegments(func(shard int, win int64) (int64, int64) {
-		if sm, ok := covered[[2]int64{int64(shard), win}]; ok {
+	plans := db.planSegments(func(win int64) (int64, int64) {
+		if sm, ok := covered[win]; ok {
 			return sm.WindowStart, sm.WindowEnd
 		}
 		return win, win + int64(db.window)
@@ -586,10 +624,10 @@ func (db *DB) SnapshotDir(dir string, opts DirOptions) (DirStats, error) {
 	var toWrite []*segPlan
 	next := &Manifest{Version: ManifestVersion, Generation: gen, WindowNanos: int64(db.window)}
 	for _, p := range plans {
-		sm, ok := covered[[2]int64{int64(p.shard), p.winStart}]
+		sm, ok := covered[p.winStart]
 		switch {
 		case !ok:
-		case !spanHas(sm, db.shards[p.shard].dirty):
+		case !spanHas(sm, dirty):
 			next.Segments = append(next.Segments, sm)
 			st.Reused++
 			st.Points += sm.Points
@@ -600,7 +638,7 @@ func (db *DB) SnapshotDir(dir string, opts DirOptions) (DirStats, error) {
 			// append-extend of its committed predecessor; any trimmed
 			// window in the span forces a full re-encode because the old
 			// payload stops being a prefix (docs/REPLICATION.md §8).
-			if !spanHas(sm, db.shards[p.shard].trimmed) {
+			if !spanHas(sm, trimmed) {
 				smCopy := sm
 				p.prev = &smCopy
 			}
@@ -673,7 +711,6 @@ func (db *DB) SnapshotDir(dir string, opts DirOptions) (DirStats, error) {
 // fixed header (docs/PERSISTENCE.md §2); parseSegment checks the magic,
 // version and payload length itself.
 type segmentHeader struct {
-	shard            int
 	winStart, winEnd int64
 	series, points   int
 	crc              uint32
@@ -697,15 +734,14 @@ func parseSegment(data []byte, what, name string) (segmentHeader, []byte, error)
 		return h, nil, fmt.Errorf("tsdb: %s %s: %w: format version %d, supported %d (see docs/PERSISTENCE.md)", what, name, ErrSegmentVersion, version, SegmentVersion)
 	}
 	h = segmentHeader{
-		shard:    int(binary.BigEndian.Uint32(data[12:16])),
-		winStart: int64(binary.BigEndian.Uint64(data[16:24])),
-		winEnd:   int64(binary.BigEndian.Uint64(data[24:32])),
-		series:   int(binary.BigEndian.Uint32(data[32:36])),
-		points:   int(binary.BigEndian.Uint64(data[36:44])),
-		crc:      binary.BigEndian.Uint32(data[52:56]),
+		winStart: int64(binary.BigEndian.Uint64(data[12:20])),
+		winEnd:   int64(binary.BigEndian.Uint64(data[20:28])),
+		series:   int(binary.BigEndian.Uint32(data[28:32])),
+		points:   int(binary.BigEndian.Uint64(data[32:40])),
+		crc:      binary.BigEndian.Uint32(data[48:52]),
 	}
 	payload := data[segmentHeaderSize:]
-	if payloadLen := int(binary.BigEndian.Uint64(data[44:52])); len(payload) != payloadLen {
+	if payloadLen := int(binary.BigEndian.Uint64(data[40:48])); len(payload) != payloadLen {
 		return h, nil, fmt.Errorf("tsdb: %s %s: truncated payload (%d of %d bytes)", what, name, len(payload), payloadLen)
 	}
 	if got := crc32.Checksum(payload, crcTable); got != h.crc {
@@ -724,7 +760,7 @@ func verifySegmentBytes(data []byte, sm SegmentMeta) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if h.shard != sm.Shard || h.winStart != sm.WindowStart || h.winEnd != sm.WindowEnd ||
+	if h.winStart != sm.WindowStart || h.winEnd != sm.WindowEnd ||
 		h.series != sm.Series || h.points != sm.Points || h.crc != sm.CRC {
 		return nil, fmt.Errorf("tsdb: segment %s: header disagrees with manifest entry", sm.File)
 	}
@@ -800,27 +836,47 @@ func loadCommittedDir(dir string) (*Manifest, error) {
 	return m, nil
 }
 
-// readSegmentInto loads and fully validates one segment file against
-// its manifest entry — magic, version, identity fields, payload
-// checksum (docs/PERSISTENCE.md §2) — and decodes its blocks onto the
-// end of the shard's series columns. Callers feed a shard's segments in
-// ascending window order, so plain appends keep every series
-// time-ordered.
-func readSegmentInto(shardSeries map[string]*series, dir string, sm SegmentMeta) error {
+// windowFile is one committed segment file loaded for the eager
+// restore: verified, structurally decoded, and its entries routed to
+// the in-memory shard that owns their key. Blocks stay encoded until
+// the owning shard's job decodes them.
+type windowFile struct {
+	sm      SegmentMeta
+	list    []blockenc.Series
+	keys    []string           // series key of each entry of list
+	byShard [NumShards][]int32 // entry indices per owning shard, payload order
+}
+
+// loadWindowFile loads and fully validates one segment file against its
+// manifest entry — magic, version, identity fields, payload checksum
+// (docs/PERSISTENCE.md §2) — and routes its entries by key.
+func loadWindowFile(dir string, sm SegmentMeta) (*windowFile, error) {
 	payload, err := loadSegmentPayload(dir, sm)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	list, err := decodeBlockPayload(payload, sm)
 	if err != nil {
-		return err
+		return nil, err
 	}
+	wf := &windowFile{sm: sm, list: list, keys: make([]string, len(list))}
 	for i := range list {
-		bs := &list[i]
-		key := Key(bs.Measurement, bs.Tags)
-		if shardFor(key) != uint32(sm.Shard) {
-			return fmt.Errorf("tsdb: segment %s: series %q does not belong to shard %d", sm.File, key, sm.Shard)
-		}
+		key := Key(list[i].Measurement, list[i].Tags)
+		wf.keys[i] = key
+		si := shardFor(key)
+		wf.byShard[si] = append(wf.byShard[si], int32(i))
+	}
+	return wf, nil
+}
+
+// decodeInto decodes the file's entries owned by shard si onto the end
+// of that shard's series columns. Callers feed a shard's files in
+// ascending window order, so plain appends keep every series
+// time-ordered (windows partition time; order within a window is
+// preserved by the encoder).
+func (wf *windowFile) decodeInto(shardSeries map[string]*series, si int) error {
+	for _, i := range wf.byShard[si] {
+		bs, key := &wf.list[i], wf.keys[i]
 		s, ok := shardSeries[key]
 		if !ok {
 			s = &series{measurement: bs.Measurement, tags: bs.Tags}
@@ -829,28 +885,13 @@ func readSegmentInto(shardSeries map[string]*series, dir string, sm SegmentMeta)
 		for _, b := range bs.Blocks {
 			ts, vs, err := b.Decode()
 			if err != nil {
-				return fmt.Errorf("tsdb: segment %s: series %q: %w", sm.File, key, err)
+				return fmt.Errorf("tsdb: segment %s: series %q: %w", wf.sm.File, key, err)
 			}
 			s.times = append(s.times, ts...)
 			s.values = append(s.values, vs...)
 		}
 	}
 	return nil
-}
-
-// segmentsByShard groups a manifest's entries per shard in ascending
-// window order, the order both restore modes rebuild series in
-// (windows partition time; order within a window is preserved by the
-// encoder).
-func segmentsByShard(m *Manifest) [][]SegmentMeta {
-	byShard := make([][]SegmentMeta, NumShards)
-	for _, sm := range m.Segments {
-		byShard[sm.Shard] = append(byShard[sm.Shard], sm)
-	}
-	for _, sms := range byShard {
-		sort.Slice(sms, func(i, j int) bool { return sms[i].WindowStart < sms[j].WindowStart })
-	}
-	return byShard
 }
 
 // installLocked cross-checks freshly rebuilt shard maps against the
@@ -894,7 +935,9 @@ func (db *DB) installLocked(dir string, m *Manifest, newShards []map[string]*ser
 }
 
 // RestoreDir replaces the store contents with the segment directory's
-// snapshot, decoding shards concurrently on an internal/pipeline pool.
+// snapshot: window files are verified and parsed concurrently on an
+// internal/pipeline pool, then every in-memory shard decodes the series
+// it owns from them, in window order, concurrently.
 // The directory must be exactly what its manifest describes: a missing,
 // unlisted, corrupt, truncated or version-skewed segment file is an
 // error naming the file — nothing is skipped silently
@@ -913,22 +956,33 @@ func (db *DB) RestoreDir(dir string, opts DirOptions) error {
 	unlock := db.lockAll(true)
 	defer unlock()
 
-	byShard := segmentsByShard(m)
-	newShards := make([]map[string]*series, NumShards)
+	// Manifest entries come in window order (docs/PERSISTENCE.md §3),
+	// the order every shard appends them in.
+	files := make([]*windowFile, len(m.Segments))
 	pool := pipeline.NewPool(opts.Workers)
 	defer pool.Close()
-	jobs := make([]func() error, 0, NumShards)
-	for si := range byShard {
-		si := si
-		jobs = append(jobs, func() error {
+	jobs := make([]func() error, len(m.Segments))
+	for i, sm := range m.Segments {
+		jobs[i] = func() (err error) {
+			files[i], err = loadWindowFile(dir, sm)
+			return err
+		}
+	}
+	if err := pool.DoErr(jobs...); err != nil {
+		return fmt.Errorf("tsdb: restoredir: %w", err)
+	}
+	newShards := make([]map[string]*series, NumShards)
+	jobs = make([]func() error, NumShards)
+	for si := range newShards {
+		jobs[si] = func() error {
 			newShards[si] = make(map[string]*series)
-			for _, sm := range byShard[si] {
-				if err := readSegmentInto(newShards[si], dir, sm); err != nil {
+			for _, wf := range files {
+				if err := wf.decodeInto(newShards[si], si); err != nil {
 					return err
 				}
 			}
 			return nil
-		})
+		}
 	}
 	if err := pool.DoErr(jobs...); err != nil {
 		return fmt.Errorf("tsdb: restoredir: %w", err)
@@ -945,16 +999,17 @@ func (db *DB) RestoreDir(dir string, opts DirOptions) error {
 
 // RetainDir ages a segment directory out in place: every segment whose
 // window ends at or before olderThan is dropped without being decoded,
-// the one boundary window containing olderThan is decoded, trimmed and
-// rewritten, and the manifest is republished with a bumped generation.
-// Surviving segments past the boundary are not read at all. It returns
+// the one boundary segment containing olderThan — spans are disjoint,
+// so a directory has at most one — is block-trimmed and rewritten, and
+// the manifest is republished with a bumped generation. Surviving
+// segments past the boundary are not read at all. It returns
 // the number of segment files removed and points dropped. Like
 // SnapshotDir, the manifest rename is the commit point: expired and
 // replaced files are deleted only after the new manifest is published,
 // so a crash or error mid-pass leaves the previous snapshot fully
 // restorable (docs/PERSISTENCE.md §4). RetainDir is the on-disk mirror
 // of (*DB).Retain — the deployed system's InfluxDB retention policy
-// dropped whole TSM shards the same way.
+// dropped whole time-range shard groups the same way.
 func RetainDir(dir string, olderThan time.Time) (segmentsRemoved, pointsDropped int, err error) {
 	m, err := readManifest(dir)
 	if err != nil {
@@ -1070,6 +1125,6 @@ func trimBoundarySegment(dir string, sm SegmentMeta, cut int64, gen uint64) (met
 	if len(kept) == 0 {
 		return SegmentMeta{}, trimmed, nil
 	}
-	meta, err = writeSegmentFile(dir, gen, sm.Shard, sm.WindowStart, sm.WindowEnd, len(kept), points, sm.Level, blockenc.EncodePayload(kept))
+	meta, err = writeSegmentFile(dir, gen, sm.WindowStart, sm.WindowEnd, len(kept), points, sm.Level, blockenc.EncodePayload(kept))
 	return meta, trimmed, err
 }

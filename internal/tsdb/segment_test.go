@@ -6,6 +6,7 @@ package tsdb
 // holds the implementation to.
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -70,8 +71,10 @@ func TestSnapshotDirRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: SnapshotDir: %v", workers, err)
 		}
-		if st.Segments < NumShards/2 {
-			t.Fatalf("workers=%d: suspiciously few segments: %+v", workers, st)
+		// One file per window holding data, whatever the series count
+		// (docs/PERSISTENCE.md §1).
+		if want := windowCount(db); st.Segments != want || st.Written != want {
+			t.Fatalf("workers=%d: %+v, want %d segments written, one per window", workers, st, want)
 		}
 		if st.Points != db.PointCount() || st.Series != db.SeriesCount() {
 			t.Fatalf("workers=%d: stats %+v disagree with store (%d series, %d points)",
@@ -91,9 +94,21 @@ func TestSnapshotDirRoundTrip(t *testing.T) {
 	}
 }
 
+// windowCount returns the number of distinct segment windows db's points
+// fall into.
+func windowCount(db *DB) int {
+	wins := map[int64]bool{}
+	for _, s := range allSeries(db) {
+		for _, p := range s.Points {
+			wins[windowStartNanos(p.Time.UnixNano(), db.window)] = true
+		}
+	}
+	return len(wins)
+}
+
 // TestSnapshotDirIncremental exercises the dirty-window tracking: an
 // unchanged store rewrites nothing, a localized write rewrites only its
-// (shard, window) segments, and in-memory Retain propagates as segment
+// window's segment, and in-memory Retain propagates as segment
 // deletions — with every intermediate directory restoring to the
 // store's exact digest.
 func TestSnapshotDirIncremental(t *testing.T) {
@@ -121,7 +136,7 @@ func TestSnapshotDirIncremental(t *testing.T) {
 		t.Fatalf("generation did not advance: %+v then %+v", first, idle)
 	}
 
-	// One write dirties exactly one (shard, window).
+	// One write dirties exactly one window.
 	db.Write("tslp", map[string]string{"link": "l1", "vp": "vp-a", "side": "far"}, t0.Add(30*time.Minute), 99)
 	after, err := db.SnapshotDir(dir, DirOptions{Incremental: true})
 	if err != nil {
@@ -142,6 +157,89 @@ func TestSnapshotDirIncremental(t *testing.T) {
 	}
 	if retained.Removed == 0 {
 		t.Fatalf("retention should delete expired segments: %+v", retained)
+	}
+	assertRestoresTo(t, dir, db)
+}
+
+// multiDayStore builds a store of 64 series — spread over many
+// in-memory shards — with hourly points over days default windows.
+func multiDayStore(days int) (*DB, []map[string]string) {
+	db := Open()
+	var tags []map[string]string
+	for l := 0; l < 32; l++ {
+		for _, side := range []string{"far", "near"} {
+			tags = append(tags, map[string]string{"link": fmt.Sprintf("l%02d", l), "side": side})
+		}
+	}
+	for h := 0; h < days*24; h++ {
+		for i, tg := range tags {
+			db.Write("tslp", tg, t0.Add(time.Duration(h)*time.Hour), float64(i*h))
+		}
+	}
+	return db, tags
+}
+
+// segFiles lists the .seg files in dir.
+func segFiles(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "*"+segmentSuffix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]bool{}
+	for _, n := range names {
+		out[filepath.Base(n)] = true
+	}
+	return out
+}
+
+// TestSnapshotDirOneFilePerWindow pins the persistence unit
+// (docs/PERSISTENCE.md §1): a full snapshot of an N-window store writes
+// N files however many in-memory shards its series live in, and a
+// round of one point per series — the TSLP probing round's shape —
+// rewrites the one window it touched as exactly one new file.
+func TestSnapshotDirOneFilePerWindow(t *testing.T) {
+	const days = 3
+	db, tags := multiDayStore(days)
+	shards := map[uint32]bool{}
+	for _, tg := range tags {
+		shards[shardFor(Key("tslp", tg))] = true
+	}
+	if len(shards) < 2 {
+		t.Fatalf("fixture series live in %d in-memory shard(s); the test needs several", len(shards))
+	}
+	dir := t.TempDir()
+	full, err := db.SnapshotDir(dir, DirOptions{Incremental: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := segFiles(t, dir)
+	if full.Written != days || full.Segments != days || len(before) != days {
+		t.Fatalf("full snapshot of %d windows: %+v, %d files on disk", days, full, len(before))
+	}
+
+	round := make([]BatchPoint, len(tags))
+	at := t0.Add(days*24*time.Hour - 30*time.Minute)
+	for i, tg := range tags {
+		round[i] = BatchPoint{Measurement: "tslp", Tags: tg, Time: at, Value: float64(i)}
+	}
+	db.WriteBatch(round)
+	st, err := db.SnapshotDir(dir, DirOptions{Incremental: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Written != 1 || st.Reused != days-1 {
+		t.Fatalf("one-point-per-series round: %+v, want 1 written and %d reused", st, days-1)
+	}
+	after := segFiles(t, dir)
+	var added []string
+	for name := range after {
+		if !before[name] {
+			added = append(added, name)
+		}
+	}
+	if len(added) != 1 || len(after) != days {
+		t.Fatalf("round added %v; directory holds %d files, want one new file and %d in all", added, len(after), days)
 	}
 	assertRestoresTo(t, dir, db)
 }
@@ -367,7 +465,7 @@ func TestRestoreDirRejectsDamage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stray := segmentFileName(99, 0, m.Generation)
+		stray := segmentFileName(0, m.Generation)
 		if err := os.WriteFile(filepath.Join(dir, stray), []byte("junk"), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -430,7 +528,7 @@ func TestSnapshotDirCrashRecovery(t *testing.T) {
 	if _, err := db.SnapshotDir(dir, DirOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	stray := filepath.Join(dir, "seg-03-12345.seg"+tmpSuffix)
+	stray := filepath.Join(dir, "seg-12345-g2.seg"+tmpSuffix)
 	if err := os.WriteFile(stray, []byte("partial write"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +559,7 @@ func TestSnapshotDirLeftoverSegments(t *testing.T) {
 	// Simulate a crash between the segment renames and the manifest
 	// publish of the next generation. Garbage content proves a leftover
 	// is never even opened.
-	leftover := segmentFileName(5, 12345, st.Generation+1)
+	leftover := segmentFileName(12345, st.Generation+1)
 	if err := os.WriteFile(filepath.Join(dir, leftover), []byte("half a crashed snapshot"), 0o644); err != nil {
 		t.Fatal(err)
 	}

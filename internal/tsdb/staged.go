@@ -36,8 +36,8 @@ func (st *Staged) Len() int { return len(st.points) }
 
 // Commit ships every staged point to db in one WriteBatch and resets the
 // buffer (retaining its capacity for the next tick). Because it flows
-// through WriteBatch, each committed point also marks its (shard,
-// window) dirty for the next incremental SnapshotDir — staged commits
+// through WriteBatch, each committed point also marks its window dirty
+// for the next incremental SnapshotDir — staged commits
 // need no extra persistence bookkeeping.
 func (st *Staged) Commit(db *DB) {
 	if len(st.points) == 0 {
