@@ -70,9 +70,6 @@ type CycleStats struct {
 	// BytesFetched is the total segment payload bytes downloaded;
 	// zero for an Unchanged cycle by construction.
 	BytesFetched int64
-	// Removed counts local files reaped after the commit (superseded
-	// segments and stray temp files).
-	Removed int
 	// DeltaSegments counts segments of this cycle satisfied by a delta
 	// splice instead of a whole-segment download
 	// (docs/REPLICATION.md §8); they are included in SegmentsFetched.
@@ -158,11 +155,9 @@ type Follower struct {
 // be nil for a mirror-only follower) after each committed generation.
 // If dir already holds a committed manifest — a restart — the follower
 // resumes from its generation instead of refetching, and the caller is
-// expected to have restored db from it. Orphaned .tmp download files
-// left by a fetch that crashed mid-cycle are reaped immediately: the
-// post-commit reap of step 6 only runs on changed-generation cycles,
-// so without this a crashed download against an idle leader would sit
-// in the replica dir forever.
+// expected to have restored db from it. The restart re-commits that
+// manifest's own bytes, an idempotent commit whose reap deletes what an
+// interrupted process left — against an idle leader no cycle would.
 func New(leaderURL, dir string, db *tsdb.DB, opts Options) *Follower {
 	client := opts.Client
 	if client == nil {
@@ -186,11 +181,12 @@ func New(leaderURL, dir string, db *tsdb.DB, opts Options) *Follower {
 	}
 	f.leaderShown = RedactURL(f.leader)
 	f.st.Leader = f.leaderShown
-	reapTempFiles(dir)
-	if m, err := tsdb.LoadManifest(dir); err == nil {
-		f.committed = m
-		f.st.AppliedGeneration = m.Generation
-		f.st.LeaderGeneration = m.Generation
+	if data, err := os.ReadFile(filepath.Join(dir, tsdb.ManifestName)); err == nil {
+		if m, err := tsdb.CommitManifest(dir, data); err == nil {
+			f.committed = m
+			f.st.AppliedGeneration = m.Generation
+			f.st.LeaderGeneration = m.Generation
+		}
 	}
 	return f
 }
@@ -217,22 +213,6 @@ func (f *Follower) redact(msg string) string {
 		return msg
 	}
 	return strings.ReplaceAll(msg, f.leader, f.leaderShown)
-}
-
-// reapTempFiles removes .tmp download leftovers from a replica dir.
-// Best-effort: a .tmp file is by definition uncommitted (the rename
-// into a committed name happens only after verification), so deleting
-// one can never lose replicated data.
-func reapTempFiles(dir string) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return // no dir yet — nothing to reap
-	}
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".tmp") {
-			os.Remove(filepath.Join(dir, e.Name()))
-		}
-	}
 }
 
 // Status returns a snapshot of the follower's replication state.
@@ -392,20 +372,19 @@ func (f *Follower) tail(ctx context.Context) (CycleStats, error) {
 		return cs, fmt.Errorf("replication: %w", err)
 	}
 	held := map[string]tsdb.SegmentMeta{}
-	prevFiles := map[identity]string{} // committed file of each identity
+	// prevFiles maps an entry's identity across generations, its window
+	// span, to the committed file of that span.
+	prevFiles := map[[2]int64]string{}
 	if f.committed != nil {
 		for _, sm := range f.committed.Segments {
 			held[sm.File] = sm
-			prevFiles[segmentIdentity(sm)] = sm.File
+			prevFiles[[2]int64{sm.WindowStart, sm.WindowEnd}] = sm.File
 		}
 	}
 	var toFetch []tsdb.SegmentMeta
 	for _, sm := range m.Segments {
-		if f.swept && held[sm.File] == sm {
-			cs.SegmentsReused++
-			continue
-		}
-		if (!f.swept || f.pending[sm.File]) && tsdb.VerifySegmentFile(filepath.Join(f.dir, sm.File), sm) == nil {
+		if f.swept && held[sm.File] == sm ||
+			(!f.swept || f.pending[sm.File]) && tsdb.VerifySegmentFile(filepath.Join(f.dir, sm.File), sm) == nil {
 			cs.SegmentsReused++
 			continue
 		}
@@ -434,7 +413,7 @@ func (f *Follower) tail(ctx context.Context) (CycleStats, error) {
 	jobs := make([]func() error, len(toFetch))
 	for i, sm := range toFetch {
 		jobs[i] = func() error {
-			full, kind, err := f.fetch(ctx, sm, prevFiles[segmentIdentity(sm)], &counts)
+			full, err := f.fetch(ctx, sm, prevFiles[[2]int64{sm.WindowStart, sm.WindowEnd}], &counts)
 			if err != nil {
 				return err
 			}
@@ -442,7 +421,7 @@ func (f *Follower) tail(ctx context.Context) (CycleStats, error) {
 			installing.Add(1)
 			go func() {
 				defer installing.Done()
-				installErrs[i] = f.install(sm, kind, full)
+				installErrs[i] = tsdb.InstallSegment(f.dir, sm, full)
 				installed[i] = installErrs[i] == nil
 				<-slots
 			}()
@@ -472,44 +451,21 @@ func (f *Follower) tail(ctx context.Context) (CycleStats, error) {
 	// 5. Commit: rename the leader's exact manifest bytes into place.
 	// Before this line the directory still restores to the previous
 	// generation; after it, to the new one (docs/PERSISTENCE.md §4).
-	if _, err := tsdb.CommitManifest(f.dir, data); err != nil {
-		return cs, fmt.Errorf("replication: %w", err)
-	}
-
-	// 6. Reap what the commit superseded, mirroring the leader's
-	// post-commit deletion: the previous generation's files the new one
-	// no longer lists, and downloads of interrupted cycles it does not
-	// list either. The first cycle after New cannot know what an earlier
-	// process left behind, so it lists the directory instead and also
-	// reaps stray temp files. Best-effort — a leftover is reaped by the
-	// next first cycle.
-	listed := make(map[string]bool, len(m.Segments))
-	for _, sm := range m.Segments {
-		listed[sm.File] = true
-	}
-	remove := func(name string) {
-		if os.Remove(filepath.Join(f.dir, name)) == nil {
-			cs.Removed++
-		}
-	}
-	if f.swept {
+	// 6. Reap, in the same call, exactly what the commit superseded:
+	// the previous generation's files the new one no longer lists, and
+	// downloads of interrupted cycles it does not list either. Only the
+	// first commit into dir, with nothing known to supersede, lists it.
+	var superseded []string
+	if f.committed != nil {
 		for name := range held {
-			if !listed[name] {
-				remove(name)
-			}
+			superseded = append(superseded, name)
 		}
 		for name := range f.pending {
-			if !listed[name] {
-				remove(name)
-			}
+			superseded = append(superseded, name)
 		}
-	} else if entries, err := os.ReadDir(f.dir); err == nil {
-		for _, e := range entries {
-			name := e.Name()
-			if strings.HasSuffix(name, ".tmp") || (strings.HasSuffix(name, ".seg") && !listed[name]) {
-				remove(name)
-			}
-		}
+	}
+	if _, err := tsdb.CommitManifest(f.dir, data, superseded...); err != nil {
+		return cs, fmt.Errorf("replication: %w", err)
 	}
 	f.committed, f.swept = m, true
 	clear(f.pending)
@@ -530,17 +486,6 @@ func (f *Follower) tail(ctx context.Context) (CycleStats, error) {
 	return cs, nil
 }
 
-// identity keys a manifest entry by what survives generations: its
-// window span. Two entries with equal identity describe the same
-// logical data at different generations.
-type identity struct {
-	start, end int64
-}
-
-func segmentIdentity(sm tsdb.SegmentMeta) identity {
-	return identity{sm.WindowStart, sm.WindowEnd}
-}
-
 // fetchCounts accumulates one cycle's transfer counters across its
 // concurrent fetches.
 type fetchCounts struct {
@@ -551,15 +496,14 @@ type fetchCounts struct {
 // delta splice onto prevFile, the committed file of the same window
 // span, when the entry carries an append cursor
 // (docs/REPLICATION.md §8), and whole otherwise or when the splice
-// fails. It returns the verified file bytes and how they were obtained
-// ("spliced", "fetched").
-func (f *Follower) fetch(ctx context.Context, sm tsdb.SegmentMeta, prevFile string, c *fetchCounts) ([]byte, string, error) {
+// fails. It returns the verified file bytes.
+func (f *Follower) fetch(ctx context.Context, sm tsdb.SegmentMeta, prevFile string, c *fetchCounts) ([]byte, error) {
 	if prevFile != "" && sm.AppendCursor > 0 && prevFile != sm.File {
 		full, n, err := f.fetchDelta(ctx, sm, prevFile)
 		c.bytes.Add(n)
 		if err == nil {
 			c.deltas.Add(1)
-			return full, "spliced", nil
+			return full, nil
 		}
 		c.fallbacks.Add(1)
 		if f.logf != nil {
@@ -568,7 +512,7 @@ func (f *Follower) fetch(ctx context.Context, sm tsdb.SegmentMeta, prevFile stri
 	}
 	full, n, err := f.fetchSegment(ctx, sm)
 	c.bytes.Add(n)
-	return full, "fetched", err
+	return full, err
 }
 
 // fetchDelta satisfies one manifest entry by splicing a shipped payload
@@ -641,36 +585,4 @@ func (f *Follower) fetchSegment(ctx context.Context, sm tsdb.SegmentMeta) ([]byt
 		return nil, n, fmt.Errorf("replication: fetched segment rejected: %w", err)
 	}
 	return full, n, nil
-}
-
-// install writes one verified segment file to a temp file, fsyncs it
-// and renames it into place; kind ("fetched", "spliced") names the
-// source in errors. The bytes were verified against the manifest entry
-// before they got here and are written once, never read back. Any
-// failure deletes the temp file — nothing carries a committed name
-// before it is complete and durable.
-func (f *Follower) install(sm tsdb.SegmentMeta, kind string, full []byte) error {
-	tmp := filepath.Join(f.dir, sm.File+".tmp")
-	file, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("replication: %w", err)
-	}
-	_, err = file.Write(full)
-	if err == nil {
-		// Durable before the rename, like the leader's own segment
-		// writes (docs/PERSISTENCE.md §4).
-		err = file.Sync()
-	}
-	if cerr := file.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("replication: write %s segment %s: %w", kind, sm.File, err)
-	}
-	if err := os.Rename(tmp, filepath.Join(f.dir, sm.File)); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("replication: %w", err)
-	}
-	return nil
 }

@@ -4,9 +4,8 @@ package tsdb
 // (docs/PERSISTENCE.md §8): adjacent cold windows are merged into one
 // wider generation-qualified segment, cutting the file count — without
 // ever decoding a point, because a merged span's blocks are the
-// concatenation of its inputs' blocks in window order.
-// The pass runs under the same atomic
-// manifest-rename commit protocol as SnapshotDir and RetainDir, so a
+// concatenation of its inputs' blocks in window order. The pass runs
+// through the same begin and commit as SnapshotDir (commit.go), so a
 // crash at any moment leaves the previous snapshot fully restorable,
 // and it preserves the manifest's series and point totals — content is
 // reorganized, never changed, which is what keeps DB.Digest the
@@ -14,8 +13,6 @@ package tsdb
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"time"
 
@@ -98,7 +95,7 @@ func planCompaction(m *Manifest, cut int64, maxWindows int) []*compactRun {
 // [first.WindowStart, last.WindowEnd). Inputs contribute their blocks
 // verbatim — no point decode. The output's level is one above the
 // deepest input (docs/PERSISTENCE.md §8).
-func mergeRun(dir string, gen uint64, r *compactRun) error {
+func (tx *dirTxn) mergeRun(r *compactRun) error {
 	type acc struct {
 		measurement string
 		tags        map[string]string
@@ -109,7 +106,7 @@ func mergeRun(dir string, gen uint64, r *compactRun) error {
 
 	points, level := 0, 0
 	for _, sm := range r.inputs {
-		payload, err := loadSegmentPayload(dir, sm)
+		payload, err := loadSegmentPayload(tx.dir, sm)
 		if err != nil {
 			return err
 		}
@@ -146,7 +143,7 @@ func mergeRun(dir string, gen uint64, r *compactRun) error {
 
 	first, last := r.inputs[0], r.inputs[len(r.inputs)-1]
 	payload := blockenc.EncodePayload(out)
-	meta, err := writeSegmentFile(dir, gen, first.WindowStart, last.WindowEnd, len(out), points, level+1, payload)
+	meta, err := tx.writeSegment(first.WindowStart, last.WindowEnd, len(out), points, level+1, payload)
 	if err != nil {
 		return err
 	}
@@ -158,17 +155,19 @@ func mergeRun(dir string, gen uint64, r *compactRun) error {
 // CompactDir merges adjacent cold segments of a committed directory in
 // place and republishes the manifest with a bumped generation. It
 // never touches segments whose window reaches past opts.ColdBefore,
-// preserves the manifest's series and point totals, and commits with
-// the §4 manifest-rename protocol — input files are deleted only after
-// the new manifest no longer references them, so a crash mid-pass
-// leaves the previous snapshot fully restorable. A directory with
-// nothing to merge is left untouched at its current generation.
+// preserves the manifest's series and point totals, and commits through
+// the one commit path of docs/PERSISTENCE.md §4 — input files are
+// deleted only after the new manifest no longer references them, so a
+// crash mid-pass leaves the previous snapshot fully restorable. A
+// directory with nothing to merge stays at its current generation;
+// only leftovers of interrupted passes are reaped.
 func CompactDir(dir string, opts CompactOptions) (CompactStats, error) {
 	var st CompactStats
-	m, err := readManifest(dir)
+	tx, err := beginDir(dir, false)
 	if err != nil {
 		return st, fmt.Errorf("tsdb: compactdir: %w", err)
 	}
+	m := tx.prev
 	st.Generation = m.Generation
 	maxWindows := opts.MaxWindows
 	if maxWindows == 0 {
@@ -177,14 +176,9 @@ func CompactDir(dir string, opts CompactOptions) (CompactStats, error) {
 	if maxWindows <= 1 {
 		return st, nil
 	}
-
 	runs := planCompaction(m, opts.ColdBefore.UnixNano(), maxWindows)
 	if len(runs) == 0 {
 		return st, nil
-	}
-	gen := m.Generation + 1
-	if _, _, err := reapLeftovers(dir, m); err != nil {
-		return st, fmt.Errorf("tsdb: compactdir: %w", err)
 	}
 
 	// Merge the runs concurrently; each writes its own output file, and
@@ -194,18 +188,16 @@ func CompactDir(dir string, opts CompactOptions) (CompactStats, error) {
 	defer pool.Close()
 	jobs := make([]func() error, len(runs))
 	for i, r := range runs {
-		r := r
-		jobs[i] = func() error { return mergeRun(dir, gen, r) }
+		jobs[i] = func() error { return tx.mergeRun(r) }
 	}
 	if err := pool.DoErr(jobs...); err != nil {
 		return st, fmt.Errorf("tsdb: compactdir: %w", err)
 	}
 
 	merged := make(map[string]bool)
-	var dead []string
 	next := &Manifest{
 		Version:     ManifestVersion,
-		Generation:  gen,
+		Generation:  tx.gen,
 		WindowNanos: m.WindowNanos,
 		StoreSeries: m.StoreSeries,
 		TotalPoints: m.TotalPoints,
@@ -214,7 +206,6 @@ func CompactDir(dir string, opts CompactOptions) (CompactStats, error) {
 		next.Segments = append(next.Segments, r.meta)
 		for _, sm := range r.inputs {
 			merged[sm.File] = true
-			dead = append(dead, sm.File)
 		}
 		st.Merged += len(r.inputs)
 		st.Written++
@@ -227,16 +218,11 @@ func CompactDir(dir string, opts CompactOptions) (CompactStats, error) {
 		}
 	}
 
-	// Commit point; only afterwards are the merged inputs dead.
-	// Deletion is best-effort — a failure leaves a leftover the next
-	// writer reaps.
-	if err := writeManifest(dir, next); err != nil {
+	// Commit point; only afterwards are the merged inputs deleted.
+	if err := tx.commit(next); err != nil {
 		return st, fmt.Errorf("tsdb: compactdir: %w", err)
 	}
-	for _, name := range dead {
-		os.Remove(filepath.Join(dir, name))
-	}
-	st.Generation = gen
+	st.Generation = tx.gen
 	return st, nil
 }
 

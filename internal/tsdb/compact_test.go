@@ -45,8 +45,7 @@ func TestUnknownSegmentVersionNamedError(t *testing.T) {
 // TestOldSegmentVersionsRefused: the retired v1 (gob), v2 (sum-less
 // block) and v3 (per-shard) versions are refused by every reader —
 // eager and lazy RestoreDir, VerifySegmentFile (so a follower rejects
-// the file before its manifest commit), CompactDir, RetainDir and
-// AssembleDelta — with an error wrapping ErrSegmentVersion that names
+// the file before its manifest commit), CompactDir and AssembleDelta — with an error wrapping ErrSegmentVersion that names
 // the file, and the generation does not move. The headers are
 // hand-built from a current segment: valid magic, valid CRC, the
 // version field rewritten, and for v3 the 56-byte per-shard header
@@ -55,7 +54,7 @@ func TestUnknownSegmentVersionNamedError(t *testing.T) {
 // SnapshotDir refuses to overwrite it (docs/PERSISTENCE.md §3, §4).
 func TestOldSegmentVersionsRefused(t *testing.T) {
 	window := time.Hour
-	cut := t0.Add(2*window + 17*time.Minute) // mid-window: RetainDir must read the boundary segment
+	at := t0.Add(2*window + 17*time.Minute) // inside the data: its segment is the one rewritten
 	readers := []struct {
 		name string
 		read func(dir string, sm SegmentMeta) error
@@ -67,10 +66,6 @@ func TestOldSegmentVersionsRefused(t *testing.T) {
 		}},
 		{"CompactDir", func(dir string, _ SegmentMeta) error {
 			_, err := CompactDir(dir, CompactOptions{ColdBefore: maxTime})
-			return err
-		}},
-		{"RetainDir", func(dir string, _ SegmentMeta) error {
-			_, _, err := RetainDir(dir, cut)
 			return err
 		}},
 		{"AssembleDelta", func(dir string, sm SegmentMeta) error {
@@ -94,13 +89,13 @@ func TestOldSegmentVersionsRefused(t *testing.T) {
 			}
 			var old SegmentMeta
 			for _, sm := range m.Segments {
-				if sm.WindowStart <= cut.UnixNano() && cut.UnixNano() < sm.WindowEnd {
+				if sm.WindowStart <= at.UnixNano() && at.UnixNano() < sm.WindowEnd {
 					old = sm
 					break
 				}
 			}
 			if old.File == "" {
-				t.Fatal("fixture has no segment straddling the retention cut")
+				t.Fatal("fixture has no segment holding the chosen instant")
 			}
 			path := filepath.Join(dir, old.File)
 			data, err := os.ReadFile(path)
@@ -145,7 +140,7 @@ func TestOldSegmentVersionsRefused(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, r := range append(readers[:2:2], readers[3:5]...) {
+	for _, r := range append(readers[:2:2], readers[3]) {
 		if err := r.read(dir, SegmentMeta{}); err == nil || !strings.Contains(err.Error(), "manifest version 1") {
 			t.Fatalf("per-shard directory via %s: got %v, want a manifest version error", r.name, err)
 		}
@@ -262,81 +257,77 @@ func TestCompactRespectsColdBoundary(t *testing.T) {
 // TestIncrementalSnapshotAfterCompact: DB.Compact keeps the store's
 // bookkeeping in step, so the next incremental snapshot reuses the
 // merged segments instead of demoting to a full rewrite; a write into
-// a merged span rewrites that one span whole, keeping compaction
-// sticky (docs/PERSISTENCE.md §8).
+// a merged span, or a retention cut through one, rewrites that one
+// span whole, keeping its bounds and level — compaction stays sticky
+// (docs/PERSISTENCE.md §6, §8).
 func TestIncrementalSnapshotAfterCompact(t *testing.T) {
 	window := time.Hour
-	db := buildSegStore(window)
-	dir := t.TempDir()
-	if _, err := db.SnapshotDir(dir, DirOptions{Incremental: true}); err != nil {
-		t.Fatal(err)
-	}
-	st, err := db.Compact(dir, CompactOptions{ColdBefore: maxTime, MaxWindows: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Merged == 0 {
-		t.Fatalf("nothing merged: %+v", st)
-	}
+	for _, tc := range []struct {
+		name  string
+		touch func(db *DB)
+	}{
+		{"write", func(db *DB) {
+			db.Write("tslp", map[string]string{"link": "l1", "vp": "vp-a", "side": "far"}, t0.Add(30*time.Minute), 123)
+		}},
+		{"retain", func(db *DB) {
+			if db.Retain(t0.Add(2*window+17*time.Minute), maxTime) == 0 {
+				t.Fatal("retention cut dropped nothing")
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := buildSegStore(window)
+			dir := t.TempDir()
+			if _, err := db.SnapshotDir(dir, DirOptions{Incremental: true}); err != nil {
+				t.Fatal(err)
+			}
+			st, err := db.Compact(dir, CompactOptions{ColdBefore: maxTime, MaxWindows: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Merged == 0 {
+				t.Fatalf("nothing merged: %+v", st)
+			}
 
-	idle, err := db.SnapshotDir(dir, DirOptions{Incremental: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if idle.Written != 0 || idle.Reused != idle.Segments {
-		t.Fatalf("idle snapshot after compaction rewrote segments: %+v", idle)
-	}
-	assertRestoresTo(t, dir, db)
+			idle, err := db.SnapshotDir(dir, DirOptions{Incremental: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if idle.Written != 0 || idle.Reused != idle.Segments {
+				t.Fatalf("idle snapshot after compaction rewrote segments: %+v", idle)
+			}
+			assertRestoresTo(t, dir, db)
+			before, err := readManifest(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	// Dirty one window inside a merged span: exactly one segment (the
-	// span) is rewritten, and it keeps its merged bounds.
-	db.Write("tslp", map[string]string{"link": "l1", "vp": "vp-a", "side": "far"}, t0.Add(30*time.Minute), 123)
-	after, err := db.SnapshotDir(dir, DirOptions{Incremental: true})
-	if err != nil {
-		t.Fatal(err)
+			// Touch one window inside the first merged span: exactly one
+			// segment (the span) is rewritten, and it keeps its merged
+			// bounds and level.
+			tc.touch(db)
+			after, err := db.SnapshotDir(dir, DirOptions{Incremental: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if after.Written != 1 || after.Reused != after.Segments-1 {
+				t.Fatalf("touching a merged span should rewrite one segment: %+v", after)
+			}
+			m, err := readManifest(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			span := before.Segments[0]
+			if span.WindowEnd-span.WindowStart <= int64(window) || span.Level == 0 {
+				t.Fatalf("first segment %+v is not a merged span", span)
+			}
+			got := m.Segments[0]
+			if got.File == span.File || got.WindowStart != span.WindowStart || got.WindowEnd != span.WindowEnd || got.Level != span.Level {
+				t.Fatalf("rewritten span %+v, want a new file over [%d,%d) at level %d", got, span.WindowStart, span.WindowEnd, span.Level)
+			}
+			assertRestoresTo(t, dir, db)
+		})
 	}
-	if after.Written != 1 || after.Reused != after.Segments-1 {
-		t.Fatalf("write into a merged span should rewrite one segment: %+v", after)
-	}
-	m, err := readManifest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sawSpan := false
-	for _, sm := range m.Segments {
-		if sm.WindowEnd-sm.WindowStart > int64(window) {
-			sawSpan = true
-		}
-	}
-	if !sawSpan {
-		t.Fatal("rewrite dissolved the merged spans")
-	}
-	assertRestoresTo(t, dir, db)
-}
-
-// TestRetainDirOnCompacted: retention on a compacted directory drops
-// expired merged segments wholesale and block-trims the one straddling
-// the cut, staying equivalent to in-memory Retain.
-func TestRetainDirOnCompacted(t *testing.T) {
-	window := time.Hour
-	db := buildSegStore(window)
-	dir := t.TempDir()
-	if _, err := db.SnapshotDir(dir, DirOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := CompactDir(dir, CompactOptions{ColdBefore: maxTime, MaxWindows: 3}); err != nil {
-		t.Fatal(err)
-	}
-
-	cut := t0.Add(2*window + 17*time.Minute) // mid-span and mid-window
-	_, dropped, err := RetainDir(dir, cut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := db.Retain(cut, maxTime); dropped != want {
-		t.Fatalf("RetainDir on compacted dir dropped %d points, in-memory Retain dropped %d", dropped, want)
-	}
-	assertRestoresTo(t, dir, db)
 }
 
 // TestCompactDirCrashLeftovers: a gen-qualified segment abandoned by a

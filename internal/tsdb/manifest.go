@@ -1,7 +1,7 @@
 package tsdb
 
 // The manifest is the commit record of a segment directory: a snapshot
-// or retention pass becomes visible exactly when the new manifest is
+// or compaction pass becomes visible exactly when the new manifest is
 // renamed over the old one. Schema, versioning and crash-safety rules
 // are specified normatively in docs/PERSISTENCE.md §3; this file is the
 // implementation.
@@ -44,7 +44,7 @@ type SegmentMeta struct {
 	// CRC is the CRC-32C (Castagnoli) of the segment's payload.
 	CRC uint32 `json:"crc"`
 	// Level is the compaction level: 0 for segments written directly by
-	// a snapshot or retention pass, k+1 for a segment produced by
+	// a snapshot, k+1 for a segment produced by
 	// merging level-<=k inputs (docs/PERSISTENCE.md §8). Informational
 	// — the window bounds, not the level, define the segment's identity.
 	Level int `json:"level,omitempty"`
@@ -66,7 +66,7 @@ type SegmentMeta struct {
 type Manifest struct {
 	// Version is the manifest schema version (ManifestVersion).
 	Version int `json:"version"`
-	// Generation increments on every successful SnapshotDir or RetainDir
+	// Generation increments on every successful SnapshotDir or CompactDir
 	// into the directory; incremental snapshots require the on-disk
 	// generation to equal the one the store last wrote.
 	Generation uint64 `json:"generation"`
@@ -89,6 +89,18 @@ func (m *Manifest) sortSegments() {
 	slices.SortFunc(m.Segments, func(a, b SegmentMeta) int { return cmp.Compare(a.WindowStart, b.WindowStart) })
 }
 
+// files returns the set of file names m lists; a nil m lists none.
+func (m *Manifest) files() map[string]bool {
+	if m == nil {
+		return nil
+	}
+	set := make(map[string]bool, len(m.Segments))
+	for _, sm := range m.Segments {
+		set[sm.File] = true
+	}
+	return set
+}
+
 // clone returns a copy of m that shares no mutable state with it.
 func (m *Manifest) clone() *Manifest {
 	c := *m
@@ -97,7 +109,7 @@ func (m *Manifest) clone() *Manifest {
 }
 
 // writeManifest atomically publishes m as dir's manifest — the commit
-// point of a snapshot or retention pass (docs/PERSISTENCE.md §4). The
+// point of a snapshot or compaction pass (docs/PERSISTENCE.md §4). The
 // published bytes are remembered as validated, so the writer's next
 // pass reads them back without a parse.
 func writeManifest(dir string, m *Manifest) error {
@@ -114,55 +126,6 @@ func writeManifest(dir string, m *Manifest) error {
 		parsedManifests.put(data, crc32.Checksum(data, crcTable), m)
 	}
 	return nil
-}
-
-// publishManifest runs the §4 commit dance on raw manifest bytes:
-// fsync the directory so every segment rename the manifest relies on
-// is durable, write the bytes to a temp file, fsync it, rename it over
-// ManifestName, and fsync the directory again so the commit itself
-// survives power loss (docs/PERSISTENCE.md §4). Callers must have
-// validated the bytes first.
-func publishManifest(dir string, data []byte) error {
-	if err := syncDir(dir); err != nil {
-		return fmt.Errorf("tsdb: sync segment dir: %w", err)
-	}
-	tmp := filepath.Join(dir, ManifestName+tmpSuffix)
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("tsdb: write manifest: %w", err)
-	}
-	if _, err = f.Write(data); err == nil {
-		err = f.Sync()
-	}
-	if err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("tsdb: write manifest: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("tsdb: write manifest: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, ManifestName)); err != nil {
-		return fmt.Errorf("tsdb: publish manifest: %w", err)
-	}
-	if err := syncDir(dir); err != nil {
-		return fmt.Errorf("tsdb: sync segment dir: %w", err)
-	}
-	return nil
-}
-
-// syncDir fsyncs a directory so renames inside it are durable, not just
-// ordered (docs/PERSISTENCE.md §4).
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // readManifest loads and validates dir's manifest.

@@ -4,11 +4,11 @@ package tsdb
 // protocol spec in docs/REPLICATION.md). A follower mirrors a leader's
 // segment directory by fetching the manifest, fetching only the
 // segment files it does not already hold, verifying every file against
-// its manifest entry, and committing with the same atomic
-// manifest-rename protocol the snapshot writers use
-// (docs/PERSISTENCE.md §4). Everything it needs — parse, verify,
-// commit — lives here so the wire layer never re-implements (or
-// weakens) the on-disk contract.
+// its manifest entry, and installing and committing them through the
+// same commit path the snapshot writers use (commit.go,
+// docs/PERSISTENCE.md §4). Everything it needs — parse, verify,
+// install, commit — lives here so the wire layer never re-implements
+// (or weakens) the on-disk contract.
 
 import (
 	"fmt"
@@ -17,29 +17,54 @@ import (
 )
 
 // LoadManifest reads and validates dir's committed manifest. It is the
-// exported counterpart of the internal reader RestoreDir uses: a
-// replication follower calls it to learn the generation it last
-// committed, so a restart resumes tailing instead of refetching
-// everything (docs/REPLICATION.md §3).
+// exported counterpart of the internal reader RestoreDir uses, and
+// changes nothing on disk.
 func LoadManifest(dir string) (*Manifest, error) {
 	return readManifest(dir)
 }
 
-// CommitManifest atomically publishes raw manifest bytes as dir's
-// committed manifest — temp file, fsync, rename over ManifestName,
-// directory fsync (docs/PERSISTENCE.md §4) — after validating them
-// with ParseManifest. It returns the parsed manifest. The replication
+// InstallSegment durably writes one segment file into dir under its
+// manifest name, through the same durable write every segment writer
+// uses (docs/PERSISTENCE.md §4). The bytes must already be verified
+// against sm — AssembleDelta does that in memory — because the
+// manifest commit that follows makes them visible; until then the file
+// is an ignorable leftover of another generation.
+func InstallSegment(dir string, sm SegmentMeta, data []byte) error {
+	if !ValidSegmentName(sm.File) {
+		return fmt.Errorf("tsdb: install: %q is not a segment file name", sm.File)
+	}
+	if err := writeDurable(dir, sm.File, data); err != nil {
+		return fmt.Errorf("tsdb: install segment %s: %w", sm.File, err)
+	}
+	return nil
+}
+
+// CommitManifest validates raw manifest bytes with ParseManifest,
+// publishes them as dir's committed manifest through the commit every
+// writer uses — directory fsync, temp file, fsync, rename, directory
+// fsync (docs/PERSISTENCE.md §4) — and then deletes what the commit
+// superseded: every name in superseded the new manifest does not list
+// or, with no names given, every temp file and unlisted segment file
+// in a listing of dir. It returns the parsed manifest. The replication
 // follower commits the exact bytes the leader served, so the two
 // directories' manifests are byte-identical; callers must have every
 // referenced segment file verified and in place first, because the
 // rename is the commit point.
-func CommitManifest(dir string, data []byte) (*Manifest, error) {
+func CommitManifest(dir string, data []byte, superseded ...string) (*Manifest, error) {
 	m, err := ParseManifest(data)
 	if err != nil {
 		return nil, fmt.Errorf("tsdb: commit manifest: %w", err)
 	}
 	if err := publishManifest(dir, data); err != nil {
 		return nil, err
+	}
+	if len(superseded) == 0 {
+		_, _, err = reapDir(dir, m)
+	} else {
+		_, err = removeFiles(dir, dropped(superseded, m))
+	}
+	if err != nil {
+		return nil, fmt.Errorf("tsdb: commit manifest: %w", err)
 	}
 	return m, nil
 }

@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io/fs"
 	"maps"
 	"math"
 	"os"
@@ -86,8 +85,8 @@ type DirOptions struct {
 	// was touched since the store's previous snapshot into the
 	// same directory, reusing the rest byte-for-byte. It silently falls
 	// back to a full snapshot when the directory does not match the
-	// store's bookkeeping (first snapshot, foreign directory, or a
-	// RetainDir ran in between).
+	// store's bookkeeping (first snapshot, foreign directory, or another
+	// writer committed in between).
 	Incremental bool
 	// Lazy makes RestoreDir map committed segments without decoding
 	// their points: series become block-index stubs and queries decode
@@ -305,49 +304,26 @@ func (db *DB) planSegments(span func(win int64) (start, end int64)) []*segPlan {
 	return out
 }
 
-// writeSegmentFile writes one segment file (docs/PERSISTENCE.md §2)
-// under a temp name, fsyncs it, renames it into its gen-qualified
-// place, and returns its manifest entry. It never touches a previous
-// generation's file; until a manifest referencing the new name is
-// published, the file is an inert leftover (docs/PERSISTENCE.md §4).
-func writeSegmentFile(dir string, gen uint64, winStart, winEnd int64, seriesCount, points, level int, payload []byte) (SegmentMeta, error) {
-	name := segmentFileName(winStart, gen)
+// writeSegment writes one segment file of the pass's generation
+// (docs/PERSISTENCE.md §2) through the one durable write and returns
+// its manifest entry. It never touches a committed file: until the
+// commit publishes a manifest listing it, the file is an inert
+// leftover (docs/PERSISTENCE.md §4).
+func (tx *dirTxn) writeSegment(winStart, winEnd int64, seriesCount, points, level int, payload []byte) (SegmentMeta, error) {
+	name := segmentFileName(winStart, tx.gen)
 	crc := crc32.Checksum(payload, crcTable)
 
-	hdr := make([]byte, 0, segmentHeaderSize)
-	hdr = append(hdr, SegmentMagic...)
-	hdr = binary.BigEndian.AppendUint32(hdr, SegmentVersion)
-	hdr = binary.BigEndian.AppendUint64(hdr, uint64(winStart))
-	hdr = binary.BigEndian.AppendUint64(hdr, uint64(winEnd))
-	hdr = binary.BigEndian.AppendUint32(hdr, uint32(seriesCount))
-	hdr = binary.BigEndian.AppendUint64(hdr, uint64(points))
-	hdr = binary.BigEndian.AppendUint64(hdr, uint64(len(payload)))
-	hdr = binary.BigEndian.AppendUint32(hdr, crc)
-
-	tmp := filepath.Join(dir, name+tmpSuffix)
-	f, err := os.Create(tmp)
-	if err != nil {
-		return SegmentMeta{}, fmt.Errorf("tsdb: create segment: %w", err)
-	}
-	if _, err := f.Write(hdr); err == nil {
-		_, err = f.Write(payload)
-	}
-	if err == nil {
-		// Content must be durable before the rename can be: a rename
-		// surviving power loss without its bytes would give a committed
-		// manifest a bad segment (docs/PERSISTENCE.md §4).
-		err = f.Sync()
-	}
-	if err != nil {
-		f.Close()
-		os.Remove(tmp)
+	file := make([]byte, 0, segmentHeaderSize+len(payload))
+	file = append(file, SegmentMagic...)
+	file = binary.BigEndian.AppendUint32(file, SegmentVersion)
+	file = binary.BigEndian.AppendUint64(file, uint64(winStart))
+	file = binary.BigEndian.AppendUint64(file, uint64(winEnd))
+	file = binary.BigEndian.AppendUint32(file, uint32(seriesCount))
+	file = binary.BigEndian.AppendUint64(file, uint64(points))
+	file = binary.BigEndian.AppendUint64(file, uint64(len(payload)))
+	file = binary.BigEndian.AppendUint32(file, crc)
+	if err := writeDurable(tx.dir, name, append(file, payload...)); err != nil {
 		return SegmentMeta{}, fmt.Errorf("tsdb: write segment %s: %w", name, err)
-	}
-	if err := f.Close(); err != nil {
-		return SegmentMeta{}, fmt.Errorf("tsdb: close segment %s: %w", name, err)
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, name)); err != nil {
-		return SegmentMeta{}, fmt.Errorf("tsdb: publish segment %s: %w", name, err)
 	}
 	return SegmentMeta{
 		File:        name,
@@ -368,29 +344,29 @@ func writeSegmentFile(dir string, gen uint64, winStart, winEnd int64, seriesCoun
 // every tick would make structural decodes linear in tick count.
 const appendExtendMaxFragmentation = 64
 
-// appendExtendSegment tries to persist a dirty-span plan by reusing the
-// committed predecessor's payload bytes as a verbatim prefix and
-// encoding only the newly appended points as extra entries — the
-// sub-segment checkpoint the delta-shipping protocol rides on
-// (docs/REPLICATION.md §8). It reports ok = false whenever the plan is
-// not a pure append of the predecessor (backfill, changed keys,
-// excessive fragmentation, or any read error), in which case the caller
-// falls back to the full encoder. On success the returned meta carries
-// the append cursor: the byte offset into the new payload where the
-// appended entries begin.
-func appendExtendSegment(dir string, gen uint64, p *segPlan) (SegmentMeta, bool) {
+// appendExtendPayload tries to build a dirty-span plan's payload by
+// reusing the committed predecessor's payload bytes as a verbatim
+// prefix and encoding only the newly appended points as extra entries
+// — the sub-segment checkpoint the delta-shipping protocol rides on
+// (docs/REPLICATION.md §8). It returns a nil payload whenever the plan
+// is not a pure append of the predecessor (backfill, changed keys,
+// excessive fragmentation, or any read error), in which case the
+// caller falls back to the full encoder. Otherwise it also returns the
+// payload's series entry count and the append cursor: the byte offset
+// where the appended entries begin.
+func appendExtendPayload(dir string, p *segPlan) ([]byte, int, int64) {
 	prev := *p.prev
 	payload, err := loadSegmentPayload(dir, prev)
 	if err != nil {
-		return SegmentMeta{}, false
+		return nil, 0, 0
 	}
 	oldList, err := decodeBlockPayload(payload, prev)
 	if err != nil {
-		return SegmentMeta{}, false
+		return nil, 0, 0
 	}
 	_, headLen, err := blockenc.PayloadHead(payload)
 	if err != nil {
-		return SegmentMeta{}, false
+		return nil, 0, 0
 	}
 
 	// Aggregate the old payload per key: entry duplicates from earlier
@@ -417,7 +393,7 @@ func appendExtendSegment(dir string, gen uint64, p *segPlan) (SegmentMeta, bool)
 		}
 	}
 	if len(oldList) >= appendExtendMaxFragmentation*len(old) {
-		return SegmentMeta{}, false
+		return nil, 0, 0
 	}
 
 	// The pure-append proof: store writes are insert-only and no window
@@ -434,7 +410,7 @@ func appendExtendSegment(dir string, gen uint64, p *segPlan) (SegmentMeta, bool)
 		if o, ok := old[key]; ok {
 			idx = sort.Search(len(c.times), func(i int) bool { return c.times[i] > o.maxT })
 			if idx != o.count {
-				return SegmentMeta{}, false
+				return nil, 0, 0
 			}
 			delete(old, key)
 		}
@@ -450,83 +426,49 @@ func appendExtendSegment(dir string, gen uint64, p *segPlan) (SegmentMeta, bool)
 	if len(old) != 0 || tail == 0 {
 		// A key vanished from the window, or nothing was appended at
 		// all: neither is a pure append worth a cursor.
-		return SegmentMeta{}, false
+		return nil, 0, 0
 	}
 
 	// Assemble: new entry count, old entries region verbatim, appended
 	// entries. The cursor marks where the verbatim prefix ends.
 	oldEntries := payload[headLen:]
-	newCount := len(oldList) + len(appended)
-	out := binary.AppendUvarint(make([]byte, 0, len(payload)+64+32*tail), uint64(newCount))
+	entries := len(oldList) + len(appended)
+	out := binary.AppendUvarint(make([]byte, 0, len(payload)+64+32*tail), uint64(entries))
 	cursor := int64(len(out) + len(oldEntries))
 	out = append(out, oldEntries...)
 	for _, s := range appended {
 		out = blockenc.AppendSeries(out, s)
 	}
-	meta, err := writeSegmentFile(dir, gen, p.winStart, p.winEnd, newCount, p.points, p.level, out)
-	if err != nil {
-		return SegmentMeta{}, false
-	}
-	meta.AppendCursor = cursor
-	return meta, true
+	return out, entries, cursor
 }
 
 // encodeSegment encodes a plan's payload — one entry per series, its
 // columns cut into blocks, in canonical key order so identical content
 // encodes to identical bytes — writes the segment file, and fills
 // p.meta. A plan carrying an append-extend candidate (segPlan.prev)
-// tries the cheap path first and falls back to the full encoder
+// tries the cheap payload first and falls back to the full encoder
 // whenever it does not apply.
-func encodeSegment(dir string, gen uint64, p *segPlan) error {
+func (tx *dirTxn) encodeSegment(p *segPlan) error {
+	var payload []byte
+	var entries int
+	var cursor int64
 	if p.prev != nil {
-		if meta, ok := appendExtendSegment(dir, gen, p); ok {
-			p.meta = meta
-			return nil
+		payload, entries, cursor = appendExtendPayload(tx.dir, p)
+	}
+	if payload == nil {
+		list := make([]blockenc.Series, len(p.series))
+		for i, c := range p.series {
+			list[i] = blockenc.Series{Measurement: c.measurement, Tags: c.tags, Blocks: blockenc.BuildBlocks(c.times, c.values)}
 		}
+		payload, entries = blockenc.EncodePayload(list), len(list)
 	}
-	list := make([]blockenc.Series, len(p.series))
-	for i, c := range p.series {
-		list[i] = blockenc.Series{Measurement: c.measurement, Tags: c.tags, Blocks: blockenc.BuildBlocks(c.times, c.values)}
-	}
-	meta, err := writeSegmentFile(dir, gen, p.winStart, p.winEnd, len(list), p.points, p.level, blockenc.EncodePayload(list))
+	meta, err := tx.writeSegment(p.winStart, p.winEnd, entries, p.points, p.level, payload)
 	if err != nil {
 		return err
 	}
+	meta.AppendCursor = cursor
 	p.meta = meta
 	return nil
-}
-
-// reapLeftovers removes what a crashed writer left in dir: .tmp files
-// and segment files the committed manifest m (nil: none yet) does not
-// reference (docs/PERSISTENCE.md §4). Every writer reaps before
-// writing, which also guarantees its generation-qualified names are
-// free. It returns the number of segment files removed and the set of
-// committed files present on disk.
-func reapLeftovers(dir string, m *Manifest) (removed int, present map[string]bool, err error) {
-	listed := make(map[string]bool)
-	if m != nil {
-		for _, sm := range m.Segments {
-			listed[sm.File] = true
-		}
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return 0, nil, err
-	}
-	present = make(map[string]bool, len(listed))
-	for _, e := range entries {
-		name := e.Name()
-		switch {
-		case strings.HasSuffix(name, tmpSuffix):
-			os.Remove(filepath.Join(dir, name))
-		case !strings.HasSuffix(name, segmentSuffix):
-		case listed[name]:
-			present[name] = true
-		case os.Remove(filepath.Join(dir, name)) == nil:
-			removed++
-		}
-	}
-	return removed, present, nil
 }
 
 // SnapshotDir persists the whole store into dir as one segment file per
@@ -543,10 +485,6 @@ func reapLeftovers(dir string, m *Manifest) (removed int, present map[string]boo
 // cannot read is refused, never overwritten.
 func (db *DB) SnapshotDir(dir string, opts DirOptions) (DirStats, error) {
 	var st DirStats
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return st, fmt.Errorf("tsdb: snapshotdir: %w", err)
-	}
-
 	unlock := db.lockAll(false)
 	defer unlock()
 
@@ -555,26 +493,16 @@ func (db *DB) SnapshotDir(dir string, opts DirOptions) (DirStats, error) {
 	// (docs/PERSISTENCE.md §9).
 	db.materializeAllLocked()
 
-	// The on-disk manifest is the directory's commit record; read it
-	// first so committed segments can be told apart from leftovers of a
-	// crashed attempt.
-	prev, prevErr := readManifest(dir) // fails on the first snapshot into dir
-	if prevErr != nil && !errors.Is(prevErr, fs.ErrNotExist) {
-		// A manifest this version cannot read — corrupt, or a per-shard
-		// directory of an older format — commits data the reap below
-		// would destroy: refuse instead of starting over.
-		return st, fmt.Errorf("tsdb: snapshotdir: refusing to overwrite %s: %w", dir, prevErr)
-	}
-	removed, onDisk, err := reapLeftovers(dir, prev)
+	// The begin reads the committed manifest — the directory's commit
+	// record — reaps what a crashed attempt left, and fixes this
+	// attempt's generation (segment file names embed it).
+	tx, err := beginDir(dir, true)
 	if err != nil {
 		return st, fmt.Errorf("tsdb: snapshotdir: %w", err)
 	}
-	st.Removed = removed
-
-	// Decide the snapshot mode, the reusable entries, and this attempt's
-	// generation (segment file names embed it, so it is fixed up front).
+	prev := tx.prev
 	incremental := opts.Incremental && db.snapDir == dir && db.snapGen > 0 &&
-		prevErr == nil && prev.Generation == db.snapGen && prev.WindowNanos == int64(db.window)
+		prev != nil && prev.Generation == db.snapGen && prev.WindowNanos == int64(db.window)
 
 	// Committed segments may span several base windows after compaction
 	// (docs/PERSISTENCE.md §8), so incremental reuse works per span:
@@ -588,7 +516,7 @@ func (db *DB) SnapshotDir(dir string, opts DirOptions) (DirStats, error) {
 	trimmed := make(map[int64]struct{})
 	if incremental {
 		for _, sm := range prev.Segments {
-			if !onDisk[sm.File] {
+			if _, ok := slices.BinarySearch(tx.held, sm.File); !ok {
 				continue
 			}
 			for win := sm.WindowStart; win < sm.WindowEnd; win += prev.WindowNanos {
@@ -610,10 +538,6 @@ func (db *DB) SnapshotDir(dir string, opts DirOptions) (DirStats, error) {
 		}
 		return false
 	}
-	gen := uint64(1)
-	if prevErr == nil {
-		gen = prev.Generation + 1
-	}
 
 	plans := db.planSegments(func(win int64) (int64, int64) {
 		if sm, ok := covered[win]; ok {
@@ -622,7 +546,7 @@ func (db *DB) SnapshotDir(dir string, opts DirOptions) (DirStats, error) {
 		return win, win + int64(db.window)
 	})
 	var toWrite []*segPlan
-	next := &Manifest{Version: ManifestVersion, Generation: gen, WindowNanos: int64(db.window)}
+	next := &Manifest{Version: ManifestVersion, Generation: tx.gen, WindowNanos: int64(db.window)}
 	for _, p := range plans {
 		sm, ok := covered[p.winStart]
 		switch {
@@ -655,8 +579,7 @@ func (db *DB) SnapshotDir(dir string, opts DirOptions) (DirStats, error) {
 	defer pool.Close()
 	jobs := make([]func() error, len(toWrite))
 	for i, p := range toWrite {
-		p := p
-		jobs[i] = func() error { return encodeSegment(dir, gen, p) }
+		jobs[i] = func() error { return tx.encodeSegment(p) }
 	}
 	if err := pool.DoErr(jobs...); err != nil {
 		return st, fmt.Errorf("tsdb: snapshotdir: %w", err)
@@ -666,44 +589,30 @@ func (db *DB) SnapshotDir(dir string, opts DirOptions) (DirStats, error) {
 		st.Written++
 		st.Points += p.points
 	}
-
 	for i := range db.shards {
 		next.StoreSeries += len(db.shards[i].series)
 	}
 	next.TotalPoints = st.Points
 
 	// Commit point: the new manifest makes this snapshot the directory's
-	// committed state.
-	if err := writeManifest(dir, next); err != nil {
+	// committed state; the previous generation's replaced and stale files
+	// are deleted only after it.
+	err = tx.commit(next)
+	st.Removed = tx.removed
+	if err != nil {
 		return st, fmt.Errorf("tsdb: snapshotdir: %w", err)
-	}
-
-	// Only now are the previous generation's replaced and stale files
-	// dead; delete them best-effort — a failure just leaves a leftover
-	// for the next call to reap.
-	dead := make(map[string]bool, len(onDisk))
-	for name := range onDisk {
-		dead[name] = true
-	}
-	for _, sm := range next.Segments {
-		delete(dead, sm.File)
-	}
-	for name := range dead {
-		if os.Remove(filepath.Join(dir, name)) == nil {
-			st.Removed++
-		}
 	}
 
 	// Success: future incremental snapshots may trust the directory.
 	db.snapDir = dir
-	db.snapGen = gen
+	db.snapGen = tx.gen
 	for i := range db.shards {
 		db.shards[i].dirty = nil
 		db.shards[i].trimmed = nil
 	}
 	st.Segments = len(next.Segments)
 	st.Series = next.StoreSeries
-	st.Generation = gen
+	st.Generation = tx.gen
 	return st, nil
 }
 
@@ -769,8 +678,8 @@ func verifySegmentBytes(data []byte, sm SegmentMeta) ([]byte, error) {
 
 // loadSegmentPayload reads one segment file from disk and verifies it
 // against its manifest entry, returning the raw payload without
-// decoding it. The eager restore, RetainDir's block-level boundary trim
-// and CompactDir's zero-decode merge all start here.
+// decoding it. The eager restore, the append-extend encoder and
+// CompactDir's zero-decode merge all start here.
 func loadSegmentPayload(dir string, sm SegmentMeta) ([]byte, error) {
 	data, err := os.ReadFile(filepath.Join(dir, sm.File))
 	if err != nil {
@@ -825,7 +734,7 @@ func loadCommittedDir(dir string) (*Manifest, error) {
 		}
 		// An unlisted segment carrying a generation other than the
 		// committed one is a leftover from an interrupted snapshot or
-		// retention pass: ignored like a .tmp file, reaped by the next
+		// compaction pass: ignored like a .tmp file, reaped by the next
 		// writer (docs/PERSISTENCE.md §4). Anything else unlisted is
 		// corruption, never skipped silently.
 		if gen, ok := parseSegmentGen(name); ok && gen != m.Generation {
@@ -910,9 +819,9 @@ func (db *DB) installLocked(dir string, m *Manifest, newShards []map[string]*ser
 	if totalPoints != m.TotalPoints {
 		return fmt.Errorf("tsdb: restoredir: segments hold %d points, manifest says %d", totalPoints, m.TotalPoints)
 	}
-	// StoreSeries == 0 means "unknown": RetainDir cannot recount series
-	// without decoding survivors, so after retention the per-segment
-	// checks carry the integrity guarantee alone.
+	// StoreSeries == 0 means "unknown" — the retention pass of older
+	// versions published it — and leaves the per-segment checks to
+	// carry the integrity guarantee alone (docs/PERSISTENCE.md §3).
 	if m.StoreSeries != 0 && storeSeries != m.StoreSeries {
 		return fmt.Errorf("tsdb: restoredir: segments hold %d series, manifest says %d", storeSeries, m.StoreSeries)
 	}
@@ -995,136 +904,4 @@ func (db *DB) RestoreDir(dir string, opts DirOptions) error {
 	// reader can still reach the old stubs.
 	db.dropLazyLocked()
 	return nil
-}
-
-// RetainDir ages a segment directory out in place: every segment whose
-// window ends at or before olderThan is dropped without being decoded,
-// the one boundary segment containing olderThan — spans are disjoint,
-// so a directory has at most one — is block-trimmed and rewritten, and
-// the manifest is republished with a bumped generation. Surviving
-// segments past the boundary are not read at all. It returns
-// the number of segment files removed and points dropped. Like
-// SnapshotDir, the manifest rename is the commit point: expired and
-// replaced files are deleted only after the new manifest is published,
-// so a crash or error mid-pass leaves the previous snapshot fully
-// restorable (docs/PERSISTENCE.md §4). RetainDir is the on-disk mirror
-// of (*DB).Retain — the deployed system's InfluxDB retention policy
-// dropped whole time-range shard groups the same way.
-func RetainDir(dir string, olderThan time.Time) (segmentsRemoved, pointsDropped int, err error) {
-	m, err := readManifest(dir)
-	if err != nil {
-		return 0, 0, fmt.Errorf("tsdb: retaindir: %w", err)
-	}
-	cut := olderThan.UnixNano()
-	gen := m.Generation + 1
-	if _, _, err := reapLeftovers(dir, m); err != nil {
-		return 0, 0, fmt.Errorf("tsdb: retaindir: %w", err)
-	}
-
-	var kept []SegmentMeta
-	var dead []string // committed files to delete after the manifest publish
-	for _, sm := range m.Segments {
-		switch {
-		case sm.WindowEnd <= cut:
-			// Fully expired: a file delete, no decode (docs/PERSISTENCE.md §6).
-			dead = append(dead, sm.File)
-			segmentsRemoved++
-			pointsDropped += sm.Points
-		case sm.WindowStart < cut:
-			// Boundary window: drop points before the cut and rewrite
-			// under this generation's name (the old file dies at commit).
-			// The trim works at block granularity — whole blocks before
-			// the cut are dropped and whole blocks past it are carried
-			// over verbatim, so only the one straddling block per series
-			// is ever decoded (docs/PERSISTENCE.md §2.2).
-			meta, trimmed, err := trimBoundarySegment(dir, sm, cut, gen)
-			if err != nil {
-				return 0, 0, fmt.Errorf("tsdb: retaindir: %w", err)
-			}
-			pointsDropped += trimmed
-			dead = append(dead, sm.File)
-			if meta.File == "" {
-				segmentsRemoved++
-				continue
-			}
-			kept = append(kept, meta)
-		default:
-			kept = append(kept, sm)
-		}
-	}
-
-	// The surviving distinct-series count cannot be known without
-	// decoding the surviving segments, which RetainDir promises not to
-	// do — so it is published as 0, "unknown", and RestoreDir falls back
-	// to its per-segment checks (docs/PERSISTENCE.md §3, store_series).
-	next := &Manifest{
-		Version:     ManifestVersion,
-		Generation:  gen,
-		WindowNanos: m.WindowNanos,
-		StoreSeries: 0,
-		Segments:    kept,
-	}
-	for _, sm := range kept {
-		next.TotalPoints += sm.Points
-	}
-	// Commit point; only afterwards are the expired and replaced files
-	// dead. Deletion is best-effort — a failure leaves a leftover the
-	// next writer reaps.
-	if err := writeManifest(dir, next); err != nil {
-		return 0, 0, fmt.Errorf("tsdb: retaindir: %w", err)
-	}
-	for _, name := range dead {
-		os.Remove(filepath.Join(dir, name))
-	}
-	return segmentsRemoved, pointsDropped, nil
-}
-
-// trimBoundarySegment rewrites the one segment whose window contains
-// the retention cut, dropping every point before cut. The rewritten
-// segment keeps the original window span and level. A zero-valued meta
-// (File == "") means no point survived and the segment is simply
-// removed; trimmed reports the points dropped.
-func trimBoundarySegment(dir string, sm SegmentMeta, cut int64, gen uint64) (meta SegmentMeta, trimmed int, err error) {
-	payload, err := loadSegmentPayload(dir, sm)
-	if err != nil {
-		return SegmentMeta{}, 0, err
-	}
-	list, err := decodeBlockPayload(payload, sm)
-	if err != nil {
-		return SegmentMeta{}, 0, err
-	}
-	var kept []blockenc.Series
-	points := 0
-	for i := range list {
-		s := &list[i]
-		var blocks []blockenc.Block
-		for _, b := range s.Blocks {
-			switch {
-			case b.MaxT < cut:
-				trimmed += b.Count
-			case b.MinT >= cut:
-				blocks = append(blocks, b)
-				points += b.Count
-			default:
-				ts, vs, err := b.Decode()
-				if err != nil {
-					return SegmentMeta{}, 0, fmt.Errorf("tsdb: segment %s: series %q: %w", sm.File, Key(s.Measurement, s.Tags), err)
-				}
-				lo := sort.Search(len(ts), func(j int) bool { return ts[j] >= cut })
-				trimmed += lo
-				if lo < len(ts) {
-					blocks = append(blocks, blockenc.BuildBlocks(ts[lo:], vs[lo:])...)
-					points += len(ts) - lo
-				}
-			}
-		}
-		if len(blocks) > 0 {
-			kept = append(kept, blockenc.Series{Measurement: s.Measurement, Tags: s.Tags, Blocks: blocks})
-		}
-	}
-	if len(kept) == 0 {
-		return SegmentMeta{}, trimmed, nil
-	}
-	meta, err = writeSegmentFile(dir, gen, sm.WindowStart, sm.WindowEnd, len(kept), points, sm.Level, blockenc.EncodePayload(kept))
-	return meta, trimmed, err
 }

@@ -282,63 +282,6 @@ func assertRestoresTo(t *testing.T, dir string, want *DB) {
 	}
 }
 
-// TestRetainDirEquivalence: aging a directory out with RetainDir is
-// equivalent to aging the store in memory with Retain and snapshotting
-// (docs/PERSISTENCE.md §6).
-func TestRetainDirEquivalence(t *testing.T) {
-	window := time.Hour
-	db := buildSegStore(window)
-	dir := t.TempDir()
-	if _, err := db.SnapshotDir(dir, DirOptions{}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Cut mid-window so there is a boundary segment to trim.
-	cut := t0.Add(2*window + 17*time.Minute)
-	removed, dropped, err := RetainDir(dir, cut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if removed == 0 || dropped == 0 {
-		t.Fatalf("nothing aged out: removed=%d dropped=%d", removed, dropped)
-	}
-	wantDropped := db.Retain(cut, maxTime)
-	if dropped != wantDropped {
-		t.Fatalf("RetainDir dropped %d points, in-memory Retain dropped %d", dropped, wantDropped)
-	}
-	assertRestoresTo(t, dir, db)
-}
-
-// TestRetainDirDoesNotDecodeSurvivors corrupts the payload of a segment
-// safely past the retention boundary and expects RetainDir to succeed
-// anyway: expired windows are file deletes and survivors are never read
-// (docs/PERSISTENCE.md §6).
-func TestRetainDirDoesNotDecodeSurvivors(t *testing.T) {
-	window := time.Hour
-	db := buildSegStore(window)
-	dir := t.TempDir()
-	if _, err := db.SnapshotDir(dir, DirOptions{}); err != nil {
-		t.Fatal(err)
-	}
-
-	cut := t0.Add(2 * window) // window-aligned: no boundary decode either
-	survivor := segmentAt(t, dir, func(sm SegmentMeta) bool { return sm.WindowStart >= cut.UnixNano()+int64(window) })
-	corruptPayloadByte(t, filepath.Join(dir, survivor))
-
-	if _, _, err := RetainDir(dir, cut); err != nil {
-		t.Fatalf("RetainDir decoded a surviving segment: %v", err)
-	}
-	m, err := readManifest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sm := range m.Segments {
-		if sm.WindowEnd <= cut.UnixNano() {
-			t.Fatalf("expired segment %s survived retention", sm.File)
-		}
-	}
-}
-
 // segmentAt returns the file name of some manifest entry matching pick.
 func segmentAt(t *testing.T, dir string, pick func(SegmentMeta) bool) string {
 	t.Helper()
