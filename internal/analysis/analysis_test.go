@@ -318,17 +318,20 @@ func TestWindowHelpers(t *testing.T) {
 }
 
 // TestFoldSideBinsLikeObserveNanos: the bin-edge walk of
-// Incremental.foldSide puts every point where BinSeries.ObserveNanos's
-// truncating division puts it — points before Start (less than one
-// interval before it lands in bin 0, earlier ones nowhere), runs inside
-// one bin, steps to the next bin, gaps of many bins, the last bin's
-// edge and points past the window.
+// BinColumn.foldSide puts every point at or after a window's Start where
+// BinSeries.ObserveNanos's division puts it — runs inside one bin,
+// steps to the next bin, gaps of many bins, the last bin's edge and
+// points past the window — and a point before Start on the grid bin
+// before it (floor division: a shared grid has no double-width bin 0;
+// a window's fold takes no point before its Start, so the two never
+// meet).
 func TestFoldSideBinsLikeObserveNanos(t *testing.T) {
 	cfg := incTestConfig()
-	inc := NewIncremental(start, cfg)
-	want := NewBinSeries(start, inc.far.Interval, inc.far.Len())
-	bin := int64(inc.far.Interval)
-	end := int64(inc.far.Len()) * bin
+	bin := int64(24 * time.Hour / time.Duration(cfg.BinsPerDay))
+	n := cfg.WindowDays * cfg.BinsPerDay
+	col := NewBinColumn(time.Duration(bin), start.UnixNano())
+	want := NewBinSeries(start, time.Duration(bin), n)
+	end := int64(n) * bin
 	offsets := []int64{
 		-3 * bin, -bin - 1, -bin, -bin + 1, -1, 0, 1, bin / 2, bin - 1, // around Start
 		bin, bin + 1, 2*bin - 1, 2 * bin, 3 * bin, 3*bin + 7, // same bin, next bin
@@ -336,18 +339,33 @@ func TestFoldSideBinsLikeObserveNanos(t *testing.T) {
 		end - bin - 1, end - bin, end - 1, end, end + 1, end + 5*bin, // around the window's end
 	}
 	view := tsdb.SeriesView{Measurement: "tslp", Tags: map[string]string{"side": "far"}}
+	before := map[int64]float64{} // grid bin (relative to Start) -> min of the points before Start
 	r := netsim.NewRNG(24)
 	for _, off := range offsets {
 		ns, v := start.UnixNano()+off, 10+r.Float64()
 		view.Times, view.Values = append(view.Times, ns), append(view.Values, v)
-		want.ObserveNanos(ns, v)
+		if off >= 0 {
+			want.ObserveNanos(ns, v)
+		} else if k := floorDiv(off, bin); before[k] == 0 || v < before[k] {
+			before[k] = v
+		}
 	}
-	if n := inc.foldSide([]tsdb.SeriesView{view}, inc.far, inc.farCur, true); n != len(offsets) {
-		t.Fatalf("folded %d of %d points", n, len(offsets))
+	if got := col.foldSide(col.farCur, []tsdb.SeriesView{view}, true, math.MinInt64, math.MaxInt64); got != len(offsets) {
+		t.Fatalf("folded %d of %d points", got, len(offsets))
 	}
+	k0 := col.index(start.UnixNano())
+	got := make([]float64, n)
+	col.slice(got, k0, true)
 	for i := range want.Values {
-		if got, w := inc.far.Values[i], want.Values[i]; got != w && !(math.IsNaN(got) && math.IsNaN(w)) {
-			t.Errorf("bin %d: folded %v, ObserveNanos %v", i, got, w)
+		if g, w := got[i], want.Values[i]; g != w && !(math.IsNaN(g) && math.IsNaN(w)) {
+			t.Errorf("bin %d: folded %v, ObserveNanos %v", i, g, w)
+		}
+	}
+	for k, w := range before {
+		g := make([]float64, 1)
+		col.slice(g, k0+k, true)
+		if g[0] != w {
+			t.Errorf("grid bin %d before Start: folded %v, want %v", k, g[0], w)
 		}
 	}
 }

@@ -52,6 +52,11 @@ func (c AutocorrConfig) Hash() uint64 {
 	return h.Sum64()
 }
 
+// BinWidth returns the width of one bin: a day over BinsPerDay.
+func (c AutocorrConfig) BinWidth() time.Duration {
+	return 24 * time.Hour / time.Duration(c.BinsPerDay)
+}
+
 // DefaultAutocorr returns the paper's tuning.
 func DefaultAutocorr() AutocorrConfig {
 	return AutocorrConfig{
@@ -125,7 +130,7 @@ func (r *AutocorrResult) CongestedAt(t time.Time, start time.Time, interval time
 // Autocorrelation runs the §4.2 method. far and near are min-filtered
 // series at BinsPerDay resolution covering cfg.WindowDays whole days and
 // sharing Start/Interval. The batch path rebuilds the elevation state
-// from scratch on every call; Incremental (docs/DETECTION.md §3)
+// from scratch on every call; an Accumulator (docs/DETECTION.md §3)
 // maintains the same state across advances and shares the derivation,
 // which is what makes the two paths result-identical by construction.
 func Autocorrelation(far, near *BinSeries, cfg AutocorrConfig) (*AutocorrResult, error) {
@@ -142,7 +147,7 @@ func Autocorrelation(far, near *BinSeries, cfg AutocorrConfig) (*AutocorrResult,
 }
 
 // elevState is the §4.2 elevation bookkeeping shared by the batch
-// Autocorrelation entry point and the Incremental accumulator
+// Autocorrelation entry point and the window Accumulator
 // (docs/DETECTION.md §3): the per-side window minima the thresholds
 // derive from, the elevation matrix with near-side exclusion, the
 // per-bin elevated-day counts, and the per-day presence counts. Every
@@ -231,7 +236,7 @@ func (st *elevState) rebuild(far, near *BinSeries) {
 // value changed, keeping dayCounts in sync. Only valid while the window
 // minima are unchanged since the last rebuild (the incremental caller
 // checks and rebuilds otherwise). Presence counts are maintained by the
-// folder, which alone sees NaN-to-value transitions.
+// caller, which alone sees NaN-to-value transitions.
 func (st *elevState) update(far, near *BinSeries, i int) {
 	d, b := i/st.B, i%st.B
 	was := st.elevated[d][b]

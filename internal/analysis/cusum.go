@@ -12,8 +12,9 @@ import (
 // level-shift heuristic is "based on" (§4.1 cites W.A. Taylor's
 // change-point analysis [67]): CUSUM curves with bootstrap significance
 // and binary segmentation. The windowed detector in levelshift.go is the
-// operational fast path; this one is the reference method, and the two are
-// compared in the ablation benchmarks.
+// operational fast path and the one the ablations run
+// (experiments.AblationDetectors); this one is the reference method, and
+// its only callers are its tests and BenchmarkCUSUMBootstrapDay.
 
 // CUSUMConfig parameterizes the detector.
 type CUSUMConfig struct {
@@ -117,70 +118,6 @@ func shuffle(xs []float64, rng *netsim.RNG) {
 		xs[i], xs[j] = xs[j], xs[i]
 	}
 }
-
-// OnlineCUSUM is a one-sided sequential CUSUM change detector (Page's
-// test) maintained in O(1) per sample: the constant-state companion the
-// incremental pipeline keeps per accumulator, where the batch detectors
-// above need the whole series in hand. It accumulates how far samples
-// run above a reference target beyond a slack allowance and alarms when
-// the accumulated excess crosses a threshold — the classic control-chart
-// form of the §4.1 level-shift onset test (docs/DETECTION.md §5). Its
-// verdicts are advisory: they never enter encoded congestion bodies.
-type OnlineCUSUM struct {
-	// Slack is the per-sample allowance k: excursions smaller than
-	// Slack above the target never accumulate.
-	Slack float64
-	// Threshold is the accumulated excess h that raises the alarm.
-	Threshold float64
-
-	target    float64
-	hasTarget bool
-	excess    float64
-	n         int
-	onset     int
-}
-
-// NewOnlineCUSUM returns a detector with the given slack and alarm
-// threshold. The reference target locks to the first non-NaN sample.
-func NewOnlineCUSUM(slack, threshold float64) *OnlineCUSUM {
-	return &OnlineCUSUM{Slack: slack, Threshold: threshold, onset: -1}
-}
-
-// Observe folds one sample and reports the alarm state after it. NaN
-// samples advance the sample index without touching the excursion, so
-// onset indexes stay aligned with the caller's series.
-func (c *OnlineCUSUM) Observe(v float64) bool {
-	i := c.n
-	c.n++
-	if math.IsNaN(v) {
-		return c.Alarmed()
-	}
-	if !c.hasTarget {
-		c.target, c.hasTarget = v, true
-	}
-	s := c.excess + (v - c.target - c.Slack)
-	switch {
-	case s <= 0:
-		s, c.onset = 0, -1
-	case c.excess == 0:
-		c.onset = i
-	}
-	c.excess = s
-	return c.Alarmed()
-}
-
-// Alarmed reports whether the accumulated excess exceeds the threshold.
-func (c *OnlineCUSUM) Alarmed() bool { return c.excess > c.Threshold }
-
-// Onset returns the sample index where the active excursion began, or
-// -1 when the excursion is empty.
-func (c *OnlineCUSUM) Onset() int { return c.onset }
-
-// Excess returns the accumulated positive excursion.
-func (c *OnlineCUSUM) Excess() float64 { return c.excess }
-
-// Samples returns how many samples have been observed, NaN included.
-func (c *OnlineCUSUM) Samples() int { return c.n }
 
 // DetectLevelShiftsCUSUM runs the bootstrap change-point detector over a
 // min-filtered series and derives elevation episodes the same way the

@@ -12,7 +12,6 @@ package analysis
 
 import (
 	"fmt"
-	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -298,64 +297,4 @@ func TestIncrementalInvalidationTriggers(t *testing.T) {
 			t.Fatalf("expected Unchanged advance, got %+v", info)
 		}
 	})
-}
-
-// TestOnlineCUSUM pins the sequential detector's semantics: lock-in of
-// the target, slack absorption, onset tracking, and NaN transparency.
-func TestOnlineCUSUM(t *testing.T) {
-	c := NewOnlineCUSUM(3, 20)
-	for i := 0; i < 20; i++ {
-		if c.Observe(10 + float64(i%2)) {
-			t.Fatalf("alarm during baseline at sample %d", i)
-		}
-	}
-	if c.Onset() != -1 {
-		t.Fatalf("baseline should hold no excursion, onset=%d", c.Onset())
-	}
-	// A 15 ms shift accumulates 12/sample past the slack: alarm on the
-	// second shifted sample.
-	alarmAt := -1
-	for i := 0; i < 5; i++ {
-		if c.Observe(25) && alarmAt < 0 {
-			alarmAt = 20 + i
-		}
-	}
-	if alarmAt != 21 {
-		t.Fatalf("alarm at sample %d, want 21", alarmAt)
-	}
-	if c.Onset() != 20 {
-		t.Fatalf("onset=%d, want 20", c.Onset())
-	}
-	// NaNs advance the index without touching the excursion.
-	n := c.Samples()
-	c.Observe(math.NaN())
-	if c.Samples() != n+1 || !c.Alarmed() {
-		t.Fatal("NaN must advance the sample index and keep the alarm")
-	}
-	// Recovery: the alarm drops once the excess sinks under the
-	// threshold, and the onset clears when the excursion fully drains.
-	for i := 0; i < 50 && c.Excess() > 0; i++ {
-		c.Observe(10)
-	}
-	if c.Alarmed() || c.Excess() != 0 || c.Onset() != -1 {
-		t.Fatalf("detector did not recover: excess=%g onset=%d", c.Excess(), c.Onset())
-	}
-}
-
-// TestIncrementalCUSUMFeedsSettledBins checks the advisory feed: only
-// bins strictly before the newest folded far point are consumed.
-func TestIncrementalCUSUMFeedsSettledBins(t *testing.T) {
-	h := newIncHarness(t)
-	at := incStart.Add(5*h.bin + h.bin/2) // mid bin 5
-	h.write("vp1", "far", at, 40)
-	h.check()
-	if st := h.inc.CUSUM(); st.FedBins != 5 {
-		t.Fatalf("fed %d bins, want 5 (bin holding the newest point is unsettled)", st.FedBins)
-	}
-	// A later point settles everything up to its own bin.
-	h.write("vp1", "far", incStart.Add(9*h.bin), 40)
-	h.check()
-	if st := h.inc.CUSUM(); st.FedBins != 9 {
-		t.Fatalf("fed %d bins, want 9", st.FedBins)
-	}
 }

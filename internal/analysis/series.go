@@ -6,11 +6,12 @@
 //
 // The autocorrelation method comes in two result-identical forms: the
 // batch Autocorrelation entry point, which rebuilds everything per
-// call, and the persistent Incremental accumulator, which folds only
-// newly written points between advances. Their shared state, the
-// validity proof behind the incremental fast path, and the advisory
-// online onset detector are specified in docs/DETECTION.md §2-§5; the
-// equivalence contract between the two forms is docs/DETECTION.md §4.
+// call, and the persistent incremental state — BinColumn bins shared
+// by every window over a link, folding only newly written points, and
+// one Accumulator per window over them. Their shared state and the
+// validity proof behind the incremental fast path are specified in
+// docs/DETECTION.md §2-§5; the equivalence contract between the two
+// forms is docs/DETECTION.md §4.
 package analysis
 
 import (
@@ -22,8 +23,8 @@ import (
 // Both detectors pre-process raw TSLP samples by taking the minimum per
 // bin, which removes slow-path ICMP outliers while preserving sustained
 // queueing delay. The min-fold is idempotent and commutative, which is
-// what lets the Incremental accumulator fold points in write order and
-// still match a batch rebuild bin for bin (docs/DETECTION.md §3).
+// what lets a BinColumn fold points in write order and still match a
+// batch rebuild bin for bin (docs/DETECTION.md §3).
 type BinSeries struct {
 	Start    time.Time
 	Interval time.Duration

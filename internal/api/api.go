@@ -62,13 +62,15 @@ type Server struct {
 	met   *metrics
 	cfg   serverConfig
 
-	// det holds the persistent incremental detector accumulators behind
-	// /api/v1/congestion (docs/DETECTION.md §3), with the
-	// detector_incremental counters of /api/v1/stats alongside
+	// det and cols hold the persistent incremental detector state
+	// behind /api/v1/congestion (docs/DETECTION.md §3): one accumulator
+	// per window, one column of shared bins per link and grid. The
+	// detector_incremental counters of /api/v1/stats sit alongside
 	// (docs/DETECTION.md §6). Every detector run is exactly one advance,
 	// so detFolds is also the congestion_computes count: with coalescing
 	// and caching it grows strictly slower than the request count.
-	det               *detRegistry
+	det               *lru[detKey, *detState]
+	cols              *lru[colKey, *analysis.BinColumn]
 	detFolds          atomic.Uint64
 	detPointsFolded   atomic.Uint64
 	detFullRecomputes atomic.Uint64
@@ -142,7 +144,8 @@ func New(db *tsdb.DB, opts ...Option) *Server {
 		pool:    pipeline.NewPool(0),
 		met:     newMetrics(),
 		cfg:     cfg,
-		det:     newDetRegistry(),
+		det:     newLRU[detKey](DefaultDetectorCapacity, closeDetState),
+		cols:    newLRU[colKey, *analysis.BinColumn](DefaultColumnBytes, nil),
 		started: time.Now(),
 	}
 	if cfg.swr {
@@ -434,7 +437,7 @@ func (s *Server) handleCongestion(w http.ResponseWriter, r *http.Request) {
 		Stamp:   s.DB.ViewStamp("tslp", linkFilter(link, "", vp)),
 	}
 	s.serveCached(w, r, key, "application/json", true, func() (any, error) {
-		return s.advanceDetector(link, vp, from, cfg)
+		return s.advanceDetector(link, vp, from, cfg, key.Stamp)
 	})
 }
 

@@ -1,6 +1,8 @@
 package api_test
 
 import (
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -41,4 +43,59 @@ func BenchmarkColdQueryBody(b *testing.B) {
 			b.Fatalf("status %d, %d body bytes", rec.Code, rec.Body.Len())
 		}
 	}
+}
+
+// BenchmarkCongestionWindows is the cold-scan congestion miss: each
+// op asks for a distinct (from, days) window over one lazily restored
+// link — 40 days of far and near samples at a five-minute cadence —
+// with the read cache purged, so every op is one detector run. Windows
+// share the link's bin column, so after the first op a run copies bins
+// instead of decoding blocks and folding points; points/op reports the
+// folds that remain.
+func BenchmarkCongestionWindows(b *testing.B) {
+	src := tsdb.Open()
+	start := time.Date(2016, 3, 1, 0, 0, 0, 0, time.UTC)
+	x := uint64(1)
+	for _, side := range []string{"far", "near"} {
+		tags := map[string]string{"link": "L00", "side": side, "vp": "vp-a"}
+		for i := 0; i < 40*288; i++ {
+			x = x*6364136223846793005 + 1442695040888963407
+			src.Write("tslp", tags, start.Add(time.Duration(i)*5*time.Minute), 21.5+float64(x>>11)/(1<<53))
+		}
+	}
+	dir := b.TempDir()
+	if _, err := src.SnapshotDir(dir, tsdb.DirOptions{}); err != nil {
+		b.Fatal(err)
+	}
+	db := tsdb.Open()
+	if err := db.RestoreDir(dir, tsdb.DirOptions{Lazy: true}); err != nil {
+		b.Fatal(err)
+	}
+	s := api.New(db)
+	defer s.Close()
+	folded := func() uint64 {
+		var st api.StatsResponse
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/v1/stats", nil))
+		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+			b.Fatal(err)
+		}
+		return st.Detector.PointsFolded
+	}
+	before := folded()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.PurgeCache()
+		from := start.AddDate(0, 0, i%20)
+		days := 8 + (i*7)%33
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet,
+			fmt.Sprintf("/api/v1/congestion?link=L00&from=%s&days=%d", from.Format(time.RFC3339), days), nil))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(folded()-before)/float64(b.N), "points/op")
 }
