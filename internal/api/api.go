@@ -40,6 +40,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -227,6 +228,14 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
+	writeBody(w, status, body)
+}
+
+// writeBody sends body with an exact Content-Length, so no body goes
+// out chunked and the front reads each into one buffer of the right
+// size (docs/SERVING.md §9).
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
 	_, _ = w.Write(body)
 }
@@ -265,7 +274,7 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key readcac
 	}
 	w.Header().Set("ETag", etag)
 	w.Header().Set("Content-Type", contentType)
-	_, _ = w.Write(v.([]byte))
+	writeBody(w, http.StatusOK, v.([]byte))
 }
 
 func (s *Server) handleMeasurements(w http.ResponseWriter, r *http.Request) {

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -41,6 +42,10 @@ const (
 	// latencyWindow is how many recent primary-fetch latencies the
 	// adaptive hedge timer estimates its p90 over.
 	latencyWindow = 64
+	// maxExactBody bounds the buffer fetch sizes from a replica's
+	// Content-Length; a longer declared body is read incrementally, so
+	// a lying header cannot make the front allocate it up front.
+	maxExactBody = 64 << 20
 )
 
 // ServedByHeader and ReplicaLagHeader carry routing provenance on
@@ -108,11 +113,15 @@ type Front struct {
 	rr          atomic.Uint64 // round-robin cursor
 	unavailable atomic.Uint64 // requests refused with no usable replica
 
-	// latMu guards the latency ring behind the adaptive hedge timer.
+	// latMu guards the latency ring behind the adaptive hedge timer and
+	// its sorted copy; p90 is the timer it yields, kept as samples
+	// arrive so a request reads it without the lock.
 	latMu   sync.Mutex
 	lats    [latencyWindow]time.Duration
+	latSort [latencyWindow]time.Duration
 	latN    int
 	latNext int
+	p90     atomic.Int64
 }
 
 // NewFront returns a front over the given replica base URLs. At least
@@ -317,9 +326,14 @@ type upstream struct {
 	body   []byte
 }
 
-// fetch performs one buffered GET against a replica.
+// fetch performs one buffered GET against a replica, forwarding the
+// client's request-target verbatim when it is origin-form.
 func (f *Front) fetch(ctx context.Context, snap *replicaSnapshot, r *http.Request) (*upstream, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, snap.rep.url+r.URL.RequestURI(), nil)
+	target := r.RequestURI
+	if !strings.HasPrefix(target, "/") {
+		target = r.URL.RequestURI()
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, snap.rep.url+target, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -333,12 +347,20 @@ func (f *Front) fetch(ctx context.Context, snap *replicaSnapshot, r *http.Reques
 		return nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	var body []byte
+	if n := resp.ContentLength; n >= 0 && n <= maxExactBody {
+		body = make([]byte, n)
+		_, err = io.ReadFull(resp.Body, body)
+	} else {
+		body, err = io.ReadAll(resp.Body)
+	}
 	if err != nil {
-		// Mid-body death: Content-Length promised more than arrived.
+		// Mid-body death: a short read against the Content-Length, or a
+		// chunked body cut before its last chunk.
 		return nil, fmt.Errorf("reading body from %s: %w", snap.rep.shown, err)
 	}
-	return &upstream{snap: snap, status: resp.StatusCode, header: resp.Header.Clone(), body: body}, nil
+	// The header map is this response's own; nothing else holds it.
+	return &upstream{snap: snap, status: resp.StatusCode, header: resp.Header, body: body}, nil
 }
 
 // hedgeDelay returns the current hedge timer: the fixed FrontOptions
@@ -348,30 +370,30 @@ func (f *Front) hedgeDelay() time.Duration {
 	if f.hedge > 0 {
 		return f.hedge
 	}
-	f.latMu.Lock()
-	defer f.latMu.Unlock()
-	if f.latN < 8 {
-		return hedgeFloor
-	}
-	tmp := make([]time.Duration, f.latN)
-	copy(tmp, f.lats[:f.latN])
-	sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] })
-	d := tmp[(len(tmp)*9)/10]
-	if d < hedgeFloor {
-		d = hedgeFloor
-	}
-	return d
+	return max(time.Duration(f.p90.Load()), hedgeFloor)
 }
 
-// observeLatency feeds the adaptive hedge timer.
+// observeLatency feeds the adaptive hedge timer: the sample replaces
+// the oldest in the ring and in the sorted copy (one binary search and
+// one shift each), and the p90 is re-read from the sorted copy once at
+// least 8 samples exist.
 func (f *Front) observeLatency(d time.Duration) {
 	f.latMu.Lock()
-	f.lats[f.latNext] = d
-	f.latNext = (f.latNext + 1) % latencyWindow
-	if f.latN < latencyWindow {
+	defer f.latMu.Unlock()
+	sorted := f.latSort[:f.latN]
+	if f.latN == latencyWindow {
+		i, _ := slices.BinarySearch(sorted, f.lats[f.latNext])
+		sorted = slices.Delete(sorted, i, i+1)
+	} else {
 		f.latN++
 	}
-	f.latMu.Unlock()
+	f.lats[f.latNext] = d
+	f.latNext = (f.latNext + 1) % latencyWindow
+	i, _ := slices.BinarySearch(sorted, d)
+	sorted = slices.Insert(sorted, i, d)
+	if len(sorted) >= 8 {
+		f.p90.Store(int64(sorted[len(sorted)*9/10]))
+	}
 }
 
 // route serves one read through the candidate list: primary fetch,
@@ -474,15 +496,19 @@ func (f *Front) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		f.serveStats(w, res)
 		return
 	}
+	// The upstream header's keys are already canonical and its slices
+	// are this request's own, so they are taken as they are.
+	h := w.Header()
 	for k, vs := range res.header {
-		for _, v := range vs {
-			w.Header().Add(k, v)
-		}
+		h[k] = vs
 	}
-	w.Header().Set(ServedByHeader, res.snap.rep.shown)
-	w.Header().Set(ReplicaLagHeader, strconv.FormatUint(res.snap.lag, 10))
+	h.Set(ServedByHeader, res.snap.rep.shown)
+	h.Set(ReplicaLagHeader, strconv.FormatUint(res.snap.lag, 10))
+	if res.status != http.StatusNotModified {
+		h.Set("Content-Length", strconv.Itoa(len(res.body)))
+	}
 	if stale {
-		w.Header().Set("Warning", `110 - "all replicas beyond staleness threshold"`)
+		h.Set("Warning", `110 - "all replicas beyond staleness threshold"`)
 		if f.logf != nil {
 			f.logf("front: all replicas stale, serving freshest (%s at lag %d)", res.snap.rep.shown, res.snap.lag)
 		}

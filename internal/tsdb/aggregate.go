@@ -14,15 +14,15 @@ package tsdb
 //   - Count counts every point in the bucket, NaN values included.
 //   - Min and Max exclude NaN values; a bucket whose points are all
 //     NaN (or empty) reports NaN.
-//   - Sum is a fold of per-block partial sums in time order, each
-//     partial being the sequential left-to-right IEEE-754 sum of the
-//     block's in-bucket values; a NaN value poisons the sum. On an
-//     eager store, which has no block structure, the fold degenerates
-//     to one sequential sum per bucket. The two groupings are equal
-//     for exactly representable values and may differ in the last ulp
-//     otherwise; within a lazy store, the summary path and the decode
-//     path are bit-identical by construction, because a block's stored
-//     Sum is the same sequential fold its decoded values produce.
+//   - Sum is one running IEEE-754 sum per bucket, in time order; a NaN
+//     value poisons it. A decoded point is added to it as one term; a
+//     summary-folded block adds its stored Sum, the sequential sum of
+//     its values from zero, as one term. So a bucket fed only by
+//     decoded points is bit-identical to the eager store's sequential
+//     sum, and so is a bucket fed by one block summary alone; a bucket
+//     fed by several summaries (or summaries and points) groups its
+//     terms differently, and may differ from both in the last ulp.
+//     All groupings agree exactly on exactly representable sums.
 //   - Mean is Sum/Count, so it inherits Sum's NaN poisoning.
 //   - Empty buckets report Count 0 and NaN for everything else.
 
@@ -97,8 +97,8 @@ type AggSeries struct {
 }
 
 // aggDisablePushdown is a test-only switch forcing every block through
-// the decode fallback, proving summary folds and decode folds agree
-// bit for bit. Never set outside tsdb tests.
+// the decode fallback, whose sums are the eager store's. Never set
+// outside tsdb tests.
 var aggDisablePushdown bool
 
 // aggAcc accumulates one bucket during a fold.
@@ -126,9 +126,9 @@ func (a *aggAcc) observe(v float64) {
 }
 
 // foldSummary folds one fully-contained block's summary into the
-// bucket: the count, the NaN-excluding extrema, and the block's
-// partial sum, exactly what observing each decoded point would have
-// produced (see the package comment on sum grouping).
+// bucket: the count and the NaN-excluding extrema that observing each
+// decoded point would have produced, and the block's stored sum as one
+// term (see the package comment on sum grouping).
 func (a *aggAcc) foldSummary(count int, min, max, sum float64) {
 	a.count += count
 	a.sum += sum
@@ -252,9 +252,8 @@ func (l *lazySeries) aggregate(accs []aggAcc, fromNs, stepNs int64) {
 			continue
 		}
 		// Fallback: decode through the cache and fold this block's
-		// in-range points. Folding one block at a time keeps the sum
-		// grouping identical to the summary path: one partial per
-		// block, in time order.
+		// in-range points one at a time into the running sums, in time
+		// order, as the eager store does.
 		d := l.store.decode(r)
 		aggMarkDecoded(accs, r, fromNs, stepNs)
 		aggFoldColumn(accs, d.times, d.values, fromNs, stepNs)

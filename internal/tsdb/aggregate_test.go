@@ -4,7 +4,9 @@ package tsdb
 // §10). The suite is anchored on two oracles: a brute-force per-point
 // fold over Query results (exact for the integer-valued fixtures), and
 // the aggDisablePushdown switch, which forces every block through the
-// decode fallback — the pushdown path must match it bit for bit.
+// decode fallback — on the integer fixtures the pushdown path must
+// match it bit for bit (TestAggSumGroupingNonInteger pins which sums
+// agree on non-integer values).
 // Test names carry "Agg" so CI's storage-smoke job can select the
 // suite with -run Agg.
 
@@ -266,6 +268,73 @@ func TestAggZeroDecodePushdown(t *testing.T) {
 	}
 	if !aggEqualBits(got, got2) {
 		t.Fatal("compaction changed the aggregate result")
+	}
+}
+
+// TestAggSumGroupingNonInteger pins which lazy sums equal the eager
+// one on non-integer values, where grouping shows in the last ulp. A
+// decoded block adds its points to the bucket's running sum one at a
+// time, so a bucket fed only by decoded points is the eager sequential
+// sum; a bucket fed by one block summary alone is that block's stored
+// Sum, the same sequential sum from zero. A bucket fed by several
+// summaries adds one term per block, and may differ.
+func TestAggSumGroupingNonInteger(t *testing.T) {
+	src := Open()
+	src.SetSegmentWindow(time.Hour)
+	x := uint64(42)
+	for i := 0; i < 360; i++ {
+		x = x*6364136223846793005 + 1442695040888963407
+		src.Write("tslp", map[string]string{"link": "l1"}, t0.Add(time.Duration(i)*time.Minute),
+			10*float64(x>>11)/(1<<53))
+	}
+	lz := lazyOpen(t, snapToDir(t, src, DirOptions{}), DirOptions{})
+	from, to := t0, t0.Add(6*time.Hour)
+
+	// Decoded points only: forced decode, and straddling 1 h buckets.
+	twoHour := refAggregate(src, "tslp", from, to, 2*time.Hour)
+	if dec := forceDecodeAggregate(t, lz, "tslp", from, to, 2*time.Hour, AggAll); !aggEqualBits(dec, twoHour) {
+		t.Fatal("forced-decode 2 h buckets differ from the eager sums")
+	}
+	before := lazyStats(t, lz)
+	off := from.Add(30 * time.Minute)
+	got, err := lz.QueryAggregate("tslp", nil, off, off.Add(5*time.Hour), time.Hour, AggAll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lazyStats(t, lz).SummaryOnlyBuckets != before.SummaryOnlyBuckets {
+		t.Fatal("straddling buckets folded a summary")
+	}
+	if !aggEqualBits(got, refAggregate(src, "tslp", off, off.Add(5*time.Hour), time.Hour)) {
+		t.Fatal("straddling decoded buckets differ from the eager sums")
+	}
+
+	// One summary per bucket: aligned 1 h buckets over hourly blocks.
+	before = lazyStats(t, lz)
+	got, err = lz.QueryAggregate("tslp", nil, from, to, time.Hour, AggAll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := lazyStats(t, lz).SummaryOnlyBuckets - before.SummaryOnlyBuckets; d != 6 {
+		t.Fatalf("%d summary-only buckets, want 6", d)
+	}
+	if !aggEqualBits(got, refAggregate(src, "tslp", from, to, time.Hour)) {
+		t.Fatal("single-summary buckets differ from the eager sums")
+	}
+
+	// Two summaries per bucket are two terms, not 120: the fixture must
+	// show that grouping, or the checks above prove nothing.
+	got, err = lz.QueryAggregate("tslp", nil, from, to, 2*time.Hour, AggSum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	differ := 0
+	for i, b := range got[0].Buckets {
+		if b.Sum != twoHour[0].Buckets[i].Sum {
+			differ++
+		}
+	}
+	if differ == 0 {
+		t.Fatal("every two-summary bucket equals its eager sum: the values do not exercise sum grouping")
 	}
 }
 

@@ -9,7 +9,6 @@ package tsdb
 // work per request instead of O(full-detector).
 
 import (
-	"hash/fnv"
 	"sort"
 	"time"
 )
@@ -257,38 +256,40 @@ func (db *DB) ViewStamp(measurement string, filter map[string]string) uint64 {
 	db.global.RLock()
 	epoch := db.epoch
 	db.global.RUnlock()
-	h := fnv.New64a()
-	var buf [8]byte
-	putUint64 := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (56 - 8*i))
-		}
-		h.Write(buf[:])
-	}
-	putUint64(epoch)
-
+	h := fnvUint64(fnvOffset64, epoch)
 	keys, ok := db.idx.candidates(measurement, filter)
 	if !ok {
-		return h.Sum64()
+		return h
 	}
 	// Per-series contributions are combined by XOR so the stamp is
 	// independent of map-iteration order without sorting keys.
 	var acc uint64
 	n := 0
 	db.readMatching(keys, measurement, filter, func(k string, s *series) {
-		sub := fnv.New64a()
-		sub.Write([]byte(k))
-		var b [8]byte
-		for i := 0; i < 8; i++ {
-			b[i] = byte(s.version >> (56 - 8*i))
-		}
-		sub.Write(b[:])
-		acc ^= sub.Sum64()
+		acc ^= fnvUint64(fnvString(fnvOffset64, k), s.version)
 		n++
 	})
-	putUint64(acc)
-	putUint64(uint64(n))
-	return h.Sum64()
+	return fnvUint64(fnvUint64(h, acc), uint64(n))
+}
+
+// FNV-64a, folded inline: ViewStamp runs on every cacheable request,
+// and hash/fnv's Hash64 costs an allocation per series there.
+const fnvOffset64, fnvPrime64 = 14695981039346656037, 1099511628211
+
+// fnvString folds s into the FNV-64a state h.
+func fnvString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime64
+	}
+	return h
+}
+
+// fnvUint64 folds v's eight big-endian bytes into the FNV-64a state h.
+func fnvUint64(h, v uint64) uint64 {
+	for shift := 56; shift >= 0; shift -= 8 {
+		h = (h ^ uint64(byte(v>>shift))) * fnvPrime64
+	}
+	return h
 }
 
 // Epoch returns the store's restore epoch: it increments on every
