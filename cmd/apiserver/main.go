@@ -5,21 +5,20 @@
 //
 //	apiserver -in datadir/ [-addr :8080] [-pidfile path]
 //	          [-follow http://leader:8081] [-tail-every 30s]
-//	          [-replica-addr :8081] [-lazy] [-block-cache-mb 16]
+//	          [-replica-addr :8081] [-block-cache-mb 16]
 //	          [-swr] [-swr-budget 5m]
 //	apiserver -front http://r1:8080,http://r2:8080 [-addr :8080]
 //	          [-front-health-every 2s] [-front-staleness 1]
 //	          [-front-hedge-after 0]
 //
 // -in names a segment directory written by tslpd -datadir
-// (docs/PERSISTENCE.md); it is opened read-only, its shards decoded in
-// parallel. With -lazy the directory is mapped instead of decoded: queries prune whole
-// blocks by their summaries and decode only survivors on demand
-// (docs/PERSISTENCE.md §9), /api/v1/stats reports the blocks scanned
-// vs skipped, and follower hot-swaps reopen only changed segments.
-// -block-cache-mb bounds the lazy mode's decoded-block cache in MiB
-// (docs/PERSISTENCE.md §9.5); 0 keeps the built-in 16 MiB default.
-// The budget applies to follower hot-swaps too.
+// (docs/PERSISTENCE.md); it is opened read-only and mapped, not
+// decoded: queries prune whole blocks by their summaries and decode
+// only survivors on demand (docs/PERSISTENCE.md §9), /api/v1/stats
+// reports the blocks scanned vs skipped, and follower hot-swaps reopen
+// only changed segments. -block-cache-mb bounds the decoded-block
+// cache in MiB (docs/PERSISTENCE.md §9.5); 0 keeps the built-in 16 MiB
+// default. The budget applies to follower hot-swaps too.
 //
 // With -follow the server is a replication follower (docs/REPLICATION.md):
 // -in names the local replica directory (created if absent), and the
@@ -134,10 +133,8 @@ func main() {
 	follow := flag.String("follow", "", "leader base URL to replicate from, e.g. http://leader:8081 (docs/REPLICATION.md)")
 	tailEvery := flag.Duration("tail-every", replication.DefaultInterval, "manifest tail cadence with -follow")
 	replicaAddr := flag.String("replica-addr", "", "listen address exporting -in to downstream followers")
-	lazy := flag.Bool("lazy", false,
-		"open segment directories in block-pruned lazy mode: segments are mapped, not decoded, and queries decode only the blocks that survive summary pruning (docs/PERSISTENCE.md §9)")
 	blockCacheMB := flag.Int64("block-cache-mb", 0,
-		"decoded-block cache budget in MiB with -lazy (0 means the built-in default; docs/PERSISTENCE.md §9.5)")
+		"decoded-block cache budget in MiB (0 means the built-in default; docs/PERSISTENCE.md §9.5)")
 	swr := flag.Bool("swr", false,
 		"serve stale-while-revalidate: answer invalidated congestion requests with the superseded body while recomputing in the background (docs/DETECTION.md §7)")
 	swrBudget := flag.Duration("swr-budget", 5*time.Minute,
@@ -191,15 +188,14 @@ func main() {
 		// Follower mode: -in is the replica directory. It may not exist
 		// yet (first start) or may hold a committed generation (restart);
 		// either way the follower resumes from whatever is there.
-		db, err = openReplicaDir(*inPath, *lazy, cacheBytes)
+		db, err = openReplicaDir(*inPath, cacheBytes)
 		if err != nil {
 			fatal(err)
 		}
-		// With -lazy the post-commit hot-swap maps only the segments each
-		// cycle fetched instead of re-decoding the whole directory.
+		// The post-commit hot-swap maps only the segments each cycle
+		// fetched.
 		f := replication.New(*follow, *inPath, db, replication.Options{
 			Interval:   *tailEvery,
-			Lazy:       *lazy,
 			CacheBytes: cacheBytes,
 			Logf:       log.Printf,
 		})
@@ -218,7 +214,7 @@ func main() {
 		)
 		fmt.Printf("apiserver: following %s into %s every %s\n", *follow, *inPath, *tailEvery)
 	} else {
-		db, err = openStore(*inPath, *lazy, cacheBytes)
+		db, err = openStore(*inPath, cacheBytes)
 		if err != nil {
 			fatal(err)
 		}
@@ -331,11 +327,11 @@ func runFront(replicas, addr, debugAddr, pidfile string, healthEvery time.Durati
 	}
 }
 
-// openStore restores a segment directory (tslpd -datadir) in parallel
-// and read-only — or, with lazy, maps it without decoding so startup is
-// O(metadata). cacheBytes bounds the lazy decoded-block cache
-// (docs/PERSISTENCE.md §9.5); 0 means the tsdb default.
-func openStore(path string, lazy bool, cacheBytes int64) (*tsdb.DB, error) {
+// openStore maps a segment directory (tslpd -datadir) read-only
+// without decoding it, so startup is O(metadata). cacheBytes bounds
+// the decoded-block cache (docs/PERSISTENCE.md §9.5); 0 means the tsdb
+// default.
+func openStore(path string, cacheBytes int64) (*tsdb.DB, error) {
 	fi, err := os.Stat(path)
 	if err != nil {
 		return nil, err
@@ -344,17 +340,17 @@ func openStore(path string, lazy bool, cacheBytes int64) (*tsdb.DB, error) {
 		return nil, fmt.Errorf("-in must be a segment directory (docs/PERSISTENCE.md), %s is a file", path)
 	}
 	db := tsdb.Open()
-	return db, db.RestoreDir(path, tsdb.DirOptions{Lazy: lazy, BlockCacheBytes: cacheBytes})
+	return db, db.RestoreDir(path, tsdb.DirOptions{BlockCacheBytes: cacheBytes})
 }
 
 // openReplicaDir opens the follower's local replica directory: restore
 // from it when it holds a committed manifest (a restart resumes
 // serving immediately at the applied generation), start empty when it
 // does not (health answers 503 until the first tail cycle lands).
-func openReplicaDir(dir string, lazy bool, cacheBytes int64) (*tsdb.DB, error) {
+func openReplicaDir(dir string, cacheBytes int64) (*tsdb.DB, error) {
 	db := tsdb.Open()
 	if _, err := os.Stat(filepath.Join(dir, tsdb.ManifestName)); err == nil {
-		if err := db.RestoreDir(dir, tsdb.DirOptions{Lazy: lazy, BlockCacheBytes: cacheBytes}); err != nil {
+		if err := db.RestoreDir(dir, tsdb.DirOptions{BlockCacheBytes: cacheBytes}); err != nil {
 			return nil, err
 		}
 		fmt.Printf("apiserver: resumed replica generation %d (%d series, %d points) from %s\n",

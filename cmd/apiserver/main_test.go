@@ -29,7 +29,7 @@ func TestOpenStoreFileAndDir(t *testing.T) {
 	if _, err := db.SnapshotDir(dir, tsdb.DirOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := openStore(dir, false, 0)
+	got, err := openStore(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,19 +39,19 @@ func TestOpenStoreFileAndDir(t *testing.T) {
 
 	// A file is refused by name, not fed to a decoder.
 	file := filepath.Join(dir, tsdb.ManifestName)
-	if _, err := openStore(file, false, 0); err == nil ||
+	if _, err := openStore(file, 0); err == nil ||
 		!strings.Contains(err.Error(), "-in must be a segment directory (docs/PERSISTENCE.md)") {
 		t.Fatalf("file -in: err = %v, want the segment-directory message", err)
 	}
 
-	if _, err := openStore(filepath.Join(dir, "nope"), false, 0); err == nil {
+	if _, err := openStore(filepath.Join(dir, "nope"), 0); err == nil {
 		t.Fatal("missing path must error")
 	}
 }
 
 func TestOpenReplicaDir(t *testing.T) {
 	// An empty (or absent) replica directory starts an empty store.
-	db, err := openReplicaDir(filepath.Join(t.TempDir(), "fresh"), false, 0)
+	db, err := openReplicaDir(filepath.Join(t.TempDir(), "fresh"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestOpenReplicaDir(t *testing.T) {
 	if _, err := src.SnapshotDir(dir, tsdb.DirOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	db, err = openReplicaDir(dir, false, 0)
+	db, err = openReplicaDir(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

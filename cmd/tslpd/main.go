@@ -66,7 +66,6 @@ func main() {
 	compactAfter := flag.Duration("compact-after", 0, "merge segment windows colder than this horizon after each snapshot (0 disables compaction)")
 	compactWindows := flag.Int("compact-windows", tsdb.DefaultCompactWindows, "max base windows per compacted segment")
 	replicaAddr := flag.String("replica-addr", "", "export -datadir to replication followers on this address (docs/REPLICATION.md)")
-	lazy := flag.Bool("lazy", false, "resume -datadir in block-pruned lazy mode: segments are mapped, not decoded, and a series is only materialized when new points land on it (docs/PERSISTENCE.md §9)")
 	flag.Parse()
 
 	if *replicaAddr != "" && *datadir == "" {
@@ -80,7 +79,7 @@ func main() {
 	db := tsdb.Open()
 	if *datadir != "" {
 		if _, err := os.Stat(filepath.Join(*datadir, tsdb.ManifestName)); err == nil {
-			if err := db.RestoreDir(*datadir, tsdb.DirOptions{Lazy: *lazy}); err != nil {
+			if err := db.RestoreDir(*datadir, tsdb.DirOptions{}); err != nil {
 				fatal(err)
 			}
 			fmt.Printf("tslpd: resumed %d series (%d points) from %s\n", db.SeriesCount(), db.PointCount(), *datadir)

@@ -184,7 +184,7 @@ func TestQueryAggregateLazyPushdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := tsdb.Open()
-	if err := db.RestoreDir(dir, tsdb.DirOptions{Lazy: true}); err != nil {
+	if err := db.RestoreDir(dir, tsdb.DirOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	srv := api.New(db)

@@ -429,30 +429,30 @@ func TestDashboardIndexStatus(t *testing.T) {
 // TestQueryValueBoundAndLazyStats covers the vmin/vmax query
 // parameters and the lazy_read stats block: the bound filters points
 // without being mistaken for a tag filter, bound and unbound queries
-// cache under distinct identities, malformed bounds 400, and a lazily
-// opened store surfaces its prune counters on /api/v1/stats (absent on
-// an eager store).
+// cache under distinct identities, malformed bounds 400, and a restored
+// store surfaces its prune counters on /api/v1/stats (absent on a store
+// that was only written).
 func TestQueryValueBoundAndLazyStats(t *testing.T) {
 	ts, db := newServer(t)
 	for i := 0; i < 10; i++ {
 		db.Write("tslp", map[string]string{"vp": "a", "side": "far"}, netsim.Epoch.Add(time.Duration(i)*time.Minute), float64(i))
 	}
 
-	// Eager store: no lazy_read block.
+	// Written store: no lazy_read block.
 	var st api.StatsResponse
 	if code := getJSON(t, ts.URL+"/api/v1/stats", &st); code != 200 {
 		t.Fatalf("stats status %d", code)
 	}
 	if st.LazyRead != nil {
-		t.Fatal("eager store reported lazy_read stats")
+		t.Fatal("written store reported lazy_read stats")
 	}
 
-	// Reopen the serving store lazily from its own snapshot.
+	// Reopen the serving store from its own snapshot.
 	dir := t.TempDir()
 	if _, err := db.SnapshotDir(dir, tsdb.DirOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.RestoreDir(dir, tsdb.DirOptions{Lazy: true}); err != nil {
+	if err := db.RestoreDir(dir, tsdb.DirOptions{}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -17,8 +17,9 @@ import (
 // benchmark's cold-scan raw query — three days of one link's far and
 // near series at a five-minute cadence, 1,728 points, 72 KB of JSON —
 // through ServeHTTP into a recorder, the read cache purged before each
-// request. The store is eager, so B/op and allocs/op are the view
-// build plus the body encode and nothing of block decode.
+// request. The store is written, never restored, so B/op and
+// allocs/op are the view build plus the body encode and nothing of
+// block decode.
 func BenchmarkColdQueryBody(b *testing.B) {
 	db := tsdb.Open()
 	start := time.Date(2016, 3, 1, 0, 0, 0, 0, time.UTC)
@@ -69,7 +70,7 @@ func BenchmarkCongestionWindows(b *testing.B) {
 		b.Fatal(err)
 	}
 	db := tsdb.Open()
-	if err := db.RestoreDir(dir, tsdb.DirOptions{Lazy: true}); err != nil {
+	if err := db.RestoreDir(dir, tsdb.DirOptions{}); err != nil {
 		b.Fatal(err)
 	}
 	s := api.New(db)

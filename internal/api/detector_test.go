@@ -61,7 +61,7 @@ func randomWindow(rng *netsim.RNG) congestionWindow {
 // link — random starts, lengths and grid phases, so columns are grown,
 // shared and re-folded — serves after every step of a random schedule
 // of in-window appends, out-of-order backfills, out-of-window writes,
-// retention trims and snapshot/restore cycles (eager and lazy) the
+// retention trims and snapshot/restore cycles the
 // byte-identical body a fresh server computes for each window alone.
 func TestCongestionOverlappingWindowsMatchFresh(t *testing.T) {
 	for seed := uint64(1); seed <= 2; seed++ {
@@ -109,12 +109,12 @@ func TestCongestionOverlappingWindowsMatchFresh(t *testing.T) {
 					write("w", "near", netsim.Day(200+rng.Intn(100)))
 				case p < 0.80: // retention trim of the head
 					db.Retain(netsim.Epoch.Add(time.Duration(rng.Intn(72))*time.Hour), netsim.Day(400))
-				default: // snapshot, then restore eagerly or lazily
+				default: // snapshot, then restore
 					dir := t.TempDir()
 					if _, err := db.SnapshotDir(dir, tsdb.DirOptions{}); err != nil {
 						t.Fatal(err)
 					}
-					if err := db.RestoreDir(dir, tsdb.DirOptions{Lazy: rng.Intn(2) == 0}); err != nil {
+					if err := db.RestoreDir(dir, tsdb.DirOptions{}); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -211,7 +211,7 @@ func TestCongestionWindowsShareColumn(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := tsdb.Open()
-	if err := db.RestoreDir(dir, tsdb.DirOptions{Lazy: true}); err != nil {
+	if err := db.RestoreDir(dir, tsdb.DirOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	srv := New(db)

@@ -146,7 +146,7 @@ func TestFollowerOneDeltaPerRound(t *testing.T) {
 	lf.advance(t, 2)
 
 	fdb, fdir := tsdb.Open(), t.TempDir()
-	f := replication.New(lf.ts.URL, fdir, fdb, replication.Options{Lazy: true})
+	f := replication.New(lf.ts.URL, fdir, fdb, replication.Options{})
 	if cs := syncOnce(t, f); cs.SegmentsFetched != 3 {
 		t.Fatalf("initial sync of three days fetched %d segments, want 3: %+v", cs.SegmentsFetched, cs)
 	}

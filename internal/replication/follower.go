@@ -34,19 +34,18 @@ type Options struct {
 	Client *http.Client
 	// Workers bounds concurrent segment downloads per cycle — and the
 	// installs writing finished downloads beside them — and the parallel
-	// decode of the post-commit RestoreDir (0 means one per CPU).
+	// open of the post-commit RestoreDir (0 means one per CPU).
 	Workers int
 	// Logf, when set, receives one line per completed tail cycle and
 	// per failure (e.g. log.Printf). Nil disables logging; Status
 	// always carries the same information.
 	Logf func(format string, args ...interface{})
-	// Lazy makes the post-commit hot-swap open the directory in block-
-	// pruned lazy mode (tsdb.DirOptions.Lazy): the swap maps only the
-	// segments the cycle changed — unchanged files stay held by the
-	// serving store — so a tail commit costs O(changed segments)
-	// instead of a full directory re-decode (docs/PERSISTENCE.md §9).
+	// Lazy is ignored: the post-commit hot-swap always maps only the
+	// segments the cycle changed (docs/PERSISTENCE.md §9.3).
+	//
+	// Deprecated: the hot-swap has one mode; leave Lazy unset.
 	Lazy bool
-	// CacheBytes bounds the decoded-block cache of each lazy hot-swap
+	// CacheBytes bounds the decoded-block cache of each hot-swap
 	// (tsdb.DirOptions.BlockCacheBytes; 0 means the tsdb default).
 	// Without it a follower restarted with a larger -block-cache-mb
 	// would silently fall back to the default budget on the first
@@ -126,7 +125,6 @@ type Follower struct {
 	client      *http.Client
 	interval    time.Duration
 	workers     int
-	lazy        bool
 	cacheB      int64
 	logf        func(format string, args ...interface{})
 
@@ -174,7 +172,6 @@ func New(leaderURL, dir string, db *tsdb.DB, opts Options) *Follower {
 		client:   client,
 		interval: interval,
 		workers:  opts.Workers,
-		lazy:     opts.Lazy,
 		cacheB:   opts.CacheBytes,
 		logf:     opts.Logf,
 		pending:  map[string]bool{},
@@ -473,12 +470,12 @@ func (f *Follower) tail(ctx context.Context) (CycleStats, error) {
 	// 7. Hot-swap the serving store. RestoreDir cross-checks the new
 	// generation before mutating the store, so a failure here — a bug,
 	// not an expected mode, since every file was just verified — leaves
-	// the old data serving. In lazy mode the swap maps only the files
-	// this cycle fetched, and when the generation only appended it
-	// extends the held series in place and keeps the store epoch
-	// (docs/PERSISTENCE.md §9.3).
+	// the old data serving. The swap maps only the files this cycle
+	// fetched, and when the generation only appended it extends the held
+	// series in place and keeps the store epoch (docs/PERSISTENCE.md
+	// §9.3).
 	if f.db != nil {
-		if err := f.db.RestoreDir(f.dir, tsdb.DirOptions{Workers: f.workers, Lazy: f.lazy, BlockCacheBytes: f.cacheB}); err != nil {
+		if err := f.db.RestoreDir(f.dir, tsdb.DirOptions{Workers: f.workers, BlockCacheBytes: f.cacheB}); err != nil {
 			return cs, fmt.Errorf("replication: restore committed generation %d: %w", m.Generation, err)
 		}
 	}

@@ -1,9 +1,9 @@
 package replication_test
 
 // Differential tests of the follower's in-place apply (docs/REPLICATION.md
-// §3, docs/PERSISTENCE.md §9.3): a lazy follower swapped by appending
-// to its held series must serve exactly what a fresh eager restore of
-// its directory serves, keep the store epoch only when the generation
+// §3, docs/PERSISTENCE.md §9.3): a follower swapped by appending to
+// its held series must serve exactly what a fresh restore of its
+// directory, rebuilt from summaries, serves, keep the store epoch only when the generation
 // really was an append, move a series' ViewStamp only when its points
 // moved, and keep an incremental detector on its views both exact and
 // incremental.
@@ -149,8 +149,8 @@ func sameViews(a, b []tsdb.SeriesView) bool {
 // TestFollowerInPlaceSwapMatchesRestore drives a leader through random
 // cycles of appends, new series, new windows, out-of-order backfill,
 // retention, compaction, a corrupt delta and a failed fetch, tails a
-// lazy follower after each, and holds the follower to a fresh eager
-// restore of its own directory and to batch detection.
+// follower after each, and holds the follower to a fresh restore of its
+// own directory and to batch detection.
 func TestFollowerInPlaceSwapMatchesRestore(t *testing.T) {
 	const cadence = 10 * time.Minute
 	start := time.Date(2016, 3, 1, 0, 0, 0, 0, time.UTC)
@@ -201,7 +201,7 @@ func TestFollowerInPlaceSwapMatchesRestore(t *testing.T) {
 	defer ts.Close()
 	fdir := t.TempDir()
 	fdb := tsdb.Open()
-	f := replication.New(ts.URL, fdir, fdb, replication.Options{Lazy: true, Workers: 1})
+	f := replication.New(ts.URL, fdir, fdb, replication.Options{Workers: 1})
 	if _, err := f.TailOnce(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func TestFollowerInPlaceSwapMatchesRestore(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !sameViews(fdb.QueryView("tslp", nil, everything[0], everything[1]), ref.QueryView("tslp", nil, everything[0], everything[1])) {
-			t.Fatalf("cycle %d (%s): follower views differ from an eager restore of its directory", cycle, action)
+			t.Fatalf("cycle %d (%s): follower views differ from a fresh restore of its directory", cycle, action)
 		}
 
 		newM, err := tsdb.LoadManifest(fdir)
@@ -410,15 +410,17 @@ func TestFollowerInPlaceSwapMatchesRestore(t *testing.T) {
 	t.Logf("%d in-place swaps, %d rebuilds, %d incremental advances; actions %v", inPlace, rebuilt, incremental, seen)
 }
 
-// TestFollowerCloseReleasesMappings runs 50 in-place tails and checks
-// after each that the follower store maps exactly the files its
-// committed manifest lists — superseded files are unmapped, none leak —
-// then that DB.Close releases them all.
+// TestFollowerCloseReleasesMappings runs 50 in-place tails of a
+// follower with default options and checks after each that the
+// follower store maps exactly the files its committed manifest lists —
+// superseded files are unmapped, none leak — and that an append-only
+// generation keeps the store epoch, then that DB.Close releases them
+// all.
 func TestFollowerCloseReleasesMappings(t *testing.T) {
 	lf := newLeader(t)
 	fdir := t.TempDir()
 	fdb := tsdb.Open()
-	f := replication.New(lf.ts.URL, fdir, fdb, replication.Options{Lazy: true})
+	f := replication.New(lf.ts.URL, fdir, fdb, replication.Options{})
 	if _, err := f.TailOnce(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -459,7 +461,7 @@ func TestFollowerCloseReleasesMappings(t *testing.T) {
 		t.Fatal("closed store still serves points")
 	}
 	// A closed store restores like a fresh one.
-	if err := fdb.RestoreDir(fdir, tsdb.DirOptions{Lazy: true}); err != nil {
+	if err := fdb.RestoreDir(fdir, tsdb.DirOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if fdb.Digest() != lf.db.Digest() {

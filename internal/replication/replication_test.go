@@ -318,7 +318,7 @@ func TestFollowerRefusesPerShardLeader(t *testing.T) {
 
 	fdir := t.TempDir()
 	fdb := tsdb.Open()
-	f := replication.New(ts.URL, fdir, fdb, replication.Options{Lazy: true})
+	f := replication.New(ts.URL, fdir, fdb, replication.Options{})
 	if _, err := f.TailOnce(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -533,8 +533,8 @@ func TestFollowerRejectsEscapingManifest(t *testing.T) {
 }
 
 // TestFollowerLazyHotSwapReusesSegments is the decode-count regression
-// guard for lazy followers: with Options.Lazy the post-commit hot-swap
-// maps exactly the segments the cycle fetched, carries every unchanged
+// guard for followers: the post-commit hot-swap maps exactly the
+// segments the cycle fetched, carries every unchanged
 // one over from the serving store, and decodes zero blocks itself —
 // O(changed segments) instead of a full directory re-decode — while
 // the digest oracle still proves convergence.
@@ -542,7 +542,7 @@ func TestFollowerLazyHotSwapReusesSegments(t *testing.T) {
 	lf := newLeader(t)
 	fdir := t.TempDir()
 	fdb := tsdb.Open()
-	f := replication.New(lf.ts.URL, fdir, fdb, replication.Options{Lazy: true})
+	f := replication.New(lf.ts.URL, fdir, fdb, replication.Options{})
 
 	cs1, err := f.TailOnce(context.Background())
 	if err != nil {
@@ -594,7 +594,7 @@ func TestFollowerLazyHotSwapReusesSegments(t *testing.T) {
 		t.Fatalf("hot swap decoded %d blocks", st2.BlocksDecoded-afterDigest.BlocksDecoded)
 	}
 	if fdb.Digest() != lf.db.Digest() {
-		t.Fatal("digests diverged after lazy hot swap")
+		t.Fatal("digests diverged after hot swap")
 	}
 	// Unchanged segments' blocks were still cached across the swap.
 	final, _ := fdb.LazyReadStats()

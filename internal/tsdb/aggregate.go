@@ -7,7 +7,8 @@ package tsdb
 // its summary fields alone — zero decode, zero cache traffic — so a
 // coarse dashboard panel over a compacted directory touches metadata
 // only. Blocks straddling a bucket boundary decode through the
-// ordinary block cache. Eager stores fold their columns directly.
+// ordinary block cache. Column series (written or materialized) fold
+// their columns directly.
 //
 // Aggregation semantics, shared by every path:
 //
@@ -18,7 +19,7 @@ package tsdb
 //     value poisons it. A decoded point is added to it as one term; a
 //     summary-folded block adds its stored Sum, the sequential sum of
 //     its values from zero, as one term. So a bucket fed only by
-//     decoded points is bit-identical to the eager store's sequential
+//     decoded points is bit-identical to the column fold's sequential
 //     sum, and so is a bucket fed by one block summary alone; a bucket
 //     fed by several summaries (or summaries and points) groups its
 //     terms differently, and may differ from both in the last ulp.
@@ -97,7 +98,7 @@ type AggSeries struct {
 }
 
 // aggDisablePushdown is a test-only switch forcing every block through
-// the decode fallback, whose sums are the eager store's. Never set
+// the decode fallback, whose sums are the column fold's. Never set
 // outside tsdb tests.
 var aggDisablePushdown bool
 
@@ -221,7 +222,7 @@ func (db *DB) QueryAggregate(measurement string, filter map[string]string, from,
 }
 
 // aggFoldColumn folds a columnar range into the buckets point by
-// point: the eager path, and the shared tail of every decode fallback.
+// point: the column path, and the shared tail of every decode fallback.
 func aggFoldColumn(accs []aggAcc, times []int64, values []float64, fromNs, stepNs int64) {
 	toNs := fromNs + stepNs*int64(len(accs))
 	lo := sort.Search(len(times), func(i int) bool { return times[i] >= fromNs })
@@ -253,7 +254,7 @@ func (l *lazySeries) aggregate(accs []aggAcc, fromNs, stepNs int64) {
 		}
 		// Fallback: decode through the cache and fold this block's
 		// in-range points one at a time into the running sums, in time
-		// order, as the eager store does.
+		// order, as the column fold does.
 		d := l.store.decode(r)
 		aggMarkDecoded(accs, r, fromNs, stepNs)
 		aggFoldColumn(accs, d.times, d.values, fromNs, stepNs)

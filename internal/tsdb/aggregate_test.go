@@ -22,7 +22,7 @@ import (
 // aggStore builds a deterministic integer-valued store: nSeries series
 // of minute-spaced points covering days whole days from t0, value
 // float64(s*100000+i). Integer values make every sum grouping exact,
-// so eager, pushdown and decode folds must agree bit for bit. With
+// so column, pushdown and decode folds must agree bit for bit. With
 // hourly segment windows each block holds 60 points — far under
 // MaxBlockPoints — so every block spans exactly one hour.
 func aggStore(nSeries, days int) *DB {
@@ -40,7 +40,7 @@ func aggStore(nSeries, days int) *DB {
 }
 
 // refAggregate is the brute-force oracle: fold raw Query points into
-// buckets with the same per-point accumulator the eager path uses.
+// buckets with the same per-point accumulator the column path uses.
 func refAggregate(db *DB, measurement string, from, to time.Time, step time.Duration) []AggSeries {
 	n := int(to.Sub(from) / step)
 	var out []AggSeries
@@ -153,11 +153,12 @@ func TestAggArgsRejected(t *testing.T) {
 }
 
 // TestAggEquivalenceAcrossVersions is the equivalence oracle over
-// every open mode and every shape a directory takes as it ages: for a
-// fresh snapshot, an incremental one whose dirtied window was
-// rewritten, and a compacted one, the eager open, the lazy pushdown,
-// and the lazy forced-decode folds all match the brute-force per-point
-// reference bit for bit (integer values make the sum groupings exact).
+// every fold and every shape a directory takes as it ages: for a fresh
+// snapshot, an incremental one whose dirtied window was rewritten, and
+// a compacted one, the column fold of a materialized restore, the lazy
+// pushdown, and the lazy forced-decode folds all match the brute-force
+// per-point reference bit for bit (integer values make the sum
+// groupings exact).
 func TestAggEquivalenceAcrossVersions(t *testing.T) {
 	src := aggStore(4, 2)
 	from, to := t0, t0.Add(48*time.Hour)
@@ -192,13 +193,13 @@ func TestAggEquivalenceAcrossVersions(t *testing.T) {
 		if name == "incremental" {
 			ref = wantIncr
 		}
-		eg := eagerOpen(t, dir)
-		got, err := eg.QueryAggregate("tslp", nil, from, to, time.Hour, AggAll)
+		cols := materializedOpen(t, dir)
+		got, err := cols.QueryAggregate("tslp", nil, from, to, time.Hour, AggAll)
 		if err != nil {
-			t.Fatalf("%s: eager QueryAggregate: %v", name, err)
+			t.Fatalf("%s: column QueryAggregate: %v", name, err)
 		}
 		if !aggEqualBits(got, ref) {
-			t.Fatalf("%s: eager aggregate differs from reference", name)
+			t.Fatalf("%s: column aggregate differs from reference", name)
 		}
 
 		lz := lazyOpen(t, dir, DirOptions{})
@@ -271,10 +272,10 @@ func TestAggZeroDecodePushdown(t *testing.T) {
 	}
 }
 
-// TestAggSumGroupingNonInteger pins which lazy sums equal the eager
-// one on non-integer values, where grouping shows in the last ulp. A
+// TestAggSumGroupingNonInteger pins which lazy sums equal the column
+// fold's on non-integer values, where grouping shows in the last ulp. A
 // decoded block adds its points to the bucket's running sum one at a
-// time, so a bucket fed only by decoded points is the eager sequential
+// time, so a bucket fed only by decoded points is the sequential column
 // sum; a bucket fed by one block summary alone is that block's stored
 // Sum, the same sequential sum from zero. A bucket fed by several
 // summaries adds one term per block, and may differ.
@@ -293,7 +294,7 @@ func TestAggSumGroupingNonInteger(t *testing.T) {
 	// Decoded points only: forced decode, and straddling 1 h buckets.
 	twoHour := refAggregate(src, "tslp", from, to, 2*time.Hour)
 	if dec := forceDecodeAggregate(t, lz, "tslp", from, to, 2*time.Hour, AggAll); !aggEqualBits(dec, twoHour) {
-		t.Fatal("forced-decode 2 h buckets differ from the eager sums")
+		t.Fatal("forced-decode 2 h buckets differ from the column sums")
 	}
 	before := lazyStats(t, lz)
 	off := from.Add(30 * time.Minute)
@@ -305,7 +306,7 @@ func TestAggSumGroupingNonInteger(t *testing.T) {
 		t.Fatal("straddling buckets folded a summary")
 	}
 	if !aggEqualBits(got, refAggregate(src, "tslp", off, off.Add(5*time.Hour), time.Hour)) {
-		t.Fatal("straddling decoded buckets differ from the eager sums")
+		t.Fatal("straddling decoded buckets differ from the column sums")
 	}
 
 	// One summary per bucket: aligned 1 h buckets over hourly blocks.
@@ -318,7 +319,7 @@ func TestAggSumGroupingNonInteger(t *testing.T) {
 		t.Fatalf("%d summary-only buckets, want 6", d)
 	}
 	if !aggEqualBits(got, refAggregate(src, "tslp", from, to, time.Hour)) {
-		t.Fatal("single-summary buckets differ from the eager sums")
+		t.Fatal("single-summary buckets differ from the column sums")
 	}
 
 	// Two summaries per bucket are two terms, not 120: the fixture must
@@ -334,7 +335,7 @@ func TestAggSumGroupingNonInteger(t *testing.T) {
 		}
 	}
 	if differ == 0 {
-		t.Fatal("every two-summary bucket equals its eager sum: the values do not exercise sum grouping")
+		t.Fatal("every two-summary bucket equals its column sum: the values do not exercise sum grouping")
 	}
 }
 
@@ -374,7 +375,7 @@ func TestAggBucketStraddles(t *testing.T) {
 // mix clean values, partial NaN, all-NaN and emptiness: Count includes
 // NaN points, Min/Max exclude them, Sum and Mean are NaN-poisoned, and
 // the lazy open (whose all-NaN and partial-NaN blocks must not be
-// mis-pruned or mis-pushed) agrees with the eager open.
+// mis-pruned or mis-pushed) agrees with the in-memory store.
 func TestAggNaNSemantics(t *testing.T) {
 	db := Open()
 	db.SetSegmentWindow(time.Hour)

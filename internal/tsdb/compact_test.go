@@ -44,7 +44,7 @@ func TestUnknownSegmentVersionNamedError(t *testing.T) {
 
 // TestOldSegmentVersionsRefused: the retired v1 (gob), v2 (sum-less
 // block) and v3 (per-shard) versions are refused by every reader —
-// eager and lazy RestoreDir, VerifySegmentFile (so a follower rejects
+// RestoreDir, VerifySegmentFile (so a follower rejects
 // the file before its manifest commit), CompactDir and AssembleDelta — with an error wrapping ErrSegmentVersion that names
 // the file, and the generation does not move. The headers are
 // hand-built from a current segment: valid magic, valid CRC, the
@@ -59,8 +59,7 @@ func TestOldSegmentVersionsRefused(t *testing.T) {
 		name string
 		read func(dir string, sm SegmentMeta) error
 	}{
-		{"RestoreDir eager", func(dir string, _ SegmentMeta) error { return Open().RestoreDir(dir, DirOptions{}) }},
-		{"RestoreDir lazy", func(dir string, _ SegmentMeta) error { return Open().RestoreDir(dir, DirOptions{Lazy: true}) }},
+		{"RestoreDir", func(dir string, _ SegmentMeta) error { return Open().RestoreDir(dir, DirOptions{}) }},
 		{"VerifySegmentFile", func(dir string, sm SegmentMeta) error {
 			return VerifySegmentFile(filepath.Join(dir, sm.File), sm)
 		}},
@@ -140,7 +139,7 @@ func TestOldSegmentVersionsRefused(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, r := range append(readers[:2:2], readers[3]) {
+	for _, r := range append(readers[:1:1], readers[2]) {
 		if err := r.read(dir, SegmentMeta{}); err == nil || !strings.Contains(err.Error(), "manifest version 1") {
 			t.Fatalf("per-shard directory via %s: got %v, want a manifest version error", r.name, err)
 		}

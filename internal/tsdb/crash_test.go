@@ -7,8 +7,7 @@ package tsdb_test
 // per operation with that operation failed. In kill mode every later
 // operation fails too, as if the process had died there; in error mode
 // only that one fails while the file system stays alive. Each time the
-// directory must restore, eagerly and lazily, to exactly the old
-// generation before the manifest rename and the new one from the rename
+// directory must restore to exactly the old generation before the manifest rename and the new one from the rename
 // on, and the next writer — the same process, or a restarted one after
 // a kill — must converge on a directory holding exactly its manifest's
 // files.
@@ -136,12 +135,12 @@ func hasManifest(dir string) bool {
 
 // reopen returns a store restored from dir — empty when dir has no
 // manifest yet — the way a restarted process opens its data.
-func reopen(t *testing.T, dir string, lazy bool) *tsdb.DB {
+func reopen(t *testing.T, dir string) *tsdb.DB {
 	t.Helper()
 	db := tsdb.Open()
 	t.Cleanup(db.Close)
 	if hasManifest(dir) {
-		if err := db.RestoreDir(dir, tsdb.DirOptions{Workers: 1, Lazy: lazy}); err != nil {
+		if err := db.RestoreDir(dir, tsdb.DirOptions{Workers: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -155,7 +154,7 @@ func leaderWriter(db *tsdb.DB, dir string, pass func(*tsdb.DB, string) error) *w
 		run:  func() error { return pass(db, dir) },
 		want: db.Digest,
 		restart: func(t *testing.T) *writer {
-			return leaderWriter(reopen(t, dir, false), dir, pass)
+			return leaderWriter(reopen(t, dir), dir, pass)
 		},
 	}
 }
@@ -179,8 +178,8 @@ func leaderScenario(span time.Duration, first bool, mutate func(*tsdb.DB), pass 
 }
 
 // followerOptions tail with one worker, so operations come in a fixed
-// order, into a lazy store, so a delta generation swaps in place.
-var followerOptions = replication.Options{Workers: 1, Lazy: true}
+// order.
+var followerOptions = replication.Options{Workers: 1}
 
 // followerWriter is a follower of the leader at url tailing into dir and
 // serving fdb.
@@ -192,7 +191,7 @@ func followerWriter(url, dir string, leader, fdb *tsdb.DB) *writer {
 		return err
 	}
 	w.restart = func(t *testing.T) *writer {
-		return followerWriter(url, dir, leader, reopen(t, dir, true))
+		return followerWriter(url, dir, leader, reopen(t, dir))
 	}
 	return w
 }
@@ -262,28 +261,23 @@ var crashScenarios = []crashScenario{
 	{"follower-after-compact", followerScenario(4*time.Hour, false, compact)},
 }
 
-// committed restores dir eagerly and lazily and returns the digest and
-// generation both agree on; without a manifest both restores must fail
-// as not found, and committed returns zeros.
+// committed restores dir and returns its digest and generation;
+// without a manifest the restore must fail as not found, and committed
+// returns zeros.
 func committed(t *testing.T, dir string) (digest, gen uint64) {
 	t.Helper()
-	want := hasManifest(dir)
-	for _, lazy := range []bool{false, true} {
-		db := tsdb.Open()
-		err := db.RestoreDir(dir, tsdb.DirOptions{Workers: 1, Lazy: lazy})
-		switch {
-		case !want:
-			if !errors.Is(err, fs.ErrNotExist) {
-				t.Fatalf("directory without a manifest: lazy=%v restore gave %v", lazy, err)
-			}
-		case err != nil:
-			t.Fatalf("lazy=%v restore: %v", lazy, err)
-		case !lazy:
-			digest, gen = db.Digest(), db.SnapshotGeneration()
-		case db.Digest() != digest || db.SnapshotGeneration() != gen:
-			t.Fatalf("lazy restore (%x, g%d) disagrees with eager (%x, g%d)", db.Digest(), db.SnapshotGeneration(), digest, gen)
+	db := tsdb.Open()
+	defer db.Close()
+	err := db.RestoreDir(dir, tsdb.DirOptions{Workers: 1})
+	switch {
+	case !hasManifest(dir):
+		if !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("directory without a manifest: restore gave %v", err)
 		}
-		db.Close()
+	case err != nil:
+		t.Fatalf("restore: %v", err)
+	default:
+		digest, gen = db.Digest(), db.SnapshotGeneration()
 	}
 	return digest, gen
 }

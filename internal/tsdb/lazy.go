@@ -1,10 +1,10 @@
 package tsdb
 
-// Lazy block-pruned read path (docs/PERSISTENCE.md §9). A directory
-// restored with DirOptions.Lazy is mapped, not decoded: every
-// segment's payload is structurally parsed into its per-series blocks
-// (summaries + still-encoded columns aliasing the mapping) and each
-// series becomes a stub holding block references instead of columns.
+// Lazy block-pruned read path (docs/PERSISTENCE.md §9). RestoreDir
+// maps a directory rather than decoding it: every segment's payload is
+// structurally parsed into its per-series blocks (summaries +
+// still-encoded columns aliasing the mapping) and each series becomes
+// a stub holding block references instead of columns.
 // Queries prune whole blocks against the summaries' [minT,maxT] and
 // [min,max] ranges and decode only the survivors, on demand, through a
 // small decoded-block LRU — so cold opens are O(metadata), query cost
@@ -13,9 +13,9 @@ package tsdb
 //
 // Invariants (enforced by tests against the DB.Digest oracle):
 //
-//   - Open mode is invisible to readers: every query, view, digest,
-//     export and snapshot returns byte-identical results for eager and
-//     lazy opens of the same directory.
+//   - A restore is invisible to readers: every query, view, digest,
+//     export and snapshot of a restored directory returns what the
+//     store that wrote it returns.
 //   - Pruning is conservative: a block is skipped only when its
 //     summary proves no point can match; NaN value summaries are kept.
 //   - Mutation materializes: a write or trim into a lazy series first
@@ -41,7 +41,7 @@ import (
 
 // DefaultBlockCacheBytes is the decoded-block LRU byte budget a lazy
 // restore installs when DirOptions.BlockCacheBytes is zero: 16 MiB of
-// decoded columns, roughly 1M points — small next to an eagerly decoded
+// decoded columns, roughly 1M points — small next to a fully decoded
 // directory, large enough that a dashboard fanning out over the hot
 // window never decodes a block twice (docs/PERSISTENCE.md §9.5).
 const DefaultBlockCacheBytes = 16 << 20
@@ -342,8 +342,8 @@ func (s *series) materializeLocked() {
 
 // materializeAllLocked decodes every lazily held series into columns
 // and releases the lazy store. Whole-store operations that walk the
-// columns (line-protocol export, segment planning) call it first so
-// their output cannot depend on open mode. The caller must hold the
+// columns (line-protocol export, segment planning) call it first, so
+// they see one series shape. The caller must hold the
 // exclusive global lock but no shard locks; each shard's write lock is
 // taken in turn, so in-flight queries drain before their shard flips
 // and no reader can reach a mapping once this returns.
@@ -353,11 +353,11 @@ func (db *DB) materializeAllLocked() {
 	}
 	for i := range db.shards {
 		sh := &db.shards[i]
-		sh.mu.Lock()
-		for _, s := range sh.series {
-			s.materializeLocked()
-		}
-		sh.mu.Unlock()
+		sh.write(func() {
+			for _, s := range sh.series {
+				s.materializeLocked()
+			}
+		})
 	}
 	db.dropLazyLocked()
 }
@@ -392,8 +392,8 @@ func (db *DB) Close() {
 }
 
 // LazyReadStats reports the lazy read path's counters, ok=false when
-// the store is not lazily open (never restored with DirOptions.Lazy,
-// or fully materialized since).
+// the store is not lazily open (never restored, closed, or fully
+// materialized since).
 func (db *DB) LazyReadStats() (LazyStats, bool) {
 	db.global.RLock()
 	defer db.global.RUnlock()
@@ -481,22 +481,40 @@ func (lf *lazyFile) appendRefs(newShards []map[string]*series, ls *lazyStore) {
 	}
 }
 
-// restoreDirLazy is RestoreDir's lazy mode: reuse or create the lazy
-// store, map only the manifest entries not already held, and swap. On a
-// store already lazy over the same directory (a follower hot-swap)
-// unchanged files, their parsed block lists and their cached decoded
-// blocks all carry over. When every difference from the held
-// generation is an append, the swap extends the held stubs in place and
-// keeps the epoch — O(changed segments) end to end; otherwise it
-// rebuilds every stub from summaries alone and moves the epoch.
-func (db *DB) restoreDirLazy(dir string, m *Manifest, opts DirOptions) error {
+// RestoreDir replaces the store contents with the segment directory's
+// snapshot, mapped rather than decoded (docs/PERSISTENCE.md §9): every
+// committed segment is verified (header identity and CRC-32C) and
+// structurally parsed on an internal/pipeline pool, and each series
+// becomes a stub of block references that reads decode on demand. The
+// directory must be exactly what its manifest describes: a missing,
+// unlisted, corrupt, truncated or version-skewed segment file is an
+// error naming the file — nothing is skipped silently
+// (docs/PERSISTENCE.md §5) — and on error the store is untouched. On
+// success the store adopts the manifest's window and generation, so a
+// daemon restarting from its data directory continues with incremental
+// snapshots.
+//
+// Restoring the directory the store already holds (a follower
+// hot-swap) maps only the manifest entries not already held; unchanged
+// files, their parsed block lists and their cached decoded blocks all
+// carry over. When every difference from the held generation is an
+// append, the swap extends the held stubs in place and keeps the
+// epoch; otherwise it rebuilds every stub from summaries alone and
+// moves the epoch. Restoring another directory releases every file the
+// store held.
+func (db *DB) RestoreDir(dir string, opts DirOptions) error {
+	m, err := loadCommittedDir(dir)
+	if err != nil {
+		return fmt.Errorf("tsdb: restoredir: %w", err)
+	}
 	unlock := db.lockAll(true)
 	defer unlock()
 
-	ls := db.lazy
+	// A store held over another directory keeps its files until the new
+	// one is installed, so a failed restore leaves it serving.
+	ls, retired := db.lazy, (*lazyStore)(nil)
 	if ls != nil && ls.dir != dir {
-		db.dropLazyLocked()
-		ls = nil
+		ls, retired = nil, ls
 	}
 	fresh := ls == nil
 	if fresh {
@@ -531,15 +549,10 @@ func (db *DB) restoreDirLazy(dir string, m *Manifest, opts DirOptions) error {
 	pool := pipeline.NewPool(opts.Workers)
 	defer pool.Close()
 	jobs := make([]func() error, len(toOpen))
-	for i := range toOpen {
-		i := i
-		jobs[i] = func() error {
-			lf, err := openLazyFile(dir, toOpen[i])
-			if err != nil {
-				return err
-			}
-			opened[i] = lf
-			return nil
+	for i, sm := range toOpen {
+		jobs[i] = func() (err error) {
+			opened[i], err = openLazyFile(dir, sm)
+			return err
 		}
 	}
 	if err := pool.DoErr(jobs...); err != nil {
@@ -557,8 +570,7 @@ func (db *DB) restoreDirLazy(dir string, m *Manifest, opts DirOptions) error {
 	if changes, ok := db.planAppendsLocked(ls, m); ok {
 		db.applyAppendsLocked(ls, m, changes, succ)
 	} else {
-		// Build the new shard maps from summaries alone, in ascending
-		// window order (same merge order as the eager path).
+		// Build the new shard maps from summaries alone.
 		newShards := make([]map[string]*series, NumShards)
 		for si := range newShards {
 			newShards[si] = make(map[string]*series)
@@ -599,6 +611,9 @@ func (db *DB) restoreDirLazy(dir string, m *Manifest, opts DirOptions) error {
 	}
 	ls.segmentsOpened.Add(uint64(len(toOpen)))
 	ls.segmentsReused.Add(uint64(len(m.Segments) - len(toOpen)))
+	if retired != nil {
+		retired.close()
+	}
 	db.lazy = ls
 	installed = true
 	return nil

@@ -1,18 +1,18 @@
 package tsdb
 
 // Tests for the lazy block-pruned read path (docs/PERSISTENCE.md §9).
-// The suite is anchored on the §9 oracle: a lazily opened directory
-// must be observationally identical to an eager open — Digest, Query,
-// QueryView, TimeBounds, exports and snapshots all agree — while the
-// stats counters prove that pruning, decode-on-demand and hot-swap
-// segment reuse actually happened. Test names deliberately carry
+// The suite is anchored on the §7 oracle: a restored directory must be
+// observationally identical to the store that wrote it — Digest, Query,
+// QueryView, TimeBounds, exports and snapshots all agree, also after
+// the same writes and trims — while the stats counters prove that
+// pruning, decode-on-demand and hot-swap segment reuse actually
+// happened. Test names deliberately carry
 // "Lazy" or "Prune" so CI's storage-smoke job can select the suite
 // with -run 'Lazy|Prune'.
 
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -36,24 +36,25 @@ func snapToDir(t testing.TB, db *DB, opts DirOptions) string {
 	return dir
 }
 
-// lazyOpen restores dir into a fresh store in lazy mode.
+// lazyOpen restores dir into a fresh store; every restore maps its
+// directory lazily.
 func lazyOpen(t testing.TB, dir string, opts DirOptions) *DB {
 	t.Helper()
-	opts.Lazy = true
 	db := Open()
 	if err := db.RestoreDir(dir, opts); err != nil {
-		t.Fatalf("RestoreDir(lazy): %v", err)
+		t.Fatalf("RestoreDir: %v", err)
 	}
 	return db
 }
 
-// eagerOpen restores dir into a fresh store in the default eager mode.
-func eagerOpen(t testing.TB, dir string) *DB {
+// materializedOpen restores dir and decodes every series into columns:
+// the column read paths over restored data.
+func materializedOpen(t testing.TB, dir string) *DB {
 	t.Helper()
-	db := Open()
-	if err := db.RestoreDir(dir, DirOptions{}); err != nil {
-		t.Fatalf("RestoreDir(eager): %v", err)
-	}
+	db := lazyOpen(t, dir, DirOptions{})
+	unlock := db.lockAll(false)
+	db.materializeAllLocked()
+	unlock()
 	return db
 }
 
@@ -80,9 +81,11 @@ func monoStore(n int) *DB {
 	return db
 }
 
-// viewsEqual compares view sets bit-exactly: reflect.DeepEqual would
-// report NaN values unequal to themselves, so values compare through
-// their float bits — the same identity the digest uses.
+// viewsEqual compares view sets' data bit-exactly: reflect.DeepEqual
+// would report NaN values unequal to themselves, so values compare
+// through their float bits — the same identity the digest uses.
+// Versions are not compared: a restored series restarts at zero, while
+// its writer's counted every write.
 func viewsEqual(a, b []SeriesView) bool {
 	if len(a) != len(b) {
 		return false
@@ -90,8 +93,7 @@ func viewsEqual(a, b []SeriesView) bool {
 	for i := range a {
 		av, bv := &a[i], &b[i]
 		if av.Measurement != bv.Measurement || !reflect.DeepEqual(av.Tags, bv.Tags) ||
-			av.Version != bv.Version || !reflect.DeepEqual(av.Times, bv.Times) ||
-			len(av.Values) != len(bv.Values) {
+			!reflect.DeepEqual(av.Times, bv.Times) || len(av.Values) != len(bv.Values) {
 			return false
 		}
 		for j := range av.Values {
@@ -103,10 +105,10 @@ func viewsEqual(a, b []SeriesView) bool {
 	return true
 }
 
-// TestLazyRestoreDigestEqual is the §9 oracle: a lazy open of a
+// TestLazyRestoreDigestEqual is the §7 oracle: a restore of a
 // directory yields the same canonical digest and the same structural
-// query results as an eager open, at several worker counts, without
-// the lazy store ever materializing.
+// query results as the store that wrote it, at several worker counts,
+// without the restored store ever materializing.
 func TestLazyRestoreDigestEqual(t *testing.T) {
 	src := buildSegStore(time.Hour)
 	dir := snapToDir(t, src, DirOptions{})
@@ -137,20 +139,15 @@ func TestLazyRestoreDigestEqual(t *testing.T) {
 		if _, ok := lz.LazyReadStats(); !ok {
 			t.Fatalf("workers=%d: reads materialized the store", workers)
 		}
-		// TimeBounds from summaries must agree with the eager answer.
+		// TimeBounds from summaries must agree with the writer's columns.
 		for _, m := range src.Measurements() {
 			lmin, lmax, lok := lz.TimeBounds(m, nil)
 			emin, emax, eok := src.TimeBounds(m, nil)
 			if lok != eok || !lmin.Equal(emin) || !lmax.Equal(emax) {
-				t.Fatalf("workers=%d: TimeBounds(%q) lazy (%v,%v,%v) != eager (%v,%v,%v)",
+				t.Fatalf("workers=%d: TimeBounds(%q) restored (%v,%v,%v) != writer (%v,%v,%v)",
 					workers, m, lmin, lmax, lok, emin, emax, eok)
 			}
 		}
-	}
-
-	// An eager open must not report lazy stats.
-	if _, ok := eagerOpen(t, dir).LazyReadStats(); ok {
-		t.Fatal("eager open reported lazy read stats")
 	}
 }
 
@@ -168,7 +165,7 @@ func TestLazyQueryPrunesBlocks(t *testing.T) {
 	got := lz.Query("tslp", nil, t0, t0.Add(window))
 	want := src.Query("tslp", nil, t0, t0.Add(window))
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("one-window lazy query disagrees with eager store")
+		t.Fatal("one-window lazy query disagrees with the writer store")
 	}
 	mid := lazyStats(t, lz)
 	if mid.BlocksScanned <= before.BlocksScanned {
@@ -198,7 +195,7 @@ func TestLazyQueryPrunesBlocks(t *testing.T) {
 // block and window edges of a multi-block series: every [from, to)
 // pair — including ranges that begin or end precisely on a block's
 // MinT/MaxT — must return point-for-point the same Query and QueryView
-// results as the eager open. The half-open interval makes the block
+// results as the store that wrote the directory. The half-open interval makes the block
 // summary comparisons (maxT < from, minT >= to) easy to get wrong by
 // one; this is the test that would catch it.
 func TestLazyPruneBoundaryStraddle(t *testing.T) {
@@ -209,19 +206,18 @@ func TestLazyPruneBoundaryStraddle(t *testing.T) {
 	src := monoStore(3000)
 	dir := snapToDir(t, src, DirOptions{})
 	lz := lazyOpen(t, dir, DirOptions{})
-	eg := eagerOpen(t, dir)
 
 	offsets := []int{0, 1, 1023, 1024, 1025, 1439, 1440, 1441, 2463, 2464, 2879, 2880, 2999, 3000}
 	for i, a := range offsets {
 		for _, b := range offsets[i:] {
 			from, to := t0.Add(time.Duration(a)*time.Minute), t0.Add(time.Duration(b)*time.Minute)
-			got, want := lz.Query("m", nil, from, to), eg.Query("m", nil, from, to)
+			got, want := lz.Query("m", nil, from, to), src.Query("m", nil, from, to)
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("Query[%d,%d): lazy and eager disagree", a, b)
+				t.Fatalf("Query[%d,%d): restored and writer disagree", a, b)
 			}
-			gotV, wantV := lz.QueryView("m", nil, from, to), eg.QueryView("m", nil, from, to)
-			if !reflect.DeepEqual(gotV, wantV) {
-				t.Fatalf("QueryView[%d,%d): lazy and eager disagree", a, b)
+			gotV, wantV := lz.QueryView("m", nil, from, to), src.QueryView("m", nil, from, to)
+			if !viewsEqual(gotV, wantV) {
+				t.Fatalf("QueryView[%d,%d): restored and writer disagree", a, b)
 			}
 		}
 	}
@@ -275,16 +271,12 @@ func TestLazyPruneZeroPointWindows(t *testing.T) {
 	}
 }
 
-// TestLazyTamperedSummaryFailsLoud encodes corruption into a block
-// summary and refreshes every checksum above it, so the lie survives
-// CRC verification at open. The eager open must fail at decode; the
-// lazy open succeeds structurally but the first query forced to decode
-// the block must panic — fail loud, never mis-prune (docs/
-// PERSISTENCE.md §9).
-func TestLazyTamperedSummaryFailsLoud(t *testing.T) {
-	src := monoStore(200)
-	dir := snapToDir(t, src, DirOptions{})
-
+// tamperSummary rewrites the first block of series key in dir's first
+// segment so its summary claims a minimum no point has, and refreshes
+// every checksum above it, so the lie survives CRC verification at
+// open.
+func tamperSummary(t *testing.T, dir, key string) {
+	t.Helper()
 	m, err := readManifest(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -298,8 +290,16 @@ func TestLazyTamperedSummaryFailsLoud(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The summary now claims a minimum no point has.
-	list[0].Blocks[0].Min -= 100
+	found := false
+	for i := range list {
+		if Key(list[i].Measurement, list[i].Tags) == key {
+			list[i].Blocks[0].Min -= 100
+			found = true
+		}
+	}
+	if !found {
+		t.Fatalf("segment %s holds no entry for %q", sm.File, key)
+	}
 	tampered := blockenc.EncodePayload(list)
 
 	crc := crc32.Checksum(tampered, crcTable)
@@ -319,53 +319,202 @@ func TestLazyTamperedSummaryFailsLoud(t *testing.T) {
 	if err := writeManifest(dir, m); err != nil {
 		t.Fatal(err)
 	}
+}
 
-	// Eager open decodes everything and must reject the lying summary.
-	if err := Open().RestoreDir(dir, DirOptions{}); !errors.Is(err, blockenc.ErrCorrupt) {
-		t.Fatalf("eager restore of tampered summary: got %v, want ErrCorrupt", err)
+// panicsOnSummary fails unless fn panics naming the lying summary,
+// within a few seconds.
+func panicsOnSummary(t *testing.T, what string, fn func()) {
+	t.Helper()
+	r := within(t, what, fn)
+	if r == nil {
+		t.Fatalf("%s over a tampered block did not panic", what)
+	}
+	if msg := fmt.Sprint(r); !strings.Contains(msg, "summary disagrees") {
+		t.Fatalf("%s: panic does not name the summary: %q", what, msg)
+	}
+}
+
+// within runs fn on its own goroutine and returns the value it panicked
+// with, nil if none. It fails the test unless fn finishes within a few
+// seconds: a shard lock an earlier panic left held blocks it.
+func within(t *testing.T, what string, fn func()) (panicked any) {
+	t.Helper()
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		fn()
+	}()
+	select {
+	case r := <-done:
+		return r
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s still blocked after 5s: a shard lock outlived a panic", what)
+		return nil
+	}
+}
+
+// TestLazyTamperedSummaryFailsLoud encodes corruption into a block
+// summary behind valid checksums. The open is structural only and
+// succeeds; every operation forced to decode the block — a query,
+// Digest, a write into the series, SnapshotDir — panics: fail loud,
+// never mis-prune (docs/PERSISTENCE.md §9.4). The failed SnapshotDir
+// leaves the directory's committed state alone.
+func TestLazyTamperedSummaryFailsLoud(t *testing.T) {
+	src := monoStore(200)
+	dir := snapToDir(t, src, DirOptions{})
+	tamperSummary(t, dir, Key("m", map[string]string{"link": "l1"}))
+	manifest, err := os.ReadFile(filepath.Join(dir, ManifestName))
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	// Lazy open is structural only and succeeds; the decode fails loud.
 	lz := lazyOpen(t, dir, DirOptions{})
-	func() {
-		defer func() {
-			r := recover()
-			if r == nil {
-				t.Fatal("query over a tampered block did not panic")
-			}
-			if msg := fmt.Sprint(r); !strings.Contains(msg, "summary disagrees") {
-				t.Fatalf("panic does not name the summary: %q", msg)
-			}
-		}()
-		lz.Query("m", nil, t0, maxTime)
-	}()
+	gen := lz.SnapshotGeneration()
+	panicsOnSummary(t, "Query", func() { lz.Query("m", nil, t0, maxTime) })
+	panicsOnSummary(t, "Digest", func() { lz.Digest() })
+	panicsOnSummary(t, "Write", func() { lz.Write("m", map[string]string{"link": "l1"}, t0.Add(time.Hour), 1) })
+	panicsOnSummary(t, "SnapshotDir", func() { _, _ = lz.SnapshotDir(dir, DirOptions{Incremental: true}) })
+
+	after, err := os.ReadFile(filepath.Join(dir, ManifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, manifest) {
+		t.Fatal("a SnapshotDir that panicked changed the committed manifest")
+	}
+	if g := lz.SnapshotGeneration(); g != gen {
+		t.Fatalf("a SnapshotDir that panicked moved the store's generation %d → %d", gen, g)
+	}
+}
+
+// TestLazyLyingBlockPanicReleasesLocks pins that a decode panic on a
+// lying block releases the shard lock it ran under — a query's read
+// lock, a batch write's or a trim's write lock. A server recovers a
+// handler's panic, so a leaked lock would block the next hot-swap
+// (which takes every shard lock) and every request queued behind it.
+// After each panic, Close, RestoreDir and at the end a query on
+// another shard must finish.
+func TestLazyLyingBlockPanicReleasesLocks(t *testing.T) {
+	src := monoStore(200)
+	victim := map[string]string{"link": "l1"}
+	other := map[string]string{"link": "l2"}
+	for i := 3; shardFor(Key("m", other)) == shardFor(Key("m", victim)); i++ {
+		other = map[string]string{"link": fmt.Sprintf("l%d", i)}
+	}
+	for i := 0; i < 50; i++ {
+		src.Write("m", other, t0.Add(time.Duration(i)*time.Minute), float64(-i))
+	}
+	dir := snapToDir(t, src, DirOptions{})
+	tamperSummary(t, dir, Key("m", victim))
+
+	lz := lazyOpen(t, dir, DirOptions{})
+	ops := []struct {
+		name string
+		fn   func()
+	}{
+		{"Query", func() { lz.Query("m", victim, t0, maxTime) }},
+		{"WriteBatch", func() {
+			lz.WriteBatch([]BatchPoint{{Measurement: "m", Tags: victim, Time: t0.Add(time.Hour), Value: 1}})
+		}},
+		{"Retain", func() { lz.Retain(t0.Add(time.Minute), maxTime) }},
+	}
+	for _, op := range ops {
+		panicsOnSummary(t, op.name, op.fn)
+		// Close takes every shard lock exclusively, as a hot-swap does.
+		if r := within(t, "Close after a "+op.name+" panic", lz.Close); r != nil {
+			t.Fatalf("Close panicked: %v", r)
+		}
+		var err error
+		if r := within(t, "RestoreDir after a "+op.name+" panic", func() { err = lz.RestoreDir(dir, DirOptions{}) }); r != nil || err != nil {
+			t.Fatalf("RestoreDir: panic %v, error %v", r, err)
+		}
+	}
+	var got []Series
+	if r := within(t, "query on another shard", func() { got = lz.Query("m", other, t0, maxTime) }); r != nil {
+		t.Fatalf("query on another shard panicked: %v", r)
+	}
+	if !reflect.DeepEqual(got, src.Query("m", other, t0, maxTime)) {
+		t.Fatal("the reopened store serves the other series wrongly")
+	}
+}
+
+// TestLazyRestoreEmptyDirReleasesFiles pins the teardown a process that
+// opens many stores relies on: restoring an empty directory over a
+// lazily open store unmaps every file it held and serves nothing.
+func TestLazyRestoreEmptyDirReleasesFiles(t *testing.T) {
+	src := buildSegStore(time.Hour)
+	lz := lazyOpen(t, snapToDir(t, src, DirOptions{}), DirOptions{})
+	if st := lazyStats(t, lz); st.Segments == 0 {
+		t.Fatalf("restore mapped nothing: %+v", st)
+	}
+	if err := lz.RestoreDir(snapToDir(t, Open(), DirOptions{}), DirOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if st := lazyStats(t, lz); st.Segments != 0 || st.Blocks != 0 {
+		t.Fatalf("empty restore still holds files: %+v", st)
+	}
+	if lz.SeriesCount() != 0 || lz.PointCount() != 0 || allSeries(lz) != nil {
+		t.Fatalf("empty restore serves %d series/%d points", lz.SeriesCount(), lz.PointCount())
+	}
+}
+
+// TestLazyFailedRestoreKeepsServing pins RestoreDir's "on error the
+// store is untouched" for a store held over another directory: a
+// restore that fails on a corrupt segment of the new directory leaves
+// the old files mapped and the old data served.
+func TestLazyFailedRestoreKeepsServing(t *testing.T) {
+	src := buildSegStore(time.Hour)
+	lz := lazyOpen(t, snapToDir(t, src, DirOptions{}), DirOptions{})
+
+	bad := snapToDir(t, monoStore(200), DirOptions{})
+	m, err := readManifest(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(bad, m.Segments[0].File)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0xff // payload byte: the CRC check fails
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := lz.RestoreDir(bad, DirOptions{}); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Fatalf("restore of a corrupt directory: got %v, want a checksum error", err)
+	}
+	if lz.Digest() != src.Digest() || !reflect.DeepEqual(allSeries(lz), allSeries(src)) {
+		t.Fatal("a failed restore changed what the store serves")
+	}
+	if st := lazyStats(t, lz); st.Segments == 0 {
+		t.Fatalf("a failed restore released the held files: %+v", st)
+	}
 }
 
 // TestLazyWriteMaterializes proves mutation transparency: writes into
-// a lazily opened store first materialize the touched series, and the
-// end state is identical to performing the same writes on an eager
-// open. Untouched series stay lazy.
+// a restored store first materialize the touched series, and the end
+// state is identical to performing the same writes on the store that
+// wrote the directory. Untouched series stay lazy.
 func TestLazyWriteMaterializes(t *testing.T) {
 	src := buildSegStore(time.Hour)
 	dir := snapToDir(t, src, DirOptions{})
 	lz := lazyOpen(t, dir, DirOptions{})
-	eg := eagerOpen(t, dir)
 
 	tags := map[string]string{"link": "l1", "vp": "vp-a", "side": "near"}
 	batch := []BatchPoint{
 		{Measurement: "loss", Tags: map[string]string{"link": "l2", "vp": "vp-b", "side": "far"}, Time: t0.Add(30 * time.Minute), Value: 7.5},
 		{Measurement: "loss", Tags: map[string]string{"link": "l2", "vp": "vp-b", "side": "far"}, Time: t0.Add(90 * time.Minute), Value: 8.5},
 	}
-	for _, db := range []*DB{lz, eg} {
+	for _, db := range []*DB{lz, src} {
 		// Out-of-order insert into the middle of existing data plus a
 		// batched write: both mutable paths must see raw points.
 		db.Write("tslp", tags, t0.Add(45*time.Minute), 3.25)
 		db.WriteBatch(batch)
 	}
-	if lz.Digest() != eg.Digest() {
+	if lz.Digest() != src.Digest() {
 		t.Fatal("digest diverged after writes")
 	}
-	if !reflect.DeepEqual(allSeries(lz), allSeries(eg)) {
+	if !reflect.DeepEqual(allSeries(lz), allSeries(src)) {
 		t.Fatal("series diverged after writes")
 	}
 	// Two series were written; the rest of the store must still be lazy.
@@ -375,25 +524,25 @@ func TestLazyWriteMaterializes(t *testing.T) {
 }
 
 // TestLazySnapshotRoundTrip runs every whole-store exporter over a
-// lazily opened store: SnapshotDir and ExportLines must produce output
-// identical to the eager open's, which requires the implicit full
+// restored store: SnapshotDir and ExportLines must produce output
+// identical to the writer store's, which requires the implicit full
 // materialization to be correct.
 func TestLazySnapshotRoundTrip(t *testing.T) {
 	src := buildSegStore(time.Hour)
 	dir := snapToDir(t, src, DirOptions{Incremental: true})
 	want := src.Digest()
 
-	// ExportLines output is byte-identical between open modes.
-	lz2, eg := lazyOpen(t, dir, DirOptions{}), eagerOpen(t, dir)
-	var lzOut, egOut bytes.Buffer
+	// ExportLines output is byte-identical to the writer's.
+	lz2 := lazyOpen(t, dir, DirOptions{})
+	var lzOut, srcOut bytes.Buffer
 	if _, err := lz2.ExportLines(&lzOut); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eg.ExportLines(&egOut); err != nil {
+	if _, err := src.ExportLines(&srcOut); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(lzOut.Bytes(), egOut.Bytes()) {
-		t.Fatal("ExportLines differs between open modes")
+	if !bytes.Equal(lzOut.Bytes(), srcOut.Bytes()) {
+		t.Fatal("ExportLines of the restored store differs from the writer's")
 	}
 	// The export walks the columns, so the store materialized fully.
 	if _, ok := lz2.LazyReadStats(); ok {
@@ -414,14 +563,14 @@ func TestLazySnapshotRoundTrip(t *testing.T) {
 	}
 	lz4 := lazyOpen(t, dir, DirOptions{})
 	fresh := snapToDir(t, lz4, DirOptions{})
-	if eagerOpen(t, fresh).Digest() != want {
+	if lazyOpen(t, fresh, DirOptions{}).Digest() != want {
 		t.Fatal("SnapshotDir from lazy open lost data")
 	}
 }
 
 // TestLazyRetainPrune covers retention on a lazy store: a no-op Retain
 // is decided from summaries alone and leaves the store lazy; a real
-// trim materializes only what it must and matches the eager result.
+// trim materializes only what it must and matches the writer store's.
 func TestLazyRetainPrune(t *testing.T) {
 	window := time.Hour
 	src := buildSegStore(window)
@@ -438,18 +587,17 @@ func TestLazyRetainPrune(t *testing.T) {
 		t.Fatalf("no-op Retain decoded %d blocks", after.BlocksDecoded-before.BlocksDecoded)
 	}
 
-	// Real trim: identical to the eager open's Retain.
+	// Real trim: identical to the writer store's Retain.
 	cut := t0.Add(3 * window)
-	eg := eagerOpen(t, dir)
-	wantDropped := eg.Retain(cut, maxTime)
+	wantDropped := src.Retain(cut, maxTime)
 	gotDropped := lz.Retain(cut, maxTime)
 	if gotDropped != wantDropped {
-		t.Fatalf("Retain dropped %d points lazily, %d eagerly", gotDropped, wantDropped)
+		t.Fatalf("Retain dropped %d points from the restored store, %d from the writer", gotDropped, wantDropped)
 	}
-	if lz.Digest() != eg.Digest() {
+	if lz.Digest() != src.Digest() {
 		t.Fatal("digest diverged after Retain")
 	}
-	if !reflect.DeepEqual(allSeries(lz), allSeries(eg)) {
+	if !reflect.DeepEqual(allSeries(lz), allSeries(src)) {
 		t.Fatal("series diverged after Retain")
 	}
 }
@@ -466,7 +614,7 @@ func TestLazyBlockCacheLRU(t *testing.T) {
 
 	// A full scan decodes more bytes than the budget holds: evictions.
 	if got, want := lz.Query("m", nil, t0, maxTime), src.Query("m", nil, t0, maxTime); !reflect.DeepEqual(got, want) {
-		t.Fatal("full scan differs from eager store")
+		t.Fatal("full scan differs from the writer store")
 	}
 	st := lazyStats(t, lz)
 	if st.CacheBytes > budget {
@@ -485,7 +633,7 @@ func TestLazyBlockCacheLRU(t *testing.T) {
 	warm := lazyStats(t, lz)
 	for i := 0; i < 3; i++ {
 		if got, want := lz.Query("m", nil, hot0, hot1), src.Query("m", nil, hot0, hot1); !reflect.DeepEqual(got, want) {
-			t.Fatal("hot range differs from eager store")
+			t.Fatal("hot range differs from the writer store")
 		}
 	}
 	again := lazyStats(t, lz)
@@ -501,12 +649,11 @@ func TestLazyBlockCacheLRU(t *testing.T) {
 // whole-store walks (docs/PERSISTENCE.md §9.5): Digest and
 // materialization read cache hits but insert nothing, so a digest
 // check on a serving store cannot evict its hot set — and the digest
-// itself still equals the eager twin's.
+// itself still equals the writer store's.
 func TestLazyWalksLeaveBlockCacheAlone(t *testing.T) {
 	src := buildSegStore(time.Hour)
 	dir := snapToDir(t, src, DirOptions{})
 	lz := lazyOpen(t, dir, DirOptions{})
-	eg := eagerOpen(t, dir)
 
 	// Warm one series' first hour: the serving hot set.
 	hot := map[string]string{"link": "l1", "vp": "vp-a", "side": "near"}
@@ -518,8 +665,8 @@ func TestLazyWalksLeaveBlockCacheAlone(t *testing.T) {
 		t.Fatalf("hot query cached nothing: %+v", before)
 	}
 
-	if lz.Digest() != eg.Digest() {
-		t.Fatal("lazy digest differs from eager twin")
+	if lz.Digest() != src.Digest() {
+		t.Fatal("restored digest differs from the writer's")
 	}
 	after := lazyStats(t, lz)
 	if after.CachedBlocks != before.CachedBlocks || after.CacheBytes != before.CacheBytes || after.CacheEvictions != before.CacheEvictions {
@@ -578,7 +725,7 @@ func TestLazyHotSwapReusesSegments(t *testing.T) {
 		t.Fatalf("localized write rewrote %d segments, want 1", second.Written)
 	}
 
-	if err := reader.RestoreDir(dir, DirOptions{Lazy: true}); err != nil {
+	if err := reader.RestoreDir(dir, DirOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	st2 := lazyStats(t, reader)
@@ -597,10 +744,10 @@ func TestLazyHotSwapReusesSegments(t *testing.T) {
 	}
 }
 
-// TestLazyValueBoundQuery proves QueryViewWhere equivalence between
-// open modes across value bounds — including bounds that prune whole
-// blocks and data containing NaN, which never matches a bound but must
-// survive both paths bit-exactly.
+// TestLazyValueBoundQuery proves QueryViewWhere equivalence between a
+// restored store and its writer across value bounds — including bounds
+// that prune whole blocks and data containing NaN, which never matches
+// a bound but must survive both paths bit-exactly.
 func TestLazyValueBoundQuery(t *testing.T) {
 	db := Open()
 	tags := map[string]string{"link": "l1"}
@@ -612,9 +759,9 @@ func TestLazyValueBoundQuery(t *testing.T) {
 		db.Write("m", tags, t0.Add(time.Duration(i)*time.Minute), v)
 	}
 	dir := snapToDir(t, db, DirOptions{})
-	lz, eg := lazyOpen(t, dir, DirOptions{}), eagerOpen(t, dir)
+	lz := lazyOpen(t, dir, DirOptions{})
 
-	if lz.Digest() != eg.Digest() {
+	if lz.Digest() != db.Digest() {
 		t.Fatal("digest mismatch with NaN data")
 	}
 	bounds := []*ValueBound{
@@ -627,9 +774,9 @@ func TestLazyValueBoundQuery(t *testing.T) {
 	before := lazyStats(t, lz)
 	for _, vb := range bounds {
 		got := lz.QueryViewWhere("m", nil, t0, maxTime, vb)
-		want := eg.QueryViewWhere("m", nil, t0, maxTime, vb)
+		want := db.QueryViewWhere("m", nil, t0, maxTime, vb)
 		if !viewsEqual(got, want) {
-			t.Fatalf("QueryViewWhere(%+v): lazy and eager disagree", vb)
+			t.Fatalf("QueryViewWhere(%+v): restored and writer disagree", vb)
 		}
 	}
 	after := lazyStats(t, lz)
@@ -641,7 +788,7 @@ func TestLazyValueBoundQuery(t *testing.T) {
 // BenchmarkLazyQueryPrune is the self-checking pruning benchmark CI's
 // bench-smoke runs: each iteration lazily opens a six-window fixture
 // and queries far outside it, asserting the query decodes at least 5x
-// fewer blocks than the eager open's everything (in fact zero), then
+// fewer blocks than a full decode (in fact zero), then
 // queries one window, asserting it decodes at most a fifth of the
 // blocks. The digest oracle runs once, untimed, at the end.
 func BenchmarkLazyQueryPrune(b *testing.B) {
@@ -653,7 +800,7 @@ func BenchmarkLazyQueryPrune(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		db := Open()
-		if err := db.RestoreDir(dir, DirOptions{Lazy: true}); err != nil {
+		if err := db.RestoreDir(dir, DirOptions{}); err != nil {
 			b.Fatal(err)
 		}
 		for _, m := range []string{"tslp", "loss"} {
@@ -665,10 +812,10 @@ func BenchmarkLazyQueryPrune(b *testing.B) {
 		if !ok {
 			b.Fatal("store is not lazily open")
 		}
-		// The eager path decodes every block at open; the pruned query
-		// must decode at least 5x fewer (docs/PERSISTENCE.md §9).
+		// Decoding the whole directory touches every block; the pruned
+		// query must decode at least 5x fewer (docs/PERSISTENCE.md §9).
 		if st.Blocks == 0 || st.BlocksDecoded*5 > uint64(st.Blocks) {
-			b.Fatalf("pruning decoded %d of %d blocks — less than a 5x reduction over eager", st.BlocksDecoded, st.Blocks)
+			b.Fatalf("pruning decoded %d of %d blocks — less than a 5x reduction over a full decode", st.BlocksDecoded, st.Blocks)
 		}
 		if st.BlocksDecoded != 0 {
 			b.Fatalf("out-of-range query decoded %d blocks, want 0", st.BlocksDecoded)
@@ -687,6 +834,6 @@ func BenchmarkLazyQueryPrune(b *testing.B) {
 	}
 	b.StopTimer()
 	if last != nil && last.Digest() != want {
-		b.Fatal("digest mismatch between lazy and eager open")
+		b.Fatal("digest mismatch between the restored store and its writer")
 	}
 }

@@ -10,9 +10,10 @@ import (
 	"time"
 )
 
-// This file implements a subset of the InfluxDB line protocol — the wire
-// format the deployed system's probing modules used to ship measurements
-// into the backend (§3). Supported shape:
+// This file exports the store as a subset of the InfluxDB line
+// protocol — the wire format the deployed system's probing modules used
+// to ship measurements into the backend (§3), and the public-release
+// format of tslpd -lineout. Shape:
 //
 //	measurement[,tag=value...] value=<float> <unix-nanoseconds>
 //
@@ -35,77 +36,13 @@ func FormatLine(measurement string, tags map[string]string, t time.Time, v float
 	return b.String()
 }
 
-// ParseLine parses one line-protocol line.
-func ParseLine(line string) (measurement string, tags map[string]string, t time.Time, v float64, err error) {
-	fields := strings.Fields(strings.TrimSpace(line))
-	if len(fields) != 3 {
-		return "", nil, time.Time{}, 0, fmt.Errorf("tsdb: line needs 3 sections, got %d: %q", len(fields), line)
-	}
-	head := strings.Split(fields[0], ",")
-	measurement = head[0]
-	if measurement == "" {
-		return "", nil, time.Time{}, 0, fmt.Errorf("tsdb: empty measurement: %q", line)
-	}
-	tags = make(map[string]string, len(head)-1)
-	for _, kv := range head[1:] {
-		i := strings.IndexByte(kv, '=')
-		if i <= 0 || i == len(kv)-1 {
-			return "", nil, time.Time{}, 0, fmt.Errorf("tsdb: bad tag %q", kv)
-		}
-		tags[kv[:i]] = kv[i+1:]
-	}
-	if !strings.HasPrefix(fields[1], "value=") {
-		return "", nil, time.Time{}, 0, fmt.Errorf("tsdb: only a single 'value' field is supported: %q", fields[1])
-	}
-	v, err = strconv.ParseFloat(fields[1][len("value="):], 64)
-	if err != nil {
-		return "", nil, time.Time{}, 0, fmt.Errorf("tsdb: bad value: %w", err)
-	}
-	ns, err := strconv.ParseInt(fields[2], 10, 64)
-	if err != nil {
-		return "", nil, time.Time{}, 0, fmt.Errorf("tsdb: bad timestamp: %w", err)
-	}
-	return measurement, tags, time.Unix(0, ns).UTC(), v, nil
-}
-
-// WriteLine ingests one line-protocol line into the store.
-func (db *DB) WriteLine(line string) error {
-	m, tags, t, v, err := ParseLine(line)
-	if err != nil {
-		return err
-	}
-	db.Write(m, tags, t, v)
-	return nil
-}
-
-// IngestLines reads line-protocol text (one point per line, blank lines
-// and #-comments skipped) and returns the number of points ingested.
-func (db *DB) IngestLines(r io.Reader) (int, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 1024*1024)
-	n := 0
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		if err := db.WriteLine(line); err != nil {
-			return n, fmt.Errorf("line %d: %w", lineNo, err)
-		}
-		n++
-	}
-	return n, sc.Err()
-}
-
 // ExportLines writes every stored point as line protocol, series in
 // canonical key order.
 func (db *DB) ExportLines(w io.Writer) (int, error) {
 	unlock := db.lockAll(false)
 	defer unlock()
 	// The export walks the columns; a lazily open store is materialized
-	// first so output cannot depend on open mode (docs/PERSISTENCE.md §9).
+	// first (docs/PERSISTENCE.md §9).
 	db.materializeAllLocked()
 	bw := bufio.NewWriter(w)
 	n := 0

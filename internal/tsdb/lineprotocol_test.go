@@ -3,104 +3,77 @@ package tsdb
 import (
 	"bytes"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 )
 
-func TestLineRoundTrip(t *testing.T) {
-	tags := map[string]string{"vp": "comcast-nyc", "link": "a-b", "side": "far"}
-	at := time.Date(2016, 5, 1, 12, 30, 0, 0, time.UTC)
-	line := FormatLine("tslp", tags, at, 23.75)
-	m, gotTags, gotT, v, err := ParseLine(line)
-	if err != nil {
+// TestExportLinesGolden pins ExportLines byte for byte on a small
+// fixture: series in canonical key order, tags sorted by name, points
+// in time order, shortest-exact values including NaN, ±Inf and −0, and
+// timestamps at, before and after the Unix epoch. A restored copy of
+// the store exports the same text.
+func TestExportLinesGolden(t *testing.T) {
+	db := Open()
+	far := map[string]string{"vp": "comcast-nyc", "side": "far", "link": "a-b"}
+	near := map[string]string{"side": "near", "link": "a-b", "vp": "comcast-nyc"}
+	db.Write("tslp", far, t0.Add(2*time.Minute), math.NaN())
+	db.Write("tslp", far, t0, 23.75)
+	db.Write("tslp", far, t0.Add(time.Minute), math.Copysign(0, -1))
+	db.Write("tslp", near, t0, math.Inf(1))
+	db.Write("m", nil, t0, 3)
+	db.Write("loss", map[string]string{"link": "z"}, time.Unix(0, 0), 1e21)
+	db.Write("loss", map[string]string{"link": "z"}, time.Unix(0, -1500), math.Inf(-1))
+	db.Write("loss", map[string]string{"link": "z"}, time.Unix(0, 1), 0.1)
+
+	const want = `loss,link=z value=-Inf -1500
+loss,link=z value=1e+21 0
+loss,link=z value=0.1 1
+m value=3 1456790400000000000
+tslp,link=a-b,side=far,vp=comcast-nyc value=23.75 1456790400000000000
+tslp,link=a-b,side=far,vp=comcast-nyc value=-0 1456790460000000000
+tslp,link=a-b,side=far,vp=comcast-nyc value=NaN 1456790520000000000
+tslp,link=a-b,side=near,vp=comcast-nyc value=+Inf 1456790400000000000
+`
+	restored := Open()
+	if err := restored.RestoreDir(snapToDir(t, db, DirOptions{}), DirOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if m != "tslp" || v != 23.75 || !gotT.Equal(at) {
-		t.Fatalf("round trip: %q -> %s %v %v", line, m, gotT, v)
-	}
-	if len(gotTags) != 3 || gotTags["vp"] != "comcast-nyc" {
-		t.Fatalf("tags %v", gotTags)
-	}
-}
-
-func TestLineRoundTripProperty(t *testing.T) {
-	f := func(vRaw int64, nsRaw int64) bool {
-		v := float64(vRaw) / 1000
-		at := time.Unix(0, nsRaw%1e18).UTC()
-		line := FormatLine("m", map[string]string{"k": "x"}, at, v)
-		_, _, gotT, gotV, err := ParseLine(line)
-		return err == nil && gotT.Equal(at) && (gotV == v || (math.IsNaN(gotV) && math.IsNaN(v)))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestParseLineErrors(t *testing.T) {
-	bad := []string{
-		"",
-		"justone",
-		"m value=1",           // missing timestamp
-		"m value=1 2 3",       // too many sections
-		",t=1 value=1 0",      // empty measurement
-		"m,badtag value=1 0",  // tag without =
-		"m,k= value=1 0",      // empty tag value
-		"m other=1 0",         // unsupported field
-		"m value=notafloat 0", // bad value
-		"m value=1 notanano",  // bad timestamp
-	}
-	for _, line := range bad {
-		if _, _, _, _, err := ParseLine(line); err == nil {
-			t.Errorf("no error for %q", line)
+	for name, store := range map[string]*DB{"writer": db, "restored": restored} {
+		var buf bytes.Buffer
+		n, err := store.ExportLines(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := buf.String(); got != want {
+			t.Fatalf("%s export:\n%s\nwant:\n%s", name, got, want)
+		}
+		if n != strings.Count(want, "\n") {
+			t.Fatalf("%s export reported %d lines", name, n)
 		}
 	}
 }
 
-func TestIngestExportRoundTrip(t *testing.T) {
-	db := Open()
-	for i := 0; i < 50; i++ {
-		db.Write("tslp", map[string]string{"vp": "a"}, t0.Add(time.Duration(i)*time.Minute), float64(i))
-		db.Write("loss_rate", map[string]string{"vp": "b"}, t0.Add(time.Duration(i)*time.Minute), float64(i)/100)
+// TestLineRoundTripProperty checks that FormatLine's value and
+// timestamp fields parse back to the exact point written.
+func TestLineRoundTripProperty(t *testing.T) {
+	f := func(vRaw int64, nsRaw int64) bool {
+		v := float64(vRaw) / 1000
+		at := time.Unix(0, nsRaw%1e18).UTC()
+		fields := strings.Fields(FormatLine("m", map[string]string{"k": "x"}, at, v))
+		if len(fields) != 3 || fields[0] != "m,k=x" || !strings.HasPrefix(fields[1], "value=") {
+			return false
+		}
+		gotV, err := strconv.ParseFloat(strings.TrimPrefix(fields[1], "value="), 64)
+		if err != nil {
+			return false
+		}
+		ns, err := strconv.ParseInt(fields[2], 10, 64)
+		return err == nil && ns == at.UnixNano() && gotV == v
 	}
-	var buf bytes.Buffer
-	n, err := db.ExportLines(&buf)
-	if err != nil {
+	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-	if n != 100 {
-		t.Fatalf("exported %d lines", n)
-	}
-	db2 := Open()
-	got, err := db2.IngestLines(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 100 {
-		t.Fatalf("ingested %d", got)
-	}
-	if db2.PointCount() != db.PointCount() || db2.SeriesCount() != db.SeriesCount() {
-		t.Fatal("round trip lost data")
-	}
-}
-
-func TestIngestSkipsCommentsAndBlanks(t *testing.T) {
-	db := Open()
-	in := strings.NewReader("# header\n\ntslp,vp=a value=1 1000\n# trailing\n")
-	n, err := db.IngestLines(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 || db.PointCount() != 1 {
-		t.Fatalf("n=%d points=%d", n, db.PointCount())
-	}
-}
-
-func TestIngestReportsLineNumber(t *testing.T) {
-	db := Open()
-	_, err := db.IngestLines(strings.NewReader("tslp,vp=a value=1 1000\ngarbage\n"))
-	if err == nil || !strings.Contains(err.Error(), "line 2") {
-		t.Fatalf("err = %v, want line number", err)
 	}
 }

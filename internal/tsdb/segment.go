@@ -78,7 +78,7 @@ var ErrSegmentVersion = errors.New("unsupported segment format version")
 // DirOptions configures SnapshotDir and RestoreDir.
 type DirOptions struct {
 	// Workers bounds the concurrent segment encoders (SnapshotDir) or
-	// decoders (RestoreDir). 0 means one per CPU; 1 runs fully
+	// openers (RestoreDir). 0 means one per CPU; 1 runs fully
 	// sequentially on the calling goroutine.
 	Workers int
 	// Incremental lets SnapshotDir rewrite only segments whose window
@@ -88,18 +88,14 @@ type DirOptions struct {
 	// store's bookkeeping (first snapshot, foreign directory, or another
 	// writer committed in between).
 	Incremental bool
-	// Lazy makes RestoreDir map committed segments without decoding
-	// their points: series become block-index stubs and queries decode
-	// only the blocks that survive summary pruning, on demand, through
-	// a small LRU (docs/PERSISTENCE.md §9). Reads are byte-identical to
-	// an eager open. A store already lazy over the same directory
-	// reuses held segments, making a repeat RestoreDir (a follower
-	// hot-swap) O(changed segments). Ignored by SnapshotDir.
+	// Lazy is ignored: every RestoreDir maps its directory
+	// (docs/PERSISTENCE.md §9).
+	//
+	// Deprecated: RestoreDir has one mode; leave Lazy unset.
 	Lazy bool
-	// BlockCacheBytes bounds the decoded-block LRU a lazy restore
-	// installs by the bytes its decoded columns occupy
-	// (docs/PERSISTENCE.md §9.5); 0 means DefaultBlockCacheBytes.
-	// Ignored unless Lazy.
+	// BlockCacheBytes bounds the decoded-block LRU RestoreDir installs
+	// by the bytes its decoded columns occupy (docs/PERSISTENCE.md
+	// §9.5); 0 means DefaultBlockCacheBytes. Ignored by SnapshotDir.
 	BlockCacheBytes int64
 }
 
@@ -678,8 +674,8 @@ func verifySegmentBytes(data []byte, sm SegmentMeta) ([]byte, error) {
 
 // loadSegmentPayload reads one segment file from disk and verifies it
 // against its manifest entry, returning the raw payload without
-// decoding it. The eager restore, the append-extend encoder and
-// CompactDir's zero-decode merge all start here.
+// decoding it. The append-extend encoder and CompactDir's zero-decode
+// merge start here.
 func loadSegmentPayload(dir string, sm SegmentMeta) ([]byte, error) {
 	data, err := os.ReadFile(filepath.Join(dir, sm.File))
 	if err != nil {
@@ -713,7 +709,7 @@ func decodeBlockPayload(payload []byte, sm SegmentMeta) ([]blockenc.Series, erro
 // loadCommittedDir reads and validates a directory's committed state:
 // the manifest plus the check that every on-disk segment is either
 // listed by it or an ignorable other-generation leftover
-// (docs/PERSISTENCE.md §4, §5). Both RestoreDir modes start here.
+// (docs/PERSISTENCE.md §4, §5). RestoreDir starts here.
 func loadCommittedDir(dir string) (*Manifest, error) {
 	m, err := readManifest(dir)
 	if err != nil {
@@ -743,64 +739,6 @@ func loadCommittedDir(dir string) (*Manifest, error) {
 		return nil, fmt.Errorf("segment %s present on disk but not in the manifest", name)
 	}
 	return m, nil
-}
-
-// windowFile is one committed segment file loaded for the eager
-// restore: verified, structurally decoded, and its entries routed to
-// the in-memory shard that owns their key. Blocks stay encoded until
-// the owning shard's job decodes them.
-type windowFile struct {
-	sm      SegmentMeta
-	list    []blockenc.Series
-	keys    []string           // series key of each entry of list
-	byShard [NumShards][]int32 // entry indices per owning shard, payload order
-}
-
-// loadWindowFile loads and fully validates one segment file against its
-// manifest entry — magic, version, identity fields, payload checksum
-// (docs/PERSISTENCE.md §2) — and routes its entries by key.
-func loadWindowFile(dir string, sm SegmentMeta) (*windowFile, error) {
-	payload, err := loadSegmentPayload(dir, sm)
-	if err != nil {
-		return nil, err
-	}
-	list, err := decodeBlockPayload(payload, sm)
-	if err != nil {
-		return nil, err
-	}
-	wf := &windowFile{sm: sm, list: list, keys: make([]string, len(list))}
-	for i := range list {
-		key := Key(list[i].Measurement, list[i].Tags)
-		wf.keys[i] = key
-		si := shardFor(key)
-		wf.byShard[si] = append(wf.byShard[si], int32(i))
-	}
-	return wf, nil
-}
-
-// decodeInto decodes the file's entries owned by shard si onto the end
-// of that shard's series columns. Callers feed a shard's files in
-// ascending window order, so plain appends keep every series
-// time-ordered (windows partition time; order within a window is
-// preserved by the encoder).
-func (wf *windowFile) decodeInto(shardSeries map[string]*series, si int) error {
-	for _, i := range wf.byShard[si] {
-		bs, key := &wf.list[i], wf.keys[i]
-		s, ok := shardSeries[key]
-		if !ok {
-			s = &series{measurement: bs.Measurement, tags: bs.Tags}
-			shardSeries[key] = s
-		}
-		for _, b := range bs.Blocks {
-			ts, vs, err := b.Decode()
-			if err != nil {
-				return fmt.Errorf("tsdb: segment %s: series %q: %w", wf.sm.File, key, err)
-			}
-			s.times = append(s.times, ts...)
-			s.values = append(s.values, vs...)
-		}
-	}
-	return nil
 }
 
 // installLocked cross-checks freshly rebuilt shard maps against the
@@ -840,68 +778,5 @@ func (db *DB) installLocked(dir string, m *Manifest, newShards []map[string]*ser
 	// The new series restart at version zero, so the epoch must move for
 	// ViewStamp to notice the replacement (docs/SERVING.md §2).
 	db.epoch++
-	return nil
-}
-
-// RestoreDir replaces the store contents with the segment directory's
-// snapshot: window files are verified and parsed concurrently on an
-// internal/pipeline pool, then every in-memory shard decodes the series
-// it owns from them, in window order, concurrently.
-// The directory must be exactly what its manifest describes: a missing,
-// unlisted, corrupt, truncated or version-skewed segment file is an
-// error naming the file — nothing is skipped silently
-// (docs/PERSISTENCE.md §5). On success the store adopts the manifest's
-// window and generation, so a daemon restarting from its data directory
-// continues with incremental snapshots.
-func (db *DB) RestoreDir(dir string, opts DirOptions) error {
-	m, err := loadCommittedDir(dir)
-	if err != nil {
-		return fmt.Errorf("tsdb: restoredir: %w", err)
-	}
-	if opts.Lazy {
-		return db.restoreDirLazy(dir, m, opts)
-	}
-
-	unlock := db.lockAll(true)
-	defer unlock()
-
-	// Manifest entries come in window order (docs/PERSISTENCE.md §3),
-	// the order every shard appends them in.
-	files := make([]*windowFile, len(m.Segments))
-	pool := pipeline.NewPool(opts.Workers)
-	defer pool.Close()
-	jobs := make([]func() error, len(m.Segments))
-	for i, sm := range m.Segments {
-		jobs[i] = func() (err error) {
-			files[i], err = loadWindowFile(dir, sm)
-			return err
-		}
-	}
-	if err := pool.DoErr(jobs...); err != nil {
-		return fmt.Errorf("tsdb: restoredir: %w", err)
-	}
-	newShards := make([]map[string]*series, NumShards)
-	jobs = make([]func() error, NumShards)
-	for si := range newShards {
-		jobs[si] = func() error {
-			newShards[si] = make(map[string]*series)
-			for _, wf := range files {
-				if err := wf.decodeInto(newShards[si], si); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-	}
-	if err := pool.DoErr(jobs...); err != nil {
-		return fmt.Errorf("tsdb: restoredir: %w", err)
-	}
-	if err := db.installLocked(dir, m, newShards); err != nil {
-		return err
-	}
-	// An eager restore over a lazily open store retires the mappings:
-	// all shard maps were replaced while every shard lock is held, so no
-	// reader can still reach the old stubs.
-	db.dropLazyLocked()
 	return nil
 }

@@ -119,6 +119,23 @@ type shard struct {
 	version uint64
 }
 
+// read runs fn under the shard's read lock, released on every exit: a
+// lazy decode panics on a block whose summary lies (docs/PERSISTENCE.md
+// §9.4), and a lock left held would block the next whole-store swap
+// and every request queued behind it.
+func (sh *shard) read(fn func()) {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	fn()
+}
+
+// write is read with the shard's write lock.
+func (sh *shard) write(fn func()) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	fn()
+}
+
 // DB is the store.
 type DB struct {
 	// global coordinates whole-store operations with per-point mutators:
@@ -159,8 +176,8 @@ type DB struct {
 
 	// lazy is the shared state of a lazily opened directory — mapped
 	// segment files, block cache, read-path counters (lazy.go). Nil
-	// unless the store was restored with DirOptions.Lazy; written only
-	// under the exclusive global lock.
+	// until a RestoreDir and again once the store is materialized or
+	// closed; written only under the exclusive global lock.
 	lazy *lazyStore
 }
 
@@ -442,12 +459,12 @@ func (db *DB) WriteBatch(points []BatchPoint) {
 			continue
 		}
 		sh := &db.shards[si]
-		sh.mu.Lock()
-		for _, i := range byShard[si] {
-			p := points[i]
-			db.writeLocked(sh, keys[i], p.Measurement, p.Tags, p.Time, p.Value)
-		}
-		sh.mu.Unlock()
+		sh.write(func() {
+			for _, i := range byShard[si] {
+				p := points[i]
+				db.writeLocked(sh, keys[i], p.Measurement, p.Tags, p.Time, p.Value)
+			}
+		})
 	}
 }
 
@@ -531,16 +548,16 @@ func (db *DB) queryScan(measurement string, filter map[string]string, from, to t
 	var keys []string
 	for i := range db.shards {
 		sh := &db.shards[i]
-		sh.mu.RLock()
-		for k, s := range sh.series {
-			if s.matches(measurement, filter) {
-				// As in QueryViewWhere: a key per view actually appended.
-				if views = s.appendView(views, fromNs, toNs, nil); len(views) > len(keys) {
-					keys = append(keys, k)
+		sh.read(func() {
+			for k, s := range sh.series {
+				if s.matches(measurement, filter) {
+					// As in QueryViewWhere: a key per view actually appended.
+					if views = s.appendView(views, fromNs, toNs, nil); len(views) > len(keys) {
+						keys = append(keys, k)
+					}
 				}
 			}
-		}
-		sh.mu.RUnlock()
+		})
 	}
 	sortByKey(views, keys)
 	return copyViews(views)
@@ -583,45 +600,45 @@ func (db *DB) Retain(from, to time.Time) int {
 	dropped := 0
 	for i := range db.shards {
 		sh := &db.shards[i]
-		sh.mu.Lock()
-		for key, s := range sh.series {
-			if s.lazy != nil {
-				// Summaries decide for free when the trim is a no-op —
-				// the common case for a serving-tier store inside its
-				// retention horizon; only a series actually losing
-				// points pays for materialization.
-				if minT, maxT, ok := s.lazy.timeBounds(); ok &&
-					minT >= fromNs && maxT < toNs {
+		sh.write(func() {
+			for key, s := range sh.series {
+				if s.lazy != nil {
+					// Summaries decide for free when the trim is a no-op —
+					// the common case for a serving-tier store inside its
+					// retention horizon; only a series actually losing
+					// points pays for materialization.
+					if minT, maxT, ok := s.lazy.timeBounds(); ok &&
+						minT >= fromNs && maxT < toNs {
+						continue
+					}
+					s.materializeLocked()
+				}
+				lo := sort.Search(len(s.times), func(i int) bool { return s.times[i] >= fromNs })
+				hi := sort.Search(len(s.times), func(i int) bool { return s.times[i] >= toNs })
+				if hi-lo == len(s.times) {
 					continue
 				}
-				s.materializeLocked()
+				dropped += len(s.times) - (hi - lo)
+				// The series loses points: its version must move so cached
+				// views over it invalidate (docs/SERVING.md §2).
+				s.version++
+				sh.version++
+				// Windows losing points must be rewritten (or deleted) by
+				// the next incremental snapshot — and never append-extended,
+				// since their on-disk payload stops being a prefix.
+				db.markTrimmedLocked(sh, s.times[:lo])
+				db.markTrimmedLocked(sh, s.times[hi:])
+				if hi <= lo {
+					delete(sh.series, key)
+					db.idx.remove(s.measurement, s.tags, key)
+					continue
+				}
+				// Capacity is cut to the kept length so the next append
+				// reallocates: views taken before the trim may still read
+				// the dropped tail.
+				s.times, s.values = s.times[lo:hi:hi], s.values[lo:hi:hi]
 			}
-			lo := sort.Search(len(s.times), func(i int) bool { return s.times[i] >= fromNs })
-			hi := sort.Search(len(s.times), func(i int) bool { return s.times[i] >= toNs })
-			if hi-lo == len(s.times) {
-				continue
-			}
-			dropped += len(s.times) - (hi - lo)
-			// The series loses points: its version must move so cached
-			// views over it invalidate (docs/SERVING.md §2).
-			s.version++
-			sh.version++
-			// Windows losing points must be rewritten (or deleted) by
-			// the next incremental snapshot — and never append-extended,
-			// since their on-disk payload stops being a prefix.
-			db.markTrimmedLocked(sh, s.times[:lo])
-			db.markTrimmedLocked(sh, s.times[hi:])
-			if hi <= lo {
-				delete(sh.series, key)
-				db.idx.remove(s.measurement, s.tags, key)
-				continue
-			}
-			// Capacity is cut to the kept length so the next append
-			// reallocates: views taken before the trim may still read
-			// the dropped tail.
-			s.times, s.values = s.times[lo:hi:hi], s.values[lo:hi:hi]
-		}
-		sh.mu.Unlock()
+		})
 	}
 	return dropped
 }
@@ -671,8 +688,8 @@ func (db *DB) Digest() uint64 {
 			fold(s.times, s.values)
 			continue
 		}
-		// Transient decode: the digest of a lazy store must equal its
-		// eager twin's (the §9 oracle) without materializing anything
+		// Transient decode: the digest of a restored store must equal
+		// its writer's (the §7 oracle) without materializing anything
 		// or leaving the walk's blocks in the cache.
 		for i := range s.lazy.blocks {
 			d, _ := s.lazy.store.decodeOnce(&s.lazy.blocks[i])

@@ -50,7 +50,7 @@ func (v SeriesView) Len() int { return len(v.Times) }
 // tag filter, a columnar view of the points within [from, to), in
 // canonical key order — the same series Query returns, without copying
 // any point data (see SeriesView for the validity contract): a view of
-// an eager series only binary-searches the range.
+// a column series only binary-searches the range.
 func (db *DB) QueryView(measurement string, filter map[string]string, from, to time.Time) []SeriesView {
 	return db.QueryViewWhere(measurement, filter, from, to, nil)
 }
@@ -81,8 +81,8 @@ func (vb ValueBound) intersects(min, max float64) bool {
 // store the bound prunes at block granularity first — blocks whose
 // [min, max] summary cannot intersect vb are skipped without being
 // decoded (docs/PERSISTENCE.md §9) — and the surviving blocks' points
-// are then filtered identically to the eager path, so both open modes
-// return the same views. A nil vb is exactly QueryView.
+// are then filtered identically to the column path, so a restored
+// store returns the views its writer would. A nil vb is exactly QueryView.
 func (db *DB) QueryViewWhere(measurement string, filter map[string]string, from, to time.Time, vb *ValueBound) []SeriesView {
 	keys, ok := db.idx.candidates(measurement, filter)
 	if !ok {
@@ -116,13 +116,13 @@ func (db *DB) readMatching(keys []string, measurement string, filter map[string]
 			continue
 		}
 		sh := &db.shards[si]
-		sh.mu.RLock()
-		for _, k := range byShard[si] {
-			if s, ok := sh.series[k]; ok && s.matches(measurement, filter) {
-				fn(k, s)
+		sh.read(func() {
+			for _, k := range byShard[si] {
+				if s, ok := sh.series[k]; ok && s.matches(measurement, filter) {
+					fn(k, s)
+				}
 			}
-		}
-		sh.mu.RUnlock()
+		})
 	}
 }
 
@@ -147,7 +147,7 @@ func (s keyed[T]) Swap(i, j int) {
 }
 
 // appendView slices the series to [fromNs, toNs), applies the optional
-// value bound, and appends the view unless it is empty. An eager view
+// value bound, and appends the view unless it is empty. A column view
 // without a bound aliases the columns; lazy stubs route through
 // appendLazyView. The caller must hold the shard lock (read suffices).
 func (s *series) appendView(out []SeriesView, fromNs, toNs int64, vb *ValueBound) []SeriesView {
