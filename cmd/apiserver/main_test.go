@@ -151,12 +151,14 @@ func checkHeaderTimeout(t *testing.T, srv *http.Server, path string, want int) {
 		}
 	}()
 
+	// The server's header deadline can start at accept, before Dial
+	// returns here, so the clock starts before the dial.
+	sent := time.Now()
 	slow, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer slow.Close()
-	sent := time.Now()
 	if _, err := slow.Write([]byte("GET " + path[:len(path)/2])); err != nil {
 		t.Fatal(err)
 	}

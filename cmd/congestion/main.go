@@ -61,6 +61,8 @@ func main() {
 	start := netsim.Epoch
 	end := start.AddDate(0, 0, *days)
 	bins := *days * 288
+	acCfg := analysis.DefaultAutocorr()
+	acCfg.WindowDays = *days
 	for _, id := range links {
 		if err := ctx.Err(); err != nil {
 			fmt.Fprintln(os.Stderr, "congestion: interrupted, stopping after current link")
@@ -73,10 +75,19 @@ func main() {
 		if *vp != "" {
 			filter["vp"] = *vp
 		}
+		// One query of the far series feeds both methods: level-shift's
+		// five-minute bins and, with -autocorr, its fifteen-minute ones.
 		far := analysis.NewBinSeries(start, 5*time.Minute, bins)
+		var acFar *analysis.BinSeries
+		if *autocorr {
+			acFar = analysis.NewBinSeries(start, 15*time.Minute, acCfg.WindowDays*acCfg.BinsPerDay)
+		}
 		for _, s := range db.Query(tslp.MeasLatency, filter, start, end) {
 			for _, p := range s.Points {
 				far.Observe(p.Time, p.Value)
+				if acFar != nil {
+					acFar.Observe(p.Time, p.Value)
+				}
 			}
 		}
 		if far.Coverage() < 0.1 {
@@ -93,26 +104,17 @@ func main() {
 		}
 
 		if *autocorr {
-			cfg := analysis.DefaultAutocorr()
-			cfg.WindowDays = *days
-			binsPerWin := cfg.WindowDays * cfg.BinsPerDay
-			acFar := analysis.NewBinSeries(start, 15*time.Minute, binsPerWin)
-			acNear := analysis.NewBinSeries(start, 15*time.Minute, binsPerWin)
+			acNear := analysis.NewBinSeries(start, 15*time.Minute, acCfg.WindowDays*acCfg.BinsPerDay)
 			nearFilter := map[string]string{"link": id, "side": "near"}
 			if *vp != "" {
 				nearFilter["vp"] = *vp
-			}
-			for _, s := range db.Query(tslp.MeasLatency, filter, start, end) {
-				for _, p := range s.Points {
-					acFar.Observe(p.Time, p.Value)
-				}
 			}
 			for _, s := range db.Query(tslp.MeasLatency, nearFilter, start, end) {
 				for _, p := range s.Points {
 					acNear.Observe(p.Time, p.Value)
 				}
 			}
-			acRes, err := analysis.Autocorrelation(acFar, acNear, cfg)
+			acRes, err := analysis.Autocorrelation(acFar, acNear, acCfg)
 			if err != nil {
 				fmt.Printf("  autocorrelation: %v\n", err)
 				continue

@@ -46,6 +46,8 @@ const (
 	// Content-Length; a longer declared body is read incrementally, so
 	// a lying header cannot make the front allocate it up front.
 	maxExactBody = 64 << 20
+	// maxPooledBody bounds the body buffers upstreamPool keeps.
+	maxPooledBody = 1 << 20
 )
 
 // ServedByHeader and ReplicaLagHeader carry routing provenance on
@@ -319,11 +321,29 @@ func (f *Front) pick() (cands []*replicaSnapshot, stale bool) {
 // upstream is one buffered replica response: the front only ever
 // serves fully read bodies, so a replica dying mid-body is a retryable
 // transport error here, never truncated bytes on the client's wire.
+// An upstream comes from upstreamPool and goes back to it through
+// release once its body is written or dropped.
 type upstream struct {
 	snap   *replicaSnapshot
 	status int
 	header http.Header
 	body   []byte
+}
+
+// upstreamPool recycles upstreams and their body buffers, so a body of
+// at most maxPooledBody bytes is read into a buffer an earlier response
+// left behind.
+var upstreamPool = sync.Pool{New: func() any { return new(upstream) }}
+
+// release hands u and its body buffer back for reuse. Nothing may read
+// u after it; a buffer over maxPooledBody is left to the collector.
+func (u *upstream) release() {
+	body := u.body[:0]
+	if cap(body) > maxPooledBody {
+		body = nil
+	}
+	*u = upstream{body: body}
+	upstreamPool.Put(u)
 }
 
 // fetch performs one buffered GET against a replica, forwarding the
@@ -347,20 +367,26 @@ func (f *Front) fetch(ctx context.Context, snap *replicaSnapshot, r *http.Reques
 		return nil, err
 	}
 	defer resp.Body.Close()
-	var body []byte
-	if n := resp.ContentLength; n >= 0 && n <= maxExactBody {
-		body = make([]byte, n)
-		_, err = io.ReadFull(resp.Body, body)
-	} else {
-		body, err = io.ReadAll(resp.Body)
+	u := upstreamPool.Get().(*upstream)
+	switch n := resp.ContentLength; {
+	case n >= 0 && n <= maxExactBody:
+		if int64(cap(u.body)) < n {
+			u.body = make([]byte, n)
+		}
+		u.body = u.body[:n]
+		_, err = io.ReadFull(resp.Body, u.body)
+	default:
+		u.body, err = io.ReadAll(resp.Body)
 	}
 	if err != nil {
+		u.release()
 		// Mid-body death: a short read against the Content-Length, or a
 		// chunked body cut before its last chunk.
 		return nil, fmt.Errorf("reading body from %s: %w", snap.rep.shown, err)
 	}
 	// The header map is this response's own; nothing else holds it.
-	return &upstream{snap: snap, status: resp.StatusCode, header: resp.Header, body: body}, nil
+	u.snap, u.status, u.header = snap, resp.StatusCode, resp.Header
+	return u, nil
 }
 
 // hedgeDelay returns the current hedge timer: the fixed FrontOptions
@@ -402,73 +428,143 @@ func (f *Front) observeLatency(d time.Duration) {
 // 5xx. 4xx and 3xx answers pass through — they are the replica
 // speaking the API contract, not a replica failure. Returns nil when
 // every attempt failed.
+//
+// The primary runs on the calling goroutine. Only a hedge gets one of
+// its own, from the hedge timer, which is armed only when a second
+// candidate exists; a retry runs on the goroutine whose attempt failed.
+// The first success wins and cancels every other attempt in flight.
 func (f *Front) route(r *http.Request, cands []*replicaSnapshot) *upstream {
 	ctx, cancel := context.WithCancel(r.Context())
-	// Cancelling here reels in whichever in-flight fetch lost the race;
-	// the winner's body is already fully buffered.
 	defer cancel()
+	rc := &race{f: f, r: r, cands: cands, ctx: ctx, cancel: cancel, next: 1, pending: 1}
+	if len(cands) > 1 {
+		rc.mu.Lock()
+		rc.timer = time.AfterFunc(f.hedgeDelay(), rc.hedge)
+		rc.mu.Unlock()
+	}
+	rc.run(cands[0], true)
+	rc.mu.Lock()
+	if !rc.done {
+		// Another attempt is still in flight: wait for the verdict.
+		rc.wait = make(chan struct{})
+		rc.mu.Unlock()
+		<-rc.wait
+		rc.mu.Lock()
+	}
+	won := rc.won
+	rc.mu.Unlock()
+	return won
+}
 
-	type outcome struct {
-		res *upstream
-		err error
-	}
-	ch := make(chan outcome, 3)
-	next := 0
-	launch := func(kind string) bool {
-		if next >= len(cands) {
-			return false
-		}
-		snap := cands[next]
-		next++
-		switch kind {
-		case "hedge":
-			snap.rep.hedged.Add(1)
-		case "retry":
-			snap.rep.retried.Add(1)
-		}
-		go func() {
-			t0 := time.Now()
-			res, err := f.fetch(ctx, snap, r)
-			if err == nil && kind == "primary" {
-				f.observeLatency(time.Since(t0))
-			}
-			ch <- outcome{res, err}
-		}()
-		return true
-	}
-	launch("primary")
-	hedgeTimer := time.NewTimer(f.hedgeDelay())
-	defer hedgeTimer.Stop()
+// race is one routed read's attempts. All of them share ctx, which is
+// cancelled as soon as one wins or the last one fails.
+type race struct {
+	f      *Front
+	r      *http.Request
+	cands  []*replicaSnapshot
+	ctx    context.Context
+	cancel context.CancelFunc
 
-	inFlight, retried, hedged := 1, false, false
-	for inFlight > 0 {
-		select {
-		case o := <-ch:
-			inFlight--
-			if o.err == nil && o.res.status < 500 {
-				return o.res
-			}
-			if f.logf != nil {
-				if o.err != nil {
-					f.logf("front: fetch failed: %s", replication.RedactURL(o.err.Error()))
-				} else {
-					f.logf("front: replica %s answered %d", o.res.snap.rep.shown, o.res.status)
-				}
-			}
-			// One retry on a replica that has not seen this request yet
-			// (docs/SERVING.md §9).
-			if !retried && launch("retry") {
-				retried = true
-				inFlight++
-			}
-		case <-hedgeTimer.C:
-			if !hedged && launch("hedge") {
-				hedged = true
-				inFlight++
-			}
+	mu      sync.Mutex
+	timer   *time.Timer   // the hedge timer, nil without a second candidate
+	next    int           // index of the next candidate to try
+	pending int           // attempts claimed and not yet finished
+	retried bool          // the one retry has been sent
+	done    bool          // won is final
+	won     *upstream     // the winning answer; nil when every attempt failed
+	wait    chan struct{} // closed at the verdict when route is waiting for it
+}
+
+// run fetches from snap and, when that fails and the retry is still
+// unspent, retries on the next candidate on the same goroutine. Only
+// the primary's successful fetches feed the adaptive hedge timer.
+func (rc *race) run(snap *replicaSnapshot, primary bool) {
+	for snap != nil {
+		t0 := time.Now()
+		res, err := rc.f.fetch(rc.ctx, snap, rc.r)
+		if err == nil && primary {
+			rc.f.observeLatency(time.Since(t0))
+		}
+		snap, primary = rc.finish(res, err), false
+	}
+}
+
+// hedge is the hedge timer's callback, so it runs at most once: it
+// sends the duplicate request to the next candidate unless the race
+// is over or none is left.
+func (rc *race) hedge() {
+	rc.mu.Lock()
+	if rc.done || rc.next >= len(rc.cands) {
+		rc.mu.Unlock()
+		return
+	}
+	snap := rc.claimLocked()
+	rc.mu.Unlock()
+	snap.rep.hedged.Add(1)
+	rc.run(snap, false)
+}
+
+// claimLocked takes the next candidate for a new attempt.
+func (rc *race) claimLocked() *replicaSnapshot {
+	snap := rc.cands[rc.next]
+	rc.next++
+	rc.pending++
+	return snap
+}
+
+// finish records one attempt's outcome. A success wins unless another
+// attempt already has, in which case its answer is released. A failure
+// returns the candidate the caller should retry on, if the retry is
+// unspent; the last attempt to fail with nothing left to try ends the
+// race with no winner. A loser's failure — usually its cancellation —
+// is not logged.
+func (rc *race) finish(res *upstream, err error) (retry *replicaSnapshot) {
+	ok := err == nil && res.status < 500
+	rc.mu.Lock()
+	over := rc.done
+	rc.pending--
+	switch {
+	case over:
+	case ok:
+		rc.won = res
+		rc.endLocked()
+	case !rc.retried && rc.next < len(rc.cands):
+		// One retry on a replica that has not seen this request yet
+		// (docs/SERVING.md §9).
+		rc.retried = true
+		retry = rc.claimLocked()
+		retry.rep.retried.Add(1)
+	case rc.pending == 0:
+		rc.endLocked()
+	}
+	rc.mu.Unlock()
+	if ok && !over {
+		return nil // res is the answer; route hands it to ServeHTTP
+	}
+	if !over && rc.f.logf != nil {
+		if err != nil {
+			rc.f.logf("front: fetch failed: %s", replication.RedactURL(err.Error()))
+		} else {
+			rc.f.logf("front: replica %s answered %d", res.snap.rep.shown, res.status)
 		}
 	}
-	return nil
+	if res != nil {
+		res.release()
+	}
+	return retry
+}
+
+// endLocked delivers the verdict: it stops the hedge timer, cancels
+// every attempt still in flight and wakes route if it is waiting.
+func (rc *race) endLocked() {
+	rc.done = true
+	if rc.timer != nil {
+		rc.timer.Stop()
+	}
+	rc.cancel()
+	if rc.wait != nil {
+		close(rc.wait)
+	}
 }
 
 // ServeHTTP implements http.Handler: the front's own health and the
@@ -515,6 +611,7 @@ func (f *Front) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	w.WriteHeader(res.status)
 	_, _ = w.Write(res.body)
+	res.release()
 }
 
 // FrontReplicaStats is one replica's row in the stats front block.
@@ -582,14 +679,17 @@ func (f *Front) frontStats() FrontStats {
 // serveStats re-serves a replica's stats body with the front's routing
 // block injected, so one scrape of the front covers both tiers.
 func (f *Front) serveStats(w http.ResponseWriter, res *upstream) {
+	snap := res.snap
 	var doc map[string]interface{}
-	if err := json.Unmarshal(res.body, &doc); err != nil {
+	err := json.Unmarshal(res.body, &doc)
+	res.release()
+	if err != nil {
 		writeError(w, http.StatusInternalServerError, "replica stats body: %v", err)
 		return
 	}
 	doc["front"] = f.frontStats()
-	w.Header().Set(ServedByHeader, res.snap.rep.shown)
-	w.Header().Set(ReplicaLagHeader, strconv.FormatUint(res.snap.lag, 10))
+	w.Header().Set(ServedByHeader, snap.rep.shown)
+	w.Header().Set(ReplicaLagHeader, strconv.FormatUint(snap.lag, 10))
 	writeJSON(w, http.StatusOK, doc)
 }
 

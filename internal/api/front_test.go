@@ -33,11 +33,14 @@ type fakeReplica struct {
 
 	served atomic.Uint64
 	// mode switches the data endpoint's behavior: "" normal, "die"
-	// sets a Content-Length then aborts mid-body, "500" answers 500.
+	// sets a Content-Length then aborts mid-body, "500" answers 500,
+	// "404" answers a not_found envelope.
 	mode atomic.Value
 	// active tracks in-flight data requests; the hedging test uses it
 	// to prove the loser is cancelled.
 	active atomic.Int64
+	// cancelled counts data requests whose context died during delay.
+	cancelled atomic.Int64
 	// delay stalls data responses until the request context dies or
 	// the delay elapses.
 	delay time.Duration
@@ -79,6 +82,7 @@ func (fr *fakeReplica) serve(w http.ResponseWriter, r *http.Request) {
 	if fr.delay > 0 {
 		select {
 		case <-r.Context().Done():
+			fr.cancelled.Add(1)
 			return
 		case <-time.After(fr.delay):
 		}
@@ -92,6 +96,9 @@ func (fr *fakeReplica) serve(w http.ResponseWriter, r *http.Request) {
 		panic(http.ErrAbortHandler)
 	case "500":
 		http.Error(w, "boom", http.StatusInternalServerError)
+		return
+	case "404":
+		writeError(w, http.StatusNotFound, "no such thing")
 		return
 	}
 	fr.served.Add(1)
